@@ -28,6 +28,7 @@ from .analytic import (
 )
 from .area import (
     AreaConfig,
+    area_change,
     area_element,
     area_gradient,
     cell_tangents,

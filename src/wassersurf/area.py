@@ -73,12 +73,15 @@ def cell_tangents(f: SurfaceField, i: int, j: int) -> tuple[np.ndarray, np.ndarr
     return ds, dt
 
 
+def _tangents(v: np.ndarray, hs: float, ht: float) -> tuple[np.ndarray, np.ndarray]:
+    ds = (v[1:, :-1] + v[1:, 1:] - v[:-1, :-1] - v[:-1, 1:]) / (2.0 * hs)
+    dt = (v[:-1, 1:] + v[1:, 1:] - v[:-1, :-1] - v[1:, :-1]) / (2.0 * ht)
+    return ds, dt
+
+
 def tangent_fields(f: SurfaceField) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized cell tangents for all cells, shapes ``(ns-1, nt-1, m)``."""
-    v = f.values
-    ds = (v[1:, :-1] + v[1:, 1:] - v[:-1, :-1] - v[:-1, 1:]) / (2.0 * f.grid.hs)
-    dt = (v[:-1, 1:] + v[1:, 1:] - v[:-1, :-1] - v[1:, :-1]) / (2.0 * f.grid.ht)
-    return ds, dt
+    return _tangents(f.values, f.grid.hs, f.grid.ht)
 
 
 def _gram_terms(ds, dt, w):
@@ -130,6 +133,34 @@ def total_area(f: SurfaceField, cfg: AreaConfig) -> float:
     for value in flat:
         total += value
     return total
+
+
+def area_change(tangents, cells, cells_try, step, k, grid, cfg: AreaConfig) -> float:
+    """Total-area change when coordinate ``k`` alone moves by ``step``.
+
+    ``tangents`` and ``cells`` are ``tangent_fields`` and ``cell_area_field``
+    of the current field, ``cells_try`` is ``cell_area_field`` after the
+    move, and ``step`` is the ``(ns, nt)`` change of coordinate ``k``.  Per
+    cell the change is dG / (A_try + A), with the Gram change dG expanded in
+    the step's own tangents, so no two rounded areas or determinants are
+    subtracted and the result keeps full relative precision however small
+    the step.  Cells where either determinant sits on the clamp fall back to
+    A_try - A.  Cells are summed exactly (fsum).
+    """
+    ds, dt = tangents
+    w = cfg.weight_vector(ds.shape[-1])
+    a, b, c = _gram_terms(ds, dt, w)
+    sk, tk, wk = ds[..., k], dt[..., k], w[k]
+    us, ut = _tangents(step, grid.hs, grid.ht)
+    da = wk * us * (2.0 * sk + us)
+    db = wk * ut * (2.0 * tk + ut)
+    dc = wk * (sk * ut + us * tk + us * ut)
+    gram = a * b - c * c
+    dgram = da * b + (a + da) * db - dc * (2.0 * c + dc)
+    live = (gram > 0.0) & (gram + dgram > 0.0)
+    denom = np.where(live, cells_try + cells, 1.0)
+    per_cell = np.where(live, dgram / denom, cells_try - cells)
+    return grid.hs * grid.ht * math.fsum(per_cell.ravel().tolist())
 
 
 def area_gradient(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:

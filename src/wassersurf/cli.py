@@ -1,8 +1,7 @@
 """Command-line front end: solve, verify, and export-plot workflows.
 
 All problem assembly is driven by a single JSON config document; the only
-flags that override it are ``--out`` (artifact directory) and ``--threads``
-(reserved operational knob, computations are vectorized in-process).
+flag that overrides it is ``--out`` (artifact directory).
 
 Exit codes: 0 success/converged, 1 verification tolerance failure,
 2 config or input error, 3 solver stall, 4 degenerate problem.
@@ -69,8 +68,17 @@ def _parse_window(doc) -> tuple:
     raise ConfigError("window must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]")
 
 
+def _section(doc: dict, key: str) -> dict:
+    sub = doc.get(key, {})
+    if not isinstance(sub, dict):
+        raise ConfigError(f"'{key}' must be a JSON object")
+    return sub
+
+
 def parse_oracle(doc: dict):
     """Build an analytic surface plus window/offset from its config form."""
+    if not isinstance(doc, dict):
+        raise ConfigError("an oracle must be a JSON object")
     kind = doc.get("oracle")
     if kind == "plane":
         surf = analytic.Plane(float(doc["a1"]), float(doc["a2"]), float(doc["a3"]))
@@ -119,11 +127,21 @@ def load_config(path, out_override=None) -> RunConfig:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    try:
+        return _parse_config(doc, out_override)
+    except TypeError as exc:
+        # e.g. null or a list where a number is expected
+        raise ConfigError(f"malformed value in config {path}: {exc}") from exc
+
+
+def _parse_config(doc: dict, out_override) -> RunConfig:
     problem = doc.get("problem")
     if problem not in PROBLEMS:
         raise ConfigError(f"problem must be one of {PROBLEMS}, got {problem!r}")
 
-    gdoc = doc.get("grid", {})
+    gdoc = _section(doc, "grid")
     ns = int(gdoc.get("ns", 17))
     nt = int(gdoc.get("nt", 17))
     if problem != "analytic-verify" and min(ns, nt) < 3:
@@ -132,11 +150,12 @@ def load_config(path, out_override=None) -> RunConfig:
 
     corners = None
     if "corners" in doc:
+        cdoc = _section(doc, "corners")
         corners = {}
         for key in ("c00", "c10", "c01", "c11"):
-            if key not in doc["corners"]:
+            corners[key] = _section(cdoc, key)
+            if not corners[key]:
                 raise ConfigError(f"corners must define {key}")
-            corners[key] = doc["corners"][key]
 
     oracle = None
     oracles = []
@@ -148,7 +167,7 @@ def load_config(path, out_override=None) -> RunConfig:
         if oracle is None and oracles:
             oracle = oracles[0]
 
-    sdoc = doc.get("solver", {})
+    sdoc = _section(doc, "solver")
     try:
         solver = SolverConfig(
             max_iters=int(sdoc.get("max_iters", 5000)),
@@ -162,8 +181,8 @@ def load_config(path, out_override=None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
-    adoc = doc.get("area", {})
-    pdoc = doc.get("perturb", {})
+    adoc = _section(doc, "area")
+    pdoc = _section(doc, "perturb")
     out = Path(out_override if out_override is not None else doc.get("out", "."))
     formats = list(doc.get("formats", ["csv", "json"]))
     for fmt in formats:
@@ -183,7 +202,7 @@ def load_config(path, out_override=None) -> RunConfig:
         perturb_seed=int(pdoc.get("seed", 0)),
         out=out,
         formats=formats,
-        tolerances=dict(doc.get("tolerances", {})),
+        tolerances=_section(doc, "tolerances"),
         surface_path=doc.get("surface"),
         samples=int(doc.get("samples", 21)),
     )
@@ -216,7 +235,10 @@ def _assemble(cfg: RunConfig):
         for key, cdoc in cfg.corners.items():
             if cdoc.get("type") != "gaussian_diag":
                 raise ConfigError(f"corner {key} must have type 'gaussian_diag'")
-            diag = np.asarray(cdoc["diag"], dtype=float)
+            try:
+                diag = np.asarray(cdoc["diag"], dtype=float)
+            except TypeError as exc:
+                raise ConfigError(f"corner {key} diag must be positive reals") from exc
             if diag.ndim != 1 or np.any(diag <= 0.0):
                 raise ConfigError(f"corner {key} diag must be positive reals")
             roots[key] = np.sqrt(diag)
@@ -228,7 +250,10 @@ def _assemble(cfg: RunConfig):
     if cfg.problem == "density1d":
         if cfg.corners is None:
             raise ConfigError("density1d needs 'corners'")
-        dens = {k: parse_density(v) for k, v in cfg.corners.items()}
+        try:
+            dens = {k: parse_density(v) for k, v in cfg.corners.items()}
+        except TypeError as exc:
+            raise ConfigError(f"malformed density corner: {exc}") from exc
         qg = QuantileGrid(cfg.m)
         boundary = boundary_from_corners(
             dens["c00"], dens["c10"], dens["c01"], dens["c11"], cfg.grid, qg
@@ -445,8 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Minimal-surface solver for graphs, 1-D density families, "
         "and diagonal Gaussian covariance families.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="thread budget (reserved; computations are vectorized in-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve the problem described by a JSON config")

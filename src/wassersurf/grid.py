@@ -89,7 +89,9 @@ class BoundarySpec:
     ``edge_s0``/``edge_s1`` run along t at s=0 and s=1 (shape ``(nt, m)``);
     ``edge_t0``/``edge_t1`` run along s at t=0 and t=1 (shape ``(ns, m)``).
     Shared corners of adjacent edges must agree to within ``CORNER_TOL``
-    in every coordinate.
+    in every coordinate; the s-edges' corner values are then snapped to the
+    t-edges' (the ones ``apply_boundary`` writes last), so a field carrying
+    this boundary matches all four edges bit-exactly.
     """
 
     edge_s0: np.ndarray
@@ -114,17 +116,22 @@ class BoundarySpec:
         if edges["edge_s0"].shape[1] != edges["edge_t0"].shape[1]:
             raise ShapeMismatchError("s-edges and t-edges must share the coordinate dimension")
         corners = [
-            ("(0,0)", self.edge_s0[0], self.edge_t0[0]),
-            ("(0,1)", self.edge_s0[-1], self.edge_t1[0]),
-            ("(1,0)", self.edge_s1[0], self.edge_t0[-1]),
-            ("(1,1)", self.edge_s1[-1], self.edge_t1[-1]),
+            ("(0,0)", "edge_s0", 0, self.edge_t0[0]),
+            ("(0,1)", "edge_s0", -1, self.edge_t1[0]),
+            ("(1,0)", "edge_s1", 0, self.edge_t0[-1]),
+            ("(1,1)", "edge_s1", -1, self.edge_t1[-1]),
         ]
-        for label, a, b in corners:
-            gap = float(np.max(np.abs(a - b)))
+        for label, name, idx, corner in corners:
+            edge = getattr(self, name)
+            gap = float(np.max(np.abs(edge[idx] - corner)))
             if gap > CORNER_TOL:
                 raise CornerMismatchError(
                     f"edges disagree at corner {label}: max gap {gap:.3e} > {CORNER_TOL:.1e}"
                 )
+            if gap > 0.0:
+                edge = edge.copy()  # never write into the caller's array
+                edge[idx] = corner
+                setattr(self, name, edge)
 
     @property
     def ns(self) -> int:

@@ -2,10 +2,22 @@
 
 The solver moves only interior node values (optionally only a subset of
 coordinates) with the four boundary edges held bit-exactly fixed.  Two
-methods are available: plain gradient descent and Polak-Ribiere nonlinear
+methods are available: gradient descent and Polak-Ribiere (PR+) nonlinear
 conjugate gradients with automatic restart, both under a backtracking
 Armijo line search.  Every accepted step strictly decreases the area, so
 the reported area trace is nonincreasing by construction.
+
+When exactly one coordinate is free (graph problems, oracle-driven
+covariance problems) both methods are preconditioned by the inverse of the
+area's flat Hessian, a constant-coefficient form of the cell stencil that a
+DST-I diagonalises exactly, and the Armijo decrease is evaluated without
+cancellation by ``area_change``.  With the other coordinates pinned, each
+cell area sqrt(G_p + grad z^T M grad z) (M positive semidefinite) is convex
+in the free coordinate, so this Sobolev-gradient descent takes a
+grid-independent number of steps.  With several free coordinates the area
+is not convex (tangential and hourglass near-null directions), so that path
+stays unpreconditioned and takes the Armijo decrease as an exact (fsum) sum
+of per-cell area differences.
 
 The discrete optimality residual uses the same cell tangents as the
 objective: per-cell flux vectors are differenced across the two cells on
@@ -21,6 +33,7 @@ import numpy as np
 from .area import (
     AreaConfig,
     _gram_terms,
+    area_change,
     area_gradient,
     cell_area_field,
     degenerate_cell_count,
@@ -153,6 +166,63 @@ def _normalize_free(free_coords, m: int) -> list:
     return free
 
 
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalised DST-I along ``axis`` via the rfft of the odd extension."""
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    out = -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : n + 1]
+    return np.moveaxis(out, -1, axis)
+
+
+def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
+    """Inverse of hs*ht*(c_s D_s(x)A_t/hs^2 + c_t A_s(x)D_t/ht^2) on the interior.
+
+    D is the 1-D Dirichlet second difference tridiag(-1, 2, -1) and A the
+    average tridiag(1, 2, 1)/4: the operator is the Hessian of the cell
+    stencil's area with frozen coefficients and no cross term.  Both 1-D
+    factors share the DST-I eigenvectors, so the solve is exact.  Returns a
+    function on flattened ``(ns-2, nt-2)`` interior vectors.
+    """
+    hs, ht = grid.hs, grid.ht
+    n1, n2 = grid.ns - 2, grid.nt - 2
+    half1 = 0.5 * np.pi * np.arange(1, n1 + 1) / (n1 + 1)
+    half2 = 0.5 * np.pi * np.arange(1, n2 + 1) / (n2 + 1)
+    d1, a1 = 4.0 * np.sin(half1) ** 2, np.cos(half1) ** 2
+    d2, a2 = 4.0 * np.sin(half2) ** 2, np.cos(half2) ** 2
+    symbol = hs * ht * (
+        c_s * np.outer(d1, a2) / (hs * hs) + c_t * np.outer(a1, d2) / (ht * ht)
+    )
+    scale = 4.0 / ((n1 + 1) * (n2 + 1) * symbol)
+
+    def solve(g):
+        spec = _dst1(_dst1(g.reshape(n1, n2), 0), 1) * scale
+        return _dst1(_dst1(spec, 0), 1).ravel()
+
+    return solve
+
+
+def _flat_hessian_inverse(tangents, grid: Grid2, k: int, acfg: AreaConfig):
+    """DST preconditioner for coordinate ``k``, frozen at the given cell tangents.
+
+    The second derivatives of a cell's area in the k-th s- and t-tangent
+    components are w_k*b/sqrt(G) and w_k*a/sqrt(G); their means over the
+    non-degenerate cells (1 when there are none) weight the operator.
+    """
+    w = acfg.weight_vector(tangents[0].shape[-1])
+    a, b, c = _gram_terms(*tangents, w)
+    gram = a * b - c * c
+    live = gram > acfg.epsilon
+    if np.any(live):
+        root = np.sqrt(gram[live] + acfg.epsilon)
+        c_s = w[k] * float(np.mean(b[live] / root))
+        c_t = w[k] * float(np.mean(a[live] / root))
+    else:
+        c_s = c_t = 1.0
+    return _dst_inverse(grid, c_s, c_t)
+
+
 def minimize(
     init: SurfaceField,
     b: BoundarySpec,
@@ -165,7 +235,9 @@ def minimize(
     ``init`` must already satisfy the boundary on its edges.  When
     ``free_coords`` is given, only those coordinate indices move (the
     graph problems pin the two affine parameter coordinates and descend
-    on the height alone); the rest of the field is treated as data.
+    on the height alone); the rest of the field is treated as data.  With
+    exactly one free coordinate the descent is DST-preconditioned (see the
+    module docstring).
 
     Line-search failure after the backtracking budget returns the best
     field seen so far with ``converged=False`` and a stall diagnostic;
@@ -206,45 +278,55 @@ def minimize(
     iterations = 0
     stall = None
 
+    if len(free) == 1 and x.size:
+        tangents = tangent_fields(fld)
+        precondition = _flat_hessian_inverse(tangents, grid, free[0], acfg)
+        step = np.zeros((grid.ns, grid.nt))
+    else:
+        precondition = None
+
+    def line_search(direction, slope):
+        alpha = cfg.step0
+        for _ in range(cfg.max_backtracks + 1):
+            x_try = x + alpha * direction
+            push(x_try)
+            cells_try = cell_area_field(fld, acfg)
+            if precondition is None:
+                delta = measure * math.fsum((cells_try - cells_cur).ravel(order="C").tolist())
+            else:
+                # the step as rounded into the trial field, not alpha * direction
+                step[1:-1, 1:-1] = (x_try - x).reshape(inner_shape[:2])
+                delta = area_change(tangents, cells_cur, cells_try, step, free[0], grid, acfg)
+            if math.isnan(delta):
+                raise SolverNaNError(it, "objective is NaN during line search")
+            if delta <= cfg.armijo_c1 * alpha * slope:
+                return alpha, delta, cells_try
+            alpha *= cfg.backtrack
+        return None, None, None
+
     if x.size == 0:
         g = np.zeros(0)
         gnorm = 0.0
         converged = True
     else:
         g = gradient()
+        z = g if precondition is None else precondition(g)
         gnorm = float(np.max(np.abs(g)))
         converged = gnorm <= tol
-        d = -g
+        d = -z
         it = 0
         while not converged and it < cfg.max_iters:
             it += 1
             gd = float(np.dot(g, d))
             if gd >= 0.0:
-                d = -g
-                gd = -float(np.dot(g, g))
-
-            def line_search(direction, slope):
-                # The Armijo decrease is evaluated as an exact (fsum) sum of
-                # per-cell area differences: the plain difference of two
-                # rounded totals cannot resolve decreases below eps*area,
-                # which is where fine-grid solves live.
-                alpha = cfg.step0
-                for _ in range(cfg.max_backtracks + 1):
-                    push(x + alpha * direction)
-                    cells_try = cell_area_field(fld, acfg)
-                    delta = measure * math.fsum((cells_try - cells_cur).ravel(order="C").tolist())
-                    if math.isnan(delta):
-                        raise SolverNaNError(it, "objective is NaN during line search")
-                    if delta <= cfg.armijo_c1 * alpha * slope:
-                        return alpha, delta, cells_try
-                    alpha *= cfg.backtrack
-                return None, None, None
+                d = -z
+                gd = -float(np.dot(g, z))
 
             alpha, delta, cells_new = line_search(d, gd)
-            if alpha is None and use_cg and not np.array_equal(d, -g):
+            if alpha is None and use_cg and not np.array_equal(d, -z):
                 # restart once from steepest descent before declaring a stall
-                d = -g
-                gd = -float(np.dot(g, g))
+                d = -z
+                gd = -float(np.dot(g, z))
                 alpha, delta, cells_new = line_search(d, gd)
             if alpha is None:
                 push(x)
@@ -262,6 +344,8 @@ def minimize(
             f_cur = f_cur + delta
             trace.append(f_cur)
             iterations = it
+            if precondition is not None:
+                tangents = tangent_fields(fld)
 
             g_new = gradient()
             gnorm = float(np.max(np.abs(g_new)))
@@ -269,12 +353,13 @@ def minimize(
                 converged = True
                 g = g_new
                 break
+            z_new = g_new if precondition is None else precondition(g_new)
             if use_cg:
-                beta = max(0.0, float(np.dot(g_new, g_new - g)) / float(np.dot(g, g)))
-                d = -g_new + beta * d
+                beta = max(0.0, float(np.dot(z_new, g_new - g)) / float(np.dot(z, g)))
+                d = -z_new + beta * d
             else:
-                d = -g_new
-            g = g_new
+                d = -z_new
+            g, z = g_new, z_new
 
     final = SurfaceField(grid, work.copy())
     rep = euler_lagrange_residual(final, acfg)

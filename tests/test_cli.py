@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import wassersurf as ws
 from wassersurf.cli import main
@@ -149,6 +150,35 @@ def test_config_error_exit_codes(tmp_path):
         "oracle": {"oracle": "plane", "a1": 1, "a2": 1, "a3": 0, "window": [0, 1]},
     }, name="tiny.json")
     assert main(["solve", tiny]) == 2
+
+
+def test_malformed_config_values_exit_2(tmp_path, capsys):
+    scherk = {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}
+    docs = {
+        "null_grid_size": {"problem": "graph", "grid": {"ns": None}, "oracle": scherk},
+        "null_oracle_param": {"problem": "graph", "oracle": dict(scherk, c=None)},
+        "top_level_list": [{"problem": "graph", "oracle": scherk}],
+        "grid_not_object": {"problem": "graph", "grid": [9, 9], "oracle": scherk},
+        "oracle_not_object": {"problem": "graph", "oracle": 3},
+        "corner_not_object": {
+            "problem": "density1d",
+            "corners": {"c00": 1, "c10": 2, "c01": 3, "c11": 4},
+        },
+        "null_mixture_components": {
+            "problem": "density1d",
+            "corners": {k: {"type": "mixture", "components": None}
+                        for k in ("c00", "c10", "c01", "c11")},
+        },
+    }
+    for name, doc in docs.items():
+        cfg = write_config(tmp_path, doc, name=f"{name}.json")
+        assert main(["solve", cfg]) == 2, name
+        assert "config error" in capsys.readouterr().err, name
+
+
+def test_threads_flag_removed(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["--threads", "2", "solve", scherk_graph_config(tmp_path)])
 
 
 def test_solver_stall_exit_code_with_artifacts(tmp_path):

@@ -152,6 +152,24 @@ def test_corner_gap_within_tolerance_accepted():
     ws.BoundarySpec(b.edge_s0, b.edge_s1, nudged, b.edge_t1)
 
 
+def test_corner_gap_snapped_so_solve_accepts_coons_fill():
+    g = ws.Grid2(9, 9)
+    b = ws.BoundarySpec.of_field(plane_field(g))
+    s0 = b.edge_s0.copy()
+    s1 = b.edge_s1.copy()
+    s0[-1, 0] += 1e-13
+    s1[0, 0] -= 1e-13
+    originals = (s0.copy(), s1.copy())
+    snapped = ws.BoundarySpec(s0, s1, b.edge_t0, b.edge_t1)
+    assert np.array_equal(snapped.edge_s0[-1], snapped.edge_t1[0])
+    assert np.array_equal(snapped.edge_s1[0], snapped.edge_t0[-1])
+    assert np.array_equal(s0, originals[0]) and np.array_equal(s1, originals[1])
+    rep = ws.minimize(ws.coons_init(snapped), snapped, ws.SolverConfig(), ws.AreaConfig())
+    out = rep.field.values
+    assert np.array_equal(out[0], snapped.edge_s0)
+    assert np.array_equal(out[-1], snapped.edge_s1)
+
+
 def test_operations_are_pure_and_deterministic(rng):
     g = ws.Grid2(8, 6)
     vals = rng.standard_normal((8, 6, 2))

@@ -267,3 +267,95 @@ def test_perturbed_init_converges_to_same_surface():
     other = ws.minimize(shaken, boundary, cfg, acfg, free_coords=(2,))
     assert other.converged
     assert np.max(np.abs(other.field.values - base.field.values)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# preconditioned single-coordinate path
+# ---------------------------------------------------------------------------
+
+CATENOID = (ws.Catenoid(0.0, 1.0, 1), ((0.8, 2.1), (0.8, 2.1)))
+GRAPH_ORACLES = {
+    "scherk": (ws.Scherk(1.0), ((0.1, 0.4), (0.1, 0.4))),
+    "catenoid": CATENOID,
+    "helicoid": (ws.Helicoid(1.0, 2.0), ((0.5, 1.0), (0.5, 1.0))),
+}
+
+
+def graph_solve(surf, window, n, grad_tol=None, perturb=0.0):
+    grid = ws.Grid2(n, n)
+    boundary, full = ws.graph_boundary(surf, grid, window)
+    init = ws.perturb_interior(ws.coons_init(boundary), perturb, seed=1, free_coords=(2,))
+    rep = ws.minimize(
+        init, boundary, ws.SolverConfig(grad_tol=grad_tol), ws.AreaConfig(epsilon=0.0),
+        free_coords=(2,),
+    )
+    return rep, full
+
+
+@pytest.mark.parametrize("n", [17, 33, 65])
+def test_perturbed_catenoid_iterations_grid_independent(n):
+    rep, full = graph_solve(*CATENOID, n, grad_tol=1e-9, perturb=1e-2)
+    assert rep.converged and rep.stall is None
+    assert rep.iterations <= 60
+    gap = np.max(np.abs(rep.field.values - full.values)[1:-1, 1:-1])
+    assert gap <= 2e-5 * (64 / (n - 1)) ** 2
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_ORACLES))
+def test_graph_solves_reach_default_tolerance(name):
+    rep, _ = graph_solve(*GRAPH_ORACLES[name], 33)
+    assert rep.converged and rep.stall is None
+    assert rep.grad_norm <= ws.default_grad_tol(ws.Grid2(33, 33))
+    trace = rep.area_trace
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+def test_area_change_matches_plain_difference():
+    grid = ws.Grid2(13, 11)
+    f = smooth_test_field(grid, m=3)
+    acfg = ws.AreaConfig(epsilon=1e-12, weights=np.array([1.0, 0.5, 2.0]))
+    step = np.zeros((grid.ns, grid.nt))
+    step[1:-1, 1:-1] = 1e-2 * np.random.default_rng(5).standard_normal((grid.ns - 2, grid.nt - 2))
+    moved = f.values.copy()
+    moved[:, :, 1] += step
+    cells = ws.area.cell_area_field(f, acfg)
+    cells_try = ws.area.cell_area_field(ws.SurfaceField(grid, moved), acfg)
+    plain = grid.hs * grid.ht * math.fsum((cells_try - cells).ravel().tolist())
+    exact = ws.area_change(ws.area.tangent_fields(f), cells, cells_try, step, 1, grid, acfg)
+    assert abs(plain) > 1e-6
+    assert exact == pytest.approx(plain, rel=1e-12)
+
+
+def test_dst_preconditioner_inverts_its_operator():
+    grid = ws.Grid2(9, 12)
+    n1, n2 = grid.ns - 2, grid.nt - 2
+    c_s, c_t = 1.3, 0.7
+
+    def second_difference(n):
+        return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+    def average(n):
+        return (2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 4.0
+
+    op = grid.hs * grid.ht * (
+        c_s * np.kron(second_difference(n1), average(n2)) / grid.hs**2
+        + c_t * np.kron(average(n1), second_difference(n2)) / grid.ht**2
+    )
+    x = np.random.default_rng(9).standard_normal(n1 * n2)
+    solve = wassersurf.solver._dst_inverse(grid, c_s, c_t)
+    assert np.max(np.abs(solve(op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_nan_objective_raises_on_preconditioned_path(monkeypatch):
+    real = wassersurf.solver.cell_area_field
+    calls = {"n": 0}
+
+    def flaky(f, cfg):
+        calls["n"] += 1
+        out = real(f, cfg)
+        return out if calls["n"] == 1 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(wassersurf.solver, "cell_area_field", flaky)
+    with pytest.raises(SolverNaNError) as err:
+        graph_solve(*CATENOID, 17)
+    assert err.value.iteration == 1
