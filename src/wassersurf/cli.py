@@ -4,7 +4,9 @@ All problem assembly is driven by a single JSON config document; the only
 flag that overrides it is ``--out`` (artifact directory).
 
 Exit codes: 0 success/converged, 1 verification tolerance failure,
-2 config or input error, 3 solver stall, 4 degenerate problem.
+2 config or input error, 3 solver stall, 4 degenerate problem,
+5 numerical failure (non-finite values during a solve, or a quantile
+iteration that did not converge).
 """
 
 import argparse
@@ -24,7 +26,13 @@ from .densities import (
     monotonicity_report,
     parse_density,
 )
-from .errors import DegenerateSurfaceError, DomainValidityError, PositivityError
+from .errors import (
+    DegenerateSurfaceError,
+    DomainValidityError,
+    PositivityError,
+    QuantileConvergenceError,
+    SolverNaNError,
+)
 from .gaussian import DiagonalCovSurface, critical_point_residual
 from .grid import (
     BoundarySpec,
@@ -44,6 +52,7 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_STALL = 3
 EXIT_DEGENERATE = 4
+EXIT_NUMERIC = 5
 
 PROBLEMS = ("graph", "density1d", "gaussian-diag", "analytic-verify")
 
@@ -503,6 +512,9 @@ def main(argv=None) -> int:
     except (DegenerateSurfaceError, PositivityError, DomainValidityError) as exc:
         print(f"degenerate problem: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (SolverNaNError, QuantileConvergenceError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

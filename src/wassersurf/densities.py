@@ -15,6 +15,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import QuantileConvergenceError
 from .grid import BoundarySpec, Grid2, SurfaceField, edges_from_corner_vectors
 
 _SQRT2 = math.sqrt(2.0)
@@ -23,6 +24,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 WEIGHT_TOL = 1e-12
 MASS_TOL = 1e-8
 CDF_TOL = 1e-10
+MIXTURE_MAX_STEPS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +218,44 @@ def pdf(d: Density1D, x) -> np.ndarray:
     return float(out) if x_arr.ndim == 0 else out
 
 
-def _mixture_quantile(d: MixtureDensity, z: float) -> float:
-    # Component quantiles bracket the mixture quantile: the mixture CDF at
-    # the smallest component quantile cannot exceed z, at the largest it
-    # cannot fall below z.
-    comp_q = [g.mean + g.std * standard_normal_quantile(z) for _, g in d.components]
-    lo, hi = min(comp_q), max(comp_q)
-    if hi - lo <= 1e-300:
-        return lo
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        err = cdf(d, x) - z
-        if abs(err) <= 1e-13 or (hi - lo) <= 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
+def _mixture_quantiles(d: MixtureDensity, zs: np.ndarray) -> np.ndarray:
+    """Quantiles of a mixture at every level of the 1-D array ``zs`` at once.
+
+    Component quantiles bracket the mixture quantile: the mixture CDF at
+    the smallest component quantile cannot exceed z, at the largest it
+    cannot fall below z.  Each level takes Newton steps on the CDF, falling
+    back to bisection when a step leaves its bracket, until its CDF error or
+    its bracket width is at rounding level.  Levels still open after
+    ``MIXTURE_MAX_STEPS`` raise QuantileConvergenceError.
+    """
+    std_q = standard_normal_quantile(zs)
+    comp_q = np.array([g.mean + g.std * std_q for _, g in d.components])
+    lo, hi = comp_q.min(axis=0), comp_q.max(axis=0)
+    x = np.where(hi - lo <= 1e-300, lo, 0.5 * (lo + hi))
+    live = np.flatnonzero(hi - lo > 1e-300)
+    eps = np.finfo(float).eps
+    for _ in range(MIXTURE_MAX_STEPS):
+        if live.size == 0:
             return x
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        px = pdf(d, x)
-        x_new = x - err / px if px > 0.0 else 0.5 * (lo + hi)
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        x = x_new
+        xl, lo_l, hi_l = x[live], lo[live], hi[live]
+        err = cdf(d, xl) - zs[live]
+        width_floor = 4.0 * eps * np.maximum(np.maximum(np.abs(lo_l), np.abs(hi_l)), 1.0)
+        pending = ~((np.abs(err) <= 1e-13) | ((hi_l - lo_l) <= width_floor))
+        live, xl, err = live[pending], xl[pending], err[pending]
+        above = err > 0.0
+        lo_l = np.where(above, lo_l[pending], xl)
+        hi_l = np.where(above, xl, hi_l[pending])
+        px = pdf(d, xl)
+        mid = 0.5 * (lo_l + hi_l)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = np.where(px > 0.0, xl - err / px, mid)
+        x_new = np.where((lo_l < x_new) & (x_new < hi_l), x_new, mid)
+        lo[live], hi[live], x[live] = lo_l, hi_l, x_new
+    if live.size:
+        raise QuantileConvergenceError(
+            f"mixture quantile did not converge in {MIXTURE_MAX_STEPS} steps "
+            f"at {live.size} level(s), first z = {zs[live[0]]!r}"
+        )
     return x
 
 
@@ -262,7 +280,7 @@ def quantile(d: Density1D, z: float) -> float:
     """Inverse CDF at level z in (0, 1).
 
     Gaussian variants use the closed-form inverse normal; mixtures use
-    bracketed bisection with Newton acceleration on the numeric CDF;
+    bracketed Newton with bisection fallback on the numeric CDF;
     tabulated densities invert their piecewise-quadratic CDF exactly.
     """
     z = float(z)
@@ -271,17 +289,20 @@ def quantile(d: Density1D, z: float) -> float:
     if isinstance(d, GaussianDensity):
         return d.mean + d.std * standard_normal_quantile(z)
     if isinstance(d, MixtureDensity):
-        return _mixture_quantile(d, z)
+        return float(_mixture_quantiles(d, np.array([z]))[0])
     if isinstance(d, TabulatedDensity):
         return _tabulated_quantile(d, z)
     raise TypeError(f"unknown density {type(d).__name__}")
 
 
 def quantiles(d: Density1D, zs: np.ndarray) -> np.ndarray:
-    """Vector of quantiles; closed form for Gaussians, per-level otherwise."""
+    """Vector of quantiles; closed form for Gaussians, all levels at once for
+    mixtures, per level for tabulated densities."""
     zs = np.asarray(zs, dtype=float)
     if isinstance(d, GaussianDensity):
         return d.mean + d.std * standard_normal_quantile(zs)
+    if isinstance(d, MixtureDensity):
+        return _mixture_quantiles(d, zs.ravel()).reshape(zs.shape)
     return np.array([quantile(d, z) for z in zs.ravel().tolist()]).reshape(zs.shape)
 
 

@@ -30,3 +30,7 @@ class SolverNaNError(FloatingPointError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+class QuantileConvergenceError(ArithmeticError):
+    """A quantile iteration did not converge within its step budget."""

@@ -17,7 +17,23 @@ in the free coordinate, so this Sobolev-gradient descent takes a
 grid-independent number of steps.  With several free coordinates the area
 is not convex (tangential and hourglass near-null directions), so that path
 stays unpreconditioned and takes the Armijo decrease as an exact (fsum) sum
-of per-cell area differences.
+of per-cell area differences.  Known limitation: on density problems PR+
+clips beta to 0 at every step there (``step0=1`` never expands, so accepted
+steps stay short of the curvature scale), and nonlinear CG then takes the
+same iterates as gradient descent.
+
+When every coordinate is free and the area weights are uniform, the solve
+runs in an orthonormal basis U (m x r) of the span of the centred initial
+field and lifts the displacement back at the end.  Corner-driven boundaries
+(straight geodesic edges between four corner vectors) span an affine space
+of dimension at most 3, plus one direction for a seeded perturbation, so r
+is usually far below m.  The reduction is exact: with uniform weights the
+gradient at a node is a combination of its cells' tangents, so iterates,
+gradients and search directions never leave span(U), and since U is
+orthonormal the reduced area, inner products and step lengths equal the
+full ones up to rounding.  The stopping test still takes the max-norm of the
+lifted full-space gradient.  Non-uniform weights, a full-rank field or a
+given ``free_coords`` keep the full-space loop.
 
 The discrete optimality residual uses the same cell tangents as the
 objective: per-cell flux vectors are differenced across the two cells on
@@ -26,7 +42,7 @@ quadrature factor) the exact algebraic gradient of the discrete area.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,6 +105,7 @@ class SolveReport:
     el_residual: float
     converged: bool
     degenerate_cells: int
+    span_rank: int
     stall: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -99,6 +116,7 @@ class SolveReport:
             "grad_norm": self.grad_norm,
             "el_residual": self.el_residual,
             "degenerate_cells": self.degenerate_cells,
+            "span_rank": self.span_rank,
             "stall": self.stall,
         }
 
@@ -164,6 +182,24 @@ def _normalize_free(free_coords, m: int) -> list:
     if not free or free[0] < 0 or free[-1] >= m:
         raise ValueError(f"free_coords must be a nonempty subset of 0..{m - 1}")
     return free
+
+
+def _span_basis(init: SurfaceField, acfg: AreaConfig):
+    """Node mean and orthonormal basis (m x r) of the centred initial field's span.
+
+    The rank cut sits at rounding level (numpy's ``matrix_rank`` default).
+    Returns None when the reduction does not apply: non-uniform weights, or
+    a rank that is zero or not below m.
+    """
+    m = init.dim
+    w = acfg.weight_vector(m)
+    if np.any(w != w[0]):
+        return None
+    nodes = init.values.reshape(-1, m)
+    centre = nodes.mean(axis=0)
+    _, sigma, vt = np.linalg.svd(nodes - centre, full_matrices=False)
+    rank = int(np.count_nonzero(sigma > sigma[0] * max(nodes.shape) * np.finfo(float).eps))
+    return (centre, vt[:rank].T) if 0 < rank < m else None
 
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
@@ -236,8 +272,10 @@ def minimize(
     ``free_coords`` is given, only those coordinate indices move (the
     graph problems pin the two affine parameter coordinates and descend
     on the height alone); the rest of the field is treated as data.  With
-    exactly one free coordinate the descent is DST-preconditioned (see the
-    module docstring).
+    exactly one free coordinate the descent is DST-preconditioned; with
+    ``free_coords=None`` and uniform weights it runs in the span of the
+    initial field (see the module docstring), and ``span_rank`` reports the
+    dimension used.
 
     Line-search failure after the backtracking budget returns the best
     field seen so far with ``converged=False`` and a stall diagnostic;
@@ -260,27 +298,47 @@ def minimize(
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
     use_cg = cfg.method == "nonlinear-cg"
 
-    work = init.values.copy()
+    # The loop moves coordinates ``moving`` of ``work`` under ``loop_acfg``:
+    # the free coordinates of the field itself, or all r coordinates of the
+    # field in an orthonormal basis of its span (see the module docstring).
+    span = _span_basis(init, acfg) if free_coords is None else None
+    if span is None:
+        basis = None
+        span_rank, moving, loop_acfg = init.dim, free, acfg
+        work = init.values.copy()
+    else:
+        centre, basis = span
+        span_rank = basis.shape[1]
+        moving = list(range(span_rank))
+        loop_acfg = replace(acfg, weights=np.full(span_rank, acfg.weight_vector(init.dim)[0]))
+        work = (init.values - centre) @ basis
+        start = work.copy()
     fld = SurfaceField(grid, work)
-    inner_shape = (grid.ns - 2, grid.nt - 2, len(free))
+    inner_shape = (grid.ns - 2, grid.nt - 2, len(moving))
     measure = grid.hs * grid.ht
 
     def push(x):
-        work[1:-1, 1:-1, free] = x.reshape(inner_shape)
+        work[1:-1, 1:-1, moving] = x.reshape(inner_shape)
 
     def gradient():
-        return area_gradient(fld, acfg)[1:-1, 1:-1, free].ravel()
+        return area_gradient(fld, loop_acfg)[1:-1, 1:-1, moving].ravel()
 
-    x = work[1:-1, 1:-1, free].reshape(-1).copy()
-    cells_cur = cell_area_field(fld, acfg)
-    f_cur = total_area(fld, acfg)
+    def max_norm(g):
+        # the stopping test is on the full-space gradient
+        if basis is not None:
+            g = g.reshape(-1, span_rank) @ basis.T
+        return float(np.max(np.abs(g)))
+
+    x = work[1:-1, 1:-1, moving].reshape(-1).copy()
+    cells_cur = cell_area_field(fld, loop_acfg)
+    f_cur = total_area(fld, loop_acfg)
     trace = [f_cur]
     iterations = 0
     stall = None
 
     if len(free) == 1 and x.size:
         tangents = tangent_fields(fld)
-        precondition = _flat_hessian_inverse(tangents, grid, free[0], acfg)
+        precondition = _flat_hessian_inverse(tangents, grid, moving[0], loop_acfg)
         step = np.zeros((grid.ns, grid.nt))
     else:
         precondition = None
@@ -290,13 +348,13 @@ def minimize(
         for _ in range(cfg.max_backtracks + 1):
             x_try = x + alpha * direction
             push(x_try)
-            cells_try = cell_area_field(fld, acfg)
+            cells_try = cell_area_field(fld, loop_acfg)
             if precondition is None:
                 delta = measure * math.fsum((cells_try - cells_cur).ravel(order="C").tolist())
             else:
                 # the step as rounded into the trial field, not alpha * direction
                 step[1:-1, 1:-1] = (x_try - x).reshape(inner_shape[:2])
-                delta = area_change(tangents, cells_cur, cells_try, step, free[0], grid, acfg)
+                delta = area_change(tangents, cells_cur, cells_try, step, moving[0], grid, loop_acfg)
             if math.isnan(delta):
                 raise SolverNaNError(it, "objective is NaN during line search")
             if delta <= cfg.armijo_c1 * alpha * slope:
@@ -311,7 +369,7 @@ def minimize(
     else:
         g = gradient()
         z = g if precondition is None else precondition(g)
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = max_norm(g)
         converged = gnorm <= tol
         d = -z
         it = 0
@@ -322,18 +380,17 @@ def minimize(
                 d = -z
                 gd = -float(np.dot(g, z))
 
+            searches = 1
             alpha, delta, cells_new = line_search(d, gd)
             if alpha is None and use_cg and not np.array_equal(d, -z):
                 # restart once from steepest descent before declaring a stall
                 d = -z
                 gd = -float(np.dot(g, z))
+                searches = 2
                 alpha, delta, cells_new = line_search(d, gd)
             if alpha is None:
                 push(x)
-                stall = (
-                    f"line search stalled after {cfg.max_backtracks} backtracks at iteration {it}; "
-                    f"gradient max-norm {gnorm:.3e} above tolerance {tol:.3e}"
-                )
+                stall = (it, searches)
                 break
 
             x = x + alpha * d
@@ -348,7 +405,7 @@ def minimize(
                 tangents = tangent_fields(fld)
 
             g_new = gradient()
-            gnorm = float(np.max(np.abs(g_new)))
+            gnorm = max_norm(g_new)
             if gnorm <= tol:
                 converged = True
                 g = g_new
@@ -361,11 +418,19 @@ def minimize(
                 d = -z_new
             g, z = g_new, z_new
 
-    final = SurfaceField(grid, work.copy())
+    if basis is None:
+        values = work.copy()
+    else:
+        # lift the displacement on interior nodes only: edges stay bit-exact
+        values = init.values.copy()
+        values[1:-1, 1:-1] += (work - start)[1:-1, 1:-1] @ basis.T
+    final = SurfaceField(grid, values)
     rep = euler_lagrange_residual(final, acfg)
     inner = rep.values[1:-1, 1:-1][:, :, free]
     kept = inner[~rep.excluded_mask] if inner.size else inner
     el_norm = float(np.max(np.abs(kept))) if kept.size else 0.0
+    if stall is not None:
+        stall = _stall_message(*stall, cfg, gnorm, tol, el_norm, tol / measure)
     return SolveReport(
         field=final,
         iterations=iterations,
@@ -374,7 +439,21 @@ def minimize(
         el_residual=el_norm,
         converged=converged,
         degenerate_cells=degenerate_cell_count(final, acfg),
+        span_rank=span_rank,
         stall=stall,
+    )
+
+
+def _stall_message(it, searches, cfg, gnorm, tol, el_norm, el_tol) -> str:
+    """Why the line search gave up, with the numbers that say what to change."""
+    last_alpha = cfg.step0 * cfg.backtrack**cfg.max_backtracks
+    return (
+        f"line search stalled at iteration {it}: {searches * cfg.max_backtracks} backtracks "
+        f"over {searches} search(es) down to step {last_alpha:.3e} gave no Armijo decrease; "
+        f"gradient max-norm {gnorm:.3e} above tolerance {tol:.3e}; "
+        f"Euler-Lagrange residual {el_norm:.3e} against {el_tol:.3e} (grad_tol / (hs*ht)); "
+        f"raise max_backtracks or lower step0 if the step is too long, "
+        f"or raise grad_tol if the gradient sits at its rounding floor"
     )
 
 

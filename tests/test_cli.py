@@ -204,6 +204,55 @@ def test_solver_stall_exit_code_with_artifacts(tmp_path):
     assert (tmp_path / "stall" / "surface.json").exists()
 
 
+def density_config(tmp_path, out, m=16):
+    return write_config(tmp_path, {
+        "problem": "density1d",
+        "grid": {"ns": 9, "nt": 9, "m": m},
+        "corners": {
+            "c00": {"type": "mixture", "components": [
+                {"weight": 0.5, "mean": -1.5, "std": 0.6},
+                {"weight": 0.5, "mean": 1.5, "std": 0.6},
+            ]},
+            "c10": {"type": "gaussian", "mean": 1, "std": 1.3},
+            "c01": {"type": "gaussian", "mean": -0.5, "std": 2},
+            "c11": {"type": "gaussian", "mean": 1.5, "std": 2.5},
+        },
+        "solver": {"grad_tol": 2e-4, "max_iters": 2000},
+        "out": str(tmp_path / out),
+    }, name=f"{out}.json")
+
+
+def test_density_report_records_span_rank(tmp_path):
+    assert main(["solve", density_config(tmp_path, "span")]) == 0
+    report = json.loads((tmp_path / "span" / "report.json").read_text())
+    # straight geodesic edges between four corners span an affine 3-space
+    assert report["span_rank"] == 3
+
+
+def test_solver_nan_exit_code(tmp_path, monkeypatch, capsys):
+    real = ws.solver.cell_area_field
+    calls = {"n": 0}
+
+    def flaky(f, cfg):
+        calls["n"] += 1
+        out = real(f, cfg)
+        return out if calls["n"] == 1 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(ws.solver, "cell_area_field", flaky)
+    assert main(["solve", density_config(tmp_path, "nan")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite values detected at iteration 1")
+    assert err.count("\n") == 1
+
+
+def test_quantile_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ws.densities, "MIXTURE_MAX_STEPS", 1)
+    assert main(["solve", density_config(tmp_path, "quantile")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: mixture quantile did not converge")
+    assert err.count("\n") == 1
+
+
 def test_degenerate_positivity_exit_code(tmp_path):
     cfg = write_config(tmp_path, {
         "problem": "gaussian-diag",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wassersurf as ws
+from wassersurf.errors import QuantileConvergenceError
 
 STD_GAUSSIAN = ws.GaussianDensity(0.0, 1.0)
 
@@ -102,6 +103,27 @@ def test_quantile_meets_cdf_tolerance_contract():
     )
     for z in (1e-4, 0.2, 0.5, 0.8, 1 - 1e-4):
         assert abs(ws.cdf(mix, ws.quantile(mix, z)) - z) <= 1e-10
+
+
+def test_mixture_quantiles_all_levels_match_per_level():
+    mix = ws.MixtureDensity((
+        (0.2, ws.GaussianDensity(-3.0, 0.1)),
+        (0.5, ws.GaussianDensity(0.0, 2.0)),
+        (0.3, ws.GaussianDensity(5.0, 0.01)),
+    ))
+    zs = ws.QuantileGrid(257).nodes
+    together = ws.quantiles(mix, zs)
+    one_by_one = np.array([ws.quantile(mix, z) for z in zs])
+    assert np.array_equal(together, one_by_one)
+    assert np.all(np.diff(together) > 0.0)
+    assert np.max(np.abs(ws.cdf(mix, together) - zs)) <= 1e-12
+
+
+def test_mixture_quantile_raises_when_not_converged(monkeypatch):
+    mix = ws.MixtureDensity(((0.5, ws.GaussianDensity(-1.5, 0.6)), (0.5, ws.GaussianDensity(1.5, 0.6))))
+    monkeypatch.setattr(ws.densities, "MIXTURE_MAX_STEPS", 2)
+    with pytest.raises(QuantileConvergenceError, match="did not converge"):
+        ws.quantiles(mix, ws.QuantileGrid(16).nodes)
 
 
 def test_standard_normal_quantile_tail_accuracy():

@@ -238,8 +238,9 @@ def test_report_json_schema():
     rep = ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
     doc = rep.to_json_dict()
     assert set(doc) == {"converged", "iters", "area_trace", "grad_norm", "el_residual",
-                        "degenerate_cells", "stall"}
+                        "degenerate_cells", "span_rank", "stall"}
     assert doc["converged"] is True and doc["stall"] is None
+    assert doc["span_rank"] == 3
 
 
 def test_perturb_interior_deterministic_and_bounded():
@@ -359,3 +360,90 @@ def test_nan_objective_raises_on_preconditioned_path(monkeypatch):
     with pytest.raises(SolverNaNError) as err:
         graph_solve(*CATENOID, 17)
     assert err.value.iteration == 1
+
+
+# ---------------------------------------------------------------------------
+# exact reduction to the span of the initial field
+# ---------------------------------------------------------------------------
+
+COV_DIAGS = (
+    (1.0, 2.0, 0.5, 3.0, 1.5, 0.8),
+    (4.0, 1.0, 2.0, 1.0, 0.6, 2.5),
+    (0.7, 3.0, 1.2, 2.0, 3.5, 1.0),
+    (2.5, 0.9, 3.0, 0.6, 1.0, 4.0),
+)
+
+
+def density_span_problem(m=16):
+    boundary, init, acfg, _ = quantile_problem(n=17, m=m)
+    return boundary, ws.perturb_interior(init, 1e-3, seed=5), acfg, 3e-5
+
+
+def covariance_span_problem(diags=COV_DIAGS):
+    roots = [np.sqrt(np.array(d)) for d in diags]
+    boundary = ws.edges_from_corner_vectors(*roots, ws.Grid2(17, 17))
+    init = ws.perturb_interior(ws.coons_init(boundary), 1e-2, seed=2)
+    return boundary, init, ws.AreaConfig(), 1e-4
+
+
+def assert_edges_exact(values, boundary):
+    assert np.array_equal(values[0], boundary.edge_s0)
+    assert np.array_equal(values[-1], boundary.edge_s1)
+    assert np.array_equal(values[:, 0], boundary.edge_t0)
+    assert np.array_equal(values[:, -1], boundary.edge_t1)
+
+
+@pytest.mark.parametrize("problem", [density_span_problem, covariance_span_problem])
+def test_span_reduction_matches_full_solve(problem):
+    boundary, init, acfg, tol = problem()
+    m = init.dim
+    cfg = ws.SolverConfig(grad_tol=tol, max_iters=3000)
+    reduced = ws.minimize(init, boundary, cfg, acfg)
+    # naming every coordinate keeps the full-space loop
+    full = ws.minimize(init, boundary, cfg, acfg, free_coords=range(m))
+    assert full.span_rank == m
+    assert reduced.span_rank < m
+    assert reduced.converged and full.converged
+    assert reduced.iterations == full.iterations > 0
+    assert np.max(np.abs(reduced.field.values - full.field.values)) <= 1e-12
+    assert np.max(np.abs(np.subtract(reduced.area_trace, full.area_trace))) <= 1e-12
+    assert_edges_exact(reduced.field.values, boundary)
+
+
+def test_span_reduction_meets_full_space_tolerance():
+    boundary, init, acfg, tol = density_span_problem()
+    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=tol, max_iters=3000), acfg)
+    assert rep.converged and rep.span_rank == 3
+    grad = ws.area_gradient(rep.field, acfg)[1:-1, 1:-1]
+    assert np.max(np.abs(grad)) <= tol * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "case", ["nonuniform-weights", "full-rank"]
+)
+def test_unreduced_cases_keep_full_space_loop(case):
+    if case == "nonuniform-weights":
+        boundary, init, _, tol = density_span_problem()
+        acfg = ws.AreaConfig(weights=ws.quantile_weights(16) * np.linspace(0.5, 1.5, 16))
+    else:
+        # four generic corners in R^3 span all of it
+        boundary, init, acfg, tol = covariance_span_problem([d[:3] for d in COV_DIAGS])
+    m = init.dim
+    cfg = ws.SolverConfig(grad_tol=tol, max_iters=200)
+    rep = ws.minimize(init, boundary, cfg, acfg)
+    full = ws.minimize(init, boundary, cfg, acfg, free_coords=range(m))
+    assert rep.span_rank == m
+    assert np.array_equal(rep.field.values, full.field.values)
+    assert rep.area_trace == full.area_trace
+    assert rep.iterations == full.iterations
+
+
+def test_stall_message_explains_itself():
+    boundary, init, acfg, _ = quantile_problem()
+    cfg = ws.SolverConfig(step0=1e8, max_backtracks=3, max_iters=50, grad_tol=1e-14)
+    rep = ws.minimize(init, boundary, cfg, acfg)
+    assert not rep.converged
+    el_tol = 1e-14 / (init.grid.hs * init.grid.ht)
+    for part in ("iteration 1", "backtracks", f"step {1e8 * 0.5**3:.3e}",
+                 f"Euler-Lagrange residual {rep.el_residual:.3e}", f"against {el_tol:.3e}"):
+        assert part in rep.stall
