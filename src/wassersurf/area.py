@@ -8,9 +8,10 @@ for graph and covariance surfaces.
 
 Tangents are cell-centered (average of the two forward differences across
 each cell), which makes the discrete objective exactly symmetric under
-s <-> t and exact for bilinear fields.  The gradient implemented here is
-the exact derivative of the discrete objective, not a rediscretization of
-the continuous first variation.
+s <-> t and exact for bilinear fields.  The gradient is -hs*ht times the
+divergence of one per-cell flux kernel, the same divergence the
+Euler-Lagrange residual reports, and it is the exact derivative of the
+discrete objective, not a rediscretization of the continuous first variation.
 """
 
 import math
@@ -34,7 +35,6 @@ class AreaConfig:
 
     epsilon: float = 1e-12
     weights: np.ndarray | None = None
-    compensated: bool = False
 
     def __post_init__(self):
         if self.epsilon < 0.0:
@@ -121,18 +121,11 @@ def cell_area_field(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:
 def total_area(f: SurfaceField, cfg: AreaConfig) -> float:
     """Total discrete area: sum of cell area densities times hs*ht.
 
-    Cells are accumulated sequentially in row-major order for bitwise
-    determinism; ``cfg.compensated`` switches to exact (fsum) accumulation
-    for refinement studies.
+    Cells are summed exactly (fsum), so the total is correctly rounded,
+    independent of cell order and hence exactly symmetric under s <-> t.
     """
     cells = cell_area_field(f, cfg) * (f.grid.hs * f.grid.ht)
-    flat = cells.ravel(order="C").tolist()
-    if cfg.compensated:
-        return math.fsum(flat)
-    total = 0.0
-    for value in flat:
-        total += value
-    return total
+    return math.fsum(cells.ravel().tolist())
 
 
 def area_change(tangents, cells, cells_try, step, k, grid, cfg: AreaConfig) -> float:
@@ -163,42 +156,50 @@ def area_change(tangents, cells, cells_try, step, k, grid, cfg: AreaConfig) -> f
     return grid.hs * grid.ht * math.fsum(per_cell.ravel().tolist())
 
 
-def area_gradient(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:
-    """Exact gradient of ``total_area`` with respect to every node value.
+def _fluxes(f: SurfaceField, cfg: AreaConfig):
+    """Per-cell fluxes (fs, ft), shapes ``(ns-1, nt-1, m)``, and the raw Gram determinant.
 
-    Each interior node collects chain-rule contributions from its (up to
-    four) incident cells.  Where the clamped Gram determinant sits at zero
-    the root's derivative is taken as zero (the flat side of the clamp).
-    Boundary nodes are fixed data, so their entries are returned as zero.
+    fs = w (b ds - c dt) / sqrt(G) and ft = w (a dt - c ds) / sqrt(G), the
+    derivatives of a cell's area density in its s- and t-tangents, are zero
+    where the clamped determinant sits at zero (the flat side of the clamp).
     """
-    g = f.grid
-    hs, ht = g.hs, g.ht
-    w = cfg.weight_vector(f.dim)
     ds, dt = tangent_fields(f)
+    w = cfg.weight_vector(f.dim)
     a, b, c = _gram_terms(ds, dt, w)
     gram = a * b - c * c
     root = np.sqrt(np.maximum(gram, 0.0) + cfg.epsilon)
-    dA_dG = np.where(gram > 0.0, 0.5 / root, 0.0)
+    inv = np.where(gram > 0.0, 1.0 / root, 0.0)[..., None]
+    fs = inv * w * (b[..., None] * ds - c[..., None] * dt)
+    ft = inv * w * (a[..., None] * dt - c[..., None] * ds)
+    return fs, ft, gram
 
-    # dArea/d(ds_k) = hs*ht * dA_dG * 2 w_k (b ds_k - c dt_k); same for dt.
-    scale = (hs * ht) * dA_dG[..., None] * 2.0 * w
-    P = scale * (b[..., None] * ds - c[..., None] * dt)
-    Q = scale * (a[..., None] * dt - c[..., None] * ds)
 
+def _divergence(fs, ft, hs: float, ht: float) -> np.ndarray:
+    """Divergence of the cell fluxes on interior nodes, shape ``(ns-2, nt-2, m)``.
+
+    A node's (+s, +t) and (-s, -t) cells enter through u = fs/2hs + ft/2ht,
+    its (+s, -t) and (-s, +t) cells through v = fs/2hs - ft/2ht.
+    """
+    ps = fs / (2.0 * hs)
+    pt = ft / (2.0 * ht)
+    u = ps + pt
+    v = np.subtract(ps, pt, out=ps)
+    div = u[1:, 1:] - u[:-1, :-1]
+    div += v[1:, :-1]
+    div -= v[:-1, 1:]
+    return div
+
+
+def area_gradient(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:
+    """Exact gradient of ``total_area`` with respect to every node value.
+
+    On interior nodes it is -hs*ht times the flux divergence that
+    ``euler_lagrange_residual`` reports.  Boundary nodes are fixed data, so
+    their entries are returned as zero.
+    """
+    fs, ft, _ = _fluxes(f, cfg)
+    g = f.grid
     grad = np.zeros_like(f.values)
-    Ph = P / (2.0 * hs)
-    Qh = Q / (2.0 * ht)
-    grad[1:, :-1] += Ph
-    grad[1:, 1:] += Ph
-    grad[:-1, :-1] -= Ph
-    grad[:-1, 1:] -= Ph
-    grad[:-1, 1:] += Qh
-    grad[1:, 1:] += Qh
-    grad[:-1, :-1] -= Qh
-    grad[1:, :-1] -= Qh
-
-    grad[0, :, :] = 0.0
-    grad[-1, :, :] = 0.0
-    grad[:, 0, :] = 0.0
-    grad[:, -1, :] = 0.0
+    grad[1:-1, 1:-1] = _divergence(fs, ft, g.hs, g.ht)
+    grad[1:-1, 1:-1] *= -(g.hs * g.ht)
     return grad

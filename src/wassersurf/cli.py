@@ -121,7 +121,6 @@ class RunConfig:
     oracles: list
     solver: SolverConfig
     area_epsilon: float
-    compensated: bool
     perturb_amplitude: float
     perturb_seed: int
     out: Path
@@ -177,11 +176,13 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
             oracle = oracles[0]
 
     sdoc = _section(doc, "solver")
+    method = sdoc.get("method", "nonlinear-cg")
+    if method != "nonlinear-cg":
+        raise ConfigError(f"solver.method must be 'nonlinear-cg', got {method!r}")
     try:
         solver = SolverConfig(
             max_iters=int(sdoc.get("max_iters", 5000)),
             grad_tol=(None if sdoc.get("grad_tol") is None else float(sdoc["grad_tol"])),
-            method=sdoc.get("method", "nonlinear-cg"),
             armijo_c1=float(sdoc.get("armijo_c1", 1e-4)),
             backtrack=float(sdoc.get("backtrack", 0.5)),
             step0=float(sdoc.get("step0", 1.0)),
@@ -206,7 +207,6 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         oracles=oracles,
         solver=solver,
         area_epsilon=float(adoc.get("epsilon", 1e-12)),
-        compensated=bool(adoc.get("compensated", False)),
         perturb_amplitude=float(pdoc.get("amplitude", 0.0)),
         perturb_seed=int(pdoc.get("seed", 0)),
         out=out,
@@ -224,16 +224,15 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
 
 def _assemble(cfg: RunConfig):
     """Build (boundary, init, area config, free coords, oracle field, qgrid)."""
+    acfg = AreaConfig(epsilon=cfg.area_epsilon)
     if cfg.problem == "graph":
         if cfg.oracle is None:
             raise ConfigError("graph problems need an 'oracle' boundary")
         surf, window, z_offset = cfg.oracle
         boundary, full = analytic.graph_boundary(surf, cfg.grid, window, z_offset)
-        acfg = AreaConfig(epsilon=cfg.area_epsilon, compensated=cfg.compensated)
         return boundary, coons_init(boundary), acfg, (2,), full, None
 
     if cfg.problem == "gaussian-diag":
-        acfg = AreaConfig(epsilon=cfg.area_epsilon, compensated=cfg.compensated)
         if cfg.oracle is not None:
             surf, window, z_offset = cfg.oracle
             boundary, cov = analytic.to_cov_boundary(surf, cfg.grid, window, z_offset)
@@ -267,11 +266,7 @@ def _assemble(cfg: RunConfig):
         boundary = boundary_from_corners(
             dens["c00"], dens["c10"], dens["c01"], dens["c11"], cfg.grid, qg
         )
-        acfg = AreaConfig(
-            epsilon=cfg.area_epsilon,
-            weights=quantile_weights(cfg.m),
-            compensated=cfg.compensated,
-        )
+        acfg = AreaConfig(epsilon=cfg.area_epsilon, weights=quantile_weights(cfg.m))
         return boundary, coons_init(boundary), acfg, None, None, qg
 
     raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")

@@ -120,7 +120,13 @@ class CriticalFields:
     j: np.ndarray
 
 
-def _velocity_terms(surf: DiagonalCovSurface, j_floor: float):
+def critical_fields(surf: DiagonalCovSurface, j_floor: float = J_FLOOR) -> CriticalFields:
+    """Solve the multiplier equations pointwise for S_s, S_t.
+
+    S_s = (A_s * qt - A_t * p) / (2 J) entrywise, with qt, qs the velocity
+    energies and p their cross term; S_t symmetrically.  A node where J
+    falls below ``j_floor`` raises DegenerateSurfaceError with its location.
+    """
     sigma = np.square(surf.field.values)
     a_s = lyapunov_velocity(surf, "s")
     a_t = lyapunov_velocity(surf, "t")
@@ -134,16 +140,6 @@ def _velocity_terms(surf: DiagonalCovSurface, j_floor: float):
             f"area density J = {j[i, k]:.3e} below floor {j_floor:.1e} at node ({i}, {k}): "
             "the s- and t-velocities are (near-)parallel"
         )
-    return sigma, a_s, a_t, qs, qt, p, j
-
-
-def critical_fields(surf: DiagonalCovSurface, j_floor: float = J_FLOOR) -> CriticalFields:
-    """Solve the multiplier equations pointwise for S_s, S_t.
-
-    S_s = (A_s * qt - A_t * p) / (2 J) entrywise, with qt, qs the velocity
-    energies and p their cross term; S_t symmetrically.
-    """
-    _, a_s, a_t, qs, qt, p, j = _velocity_terms(surf, j_floor)
     twoj = 2.0 * j[..., None]
     s_s = (a_s * qt[..., None] - a_t * p[..., None]) / twoj
     s_t = (a_t * qs[..., None] - a_s * p[..., None]) / twoj
@@ -177,14 +173,10 @@ def critical_point_residual(
         raise ValueError("border must be at least 1")
     if ns - 2 * border < 1 or nt - 2 * border < 1:
         raise ValueError(f"grid {ns}x{nt} too small for border {border}")
-    _, a_s, a_t, qs, qt, p, j = _velocity_terms(surf, j_floor)
-    twoj = 2.0 * j[..., None]
-    s_s = (a_s * qt[..., None] - a_t * p[..., None]) / twoj
-    s_t = (a_t * qs[..., None] - a_s * p[..., None]) / twoj
-    div = _fd_axis(s_s, grid.hs, 0) + _fd_axis(s_t, grid.ht, 1)
-    quad = (a_s * a_s * qt[..., None] + a_t * a_t * qs[..., None]
-            - 2.0 * a_s * a_t * p[..., None]) / twoj
-    full = div + quad
+    cf = critical_fields(surf, j_floor)
+    div = _fd_axis(cf.s_s, grid.hs, 0) + _fd_axis(cf.s_t, grid.ht, 1)
+    # A_s S_s + A_t S_t = (A_s^2 qt + A_t^2 qs - 2 A_s A_t p) / 2J
+    full = div + (cf.a_s * cf.s_s + cf.a_t * cf.s_t)
     window = (slice(border, ns - border), slice(border, nt - border))
     values = np.zeros_like(full)
     values[window] = full[window]

@@ -1,14 +1,14 @@
 """First-order minimization of the discrete area over interior nodes.
 
 The solver moves only interior node values (optionally only a subset of
-coordinates) with the four boundary edges held bit-exactly fixed.  Two
-methods are available: gradient descent and Polak-Ribiere (PR+) nonlinear
-conjugate gradients with automatic restart, both under a backtracking
-Armijo line search.  Every accepted step strictly decreases the area, so
-the reported area trace is nonincreasing by construction.
+coordinates) with the four boundary edges held bit-exactly fixed, by
+Polak-Ribiere (PR+) nonlinear conjugate gradients under a backtracking
+Armijo line search that restarts once from steepest descent before a stall.
+Every accepted step strictly decreases the area, so the reported area
+trace is nonincreasing by construction.
 
 When exactly one coordinate is free (graph problems, oracle-driven
-covariance problems) both methods are preconditioned by the inverse of the
+covariance problems) the descent is preconditioned by the inverse of the
 area's flat Hessian, a constant-coefficient form of the cell stencil that a
 DST-I diagonalises exactly, and the Armijo decrease is evaluated without
 cancellation by ``area_change``.  With the other coordinates pinned, each
@@ -19,8 +19,8 @@ is not convex (tangential and hourglass near-null directions), so that path
 stays unpreconditioned and takes the Armijo decrease as an exact (fsum) sum
 of per-cell area differences.  Known limitation: on density problems PR+
 clips beta to 0 at every step there (``step0=1`` never expands, so accepted
-steps stay short of the curvature scale), and nonlinear CG then takes the
-same iterates as gradient descent.
+steps stay short of the curvature scale), so the iterates are those of
+steepest descent.
 
 When every coordinate is free and the area weights are uniform, the solve
 runs in an orthonormal basis U (m x r) of the span of the centred initial
@@ -35,10 +35,10 @@ full ones up to rounding.  The stopping test still takes the max-norm of the
 lifted full-space gradient.  Non-uniform weights, a full-rank field or a
 given ``free_coords`` keep the full-space loop.
 
-The discrete optimality residual uses the same cell tangents as the
-objective: per-cell flux vectors are differenced across the two cells on
-either side of each interior node, which reproduces (up to the -1/(hs*ht)
-quadrature factor) the exact algebraic gradient of the discrete area.
+The discrete optimality residual is the flux divergence of the area
+module's one flux kernel, the same one ``area_gradient`` scales by -hs*ht,
+so the residual is the exact algebraic gradient of the discrete area up to
+that quadrature factor, bit for bit.
 """
 
 import math
@@ -48,6 +48,8 @@ import numpy as np
 
 from .area import (
     AreaConfig,
+    _divergence,
+    _fluxes,
     _gram_terms,
     area_change,
     area_gradient,
@@ -59,13 +61,6 @@ from .area import (
 from .errors import ShapeMismatchError, SolverNaNError
 from .grid import BoundarySpec, Grid2, SurfaceField
 
-_METHODS = {
-    "gradient-descent": "gradient-descent",
-    "gd": "gradient-descent",
-    "nonlinear-cg": "nonlinear-cg",
-    "cg": "nonlinear-cg",
-}
-
 
 def default_grad_tol(grid: Grid2) -> float:
     """Stopping threshold on the interior gradient max-norm: 1e-8 * hs * ht."""
@@ -76,7 +71,6 @@ def default_grad_tol(grid: Grid2) -> float:
 class SolverConfig:
     max_iters: int = 5000
     grad_tol: float | None = None
-    method: str = "nonlinear-cg"
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     step0: float = 1.0
@@ -89,9 +83,6 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive")
         if not (0.0 < self.armijo_c1 < 1.0 and 0.0 < self.backtrack < 1.0 and self.step0 > 0.0):
             raise ValueError("invalid line-search parameters")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {sorted(set(_METHODS.values()))}")
-        object.__setattr__(self, "method", _METHODS[self.method])
 
 
 @dataclass(eq=False)
@@ -138,34 +129,19 @@ class ResidualReport:
 def euler_lagrange_residual(f: SurfaceField, acfg: AreaConfig) -> ResidualReport:
     """Divergence-form optimality residual of the discrete area functional.
 
-    Per cell, the two flux vectors (b*ds - c*dt)/A and (a*dt - c*ds)/A are
-    built from the weighted Gram terms; the residual at an interior node
-    differences the averaged fluxes of its adjacent cell pairs.  Sampled
-    from a smooth critical point this is O(h^2); algebraically it equals
-    -area_gradient / (hs*ht) whenever the same config is used.
+    The divergence of the per-cell fluxes (b*ds - c*dt)/A and (a*dt - c*ds)/A
+    (weighted) at every interior node, zero on edges.  Sampled from a smooth
+    critical point this is O(h^2); it is exactly -area_gradient / (hs*ht)
+    under the same config, since both come from one flux kernel.
     """
     grid = f.grid
-    ns, nt, m = grid.ns, grid.nt, f.dim
-    hs, ht = grid.hs, grid.ht
-    w = acfg.weight_vector(m)
-    ds, dt = tangent_fields(f)
-    a, b, c = _gram_terms(ds, dt, w)
-    gram = a * b - c * c
-    root = np.sqrt(np.maximum(gram, 0.0) + acfg.epsilon)
-    inv = np.where(gram > 0.0, 1.0 / root, 0.0)[..., None]
-    fs = inv * w * (b[..., None] * ds - c[..., None] * dt)
-    ft = inv * w * (a[..., None] * dt - c[..., None] * ds)
-
+    fs, ft, gram = _fluxes(f, acfg)
     values = np.zeros_like(f.values)
-    if ns >= 3 and nt >= 3:
-        s_term = ((fs[1:, :-1] + fs[1:, 1:]) - (fs[:-1, :-1] + fs[:-1, 1:])) / (2.0 * hs)
-        t_term = ((ft[:-1, 1:] + ft[1:, 1:]) - (ft[:-1, :-1] + ft[1:, :-1])) / (2.0 * ht)
-        values[1:-1, 1:-1] = s_term + t_term
+    values[1:-1, 1:-1] = _divergence(fs, ft, grid.hs, grid.ht)
 
     deg = gram < acfg.epsilon
     excluded = deg[:-1, :-1] & deg[:-1, 1:] & deg[1:, :-1] & deg[1:, 1:]
-    inner = values[1:-1, 1:-1]
-    kept = inner[~excluded]
+    kept = values[1:-1, 1:-1][~excluded]
     max_norm = float(np.max(np.abs(kept))) if kept.size else 0.0
     return ResidualReport(
         values=values,
@@ -296,7 +272,6 @@ def minimize(
 
     free = _normalize_free(free_coords, init.dim)
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
-    use_cg = cfg.method == "nonlinear-cg"
 
     # The loop moves coordinates ``moving`` of ``work`` under ``loop_acfg``:
     # the free coordinates of the field itself, or all r coordinates of the
@@ -382,7 +357,7 @@ def minimize(
 
             searches = 1
             alpha, delta, cells_new = line_search(d, gd)
-            if alpha is None and use_cg and not np.array_equal(d, -z):
+            if alpha is None and not np.array_equal(d, -z):
                 # restart once from steepest descent before declaring a stall
                 d = -z
                 gd = -float(np.dot(g, z))
@@ -411,11 +386,8 @@ def minimize(
                 g = g_new
                 break
             z_new = g_new if precondition is None else precondition(g_new)
-            if use_cg:
-                beta = max(0.0, float(np.dot(z_new, g_new - g)) / float(np.dot(z, g)))
-                d = -z_new + beta * d
-            else:
-                d = -z_new
+            beta = max(0.0, float(np.dot(z_new, g_new - g)) / float(np.dot(z, g)))
+            d = -z_new + beta * d
             g, z = g_new, z_new
 
     if basis is None:

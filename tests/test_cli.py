@@ -1,11 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wassersurf as ws
-from wassersurf.cli import main
+from wassersurf.cli import load_config, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -174,6 +176,27 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         cfg = write_config(tmp_path, doc, name=f"{name}.json")
         assert main(["solve", cfg]) == 2, name
         assert "config error" in capsys.readouterr().err, name
+
+
+def test_solver_method_other_than_nonlinear_cg_exits_2(tmp_path, capsys):
+    for method in ("gradient-descent", "cg"):
+        doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+        doc["solver"]["method"] = method
+        cfg = write_config(tmp_path, doc, name=f"method_{method}.json")
+        assert main(["solve", cfg]) == 2, method
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solver.method must be 'nonlinear-cg'"), method
+        assert err.count("\n") == 1, method
+
+
+def test_readme_json_configs_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    for n, block in enumerate(blocks):
+        path = tmp_path / f"readme_{n}.json"
+        path.write_text(block)
+        load_config(path)
 
 
 def test_threads_flag_removed(tmp_path):

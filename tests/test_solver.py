@@ -81,10 +81,6 @@ def test_solver_config_validation():
         ws.SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         ws.SolverConfig(grad_tol=-1.0)
-    with pytest.raises(ValueError):
-        ws.SolverConfig(method="newton")
-    cfg = ws.SolverConfig(method="gd")
-    assert cfg.method == "gradient-descent"
 
 
 def test_scherk_graph_solve_second_order_against_oracle():
@@ -183,6 +179,16 @@ def test_el_residual_is_scaled_gradient(rng):
     grad = ws.area_gradient(f, acfg)
     mismatch = np.max(np.abs(rep.values[1:-1, 1:-1] + grad[1:-1, 1:-1] / (grid.hs * grid.ht)))
     assert mismatch <= 1e-10 * max(rep.max_norm, 1.0)
+
+
+def test_el_residual_is_gradient_bit_for_bit():
+    # one flux kernel serves both: grad = -hs*ht*EL holds exactly
+    grid = ws.Grid2(9, 8)
+    f = smooth_test_field(grid, m=4)
+    acfg = ws.AreaConfig(epsilon=1e-12, weights=ws.quantile_weights(4))
+    el = ws.euler_lagrange_residual(f, acfg).values[1:-1, 1:-1]
+    grad = ws.area_gradient(f, acfg)[1:-1, 1:-1]
+    assert np.array_equal(grad, -(grid.hs * grid.ht) * el)
 
 
 def test_el_residual_refinement_on_sampled_scherk():
