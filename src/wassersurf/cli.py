@@ -38,6 +38,7 @@ from .grid import (
     BoundarySpec,
     Grid2,
     SurfaceField,
+    _fill_g17,
     coons_init,
     edges_from_corner_vectors,
     load_csv,
@@ -77,10 +78,37 @@ def _parse_window(doc) -> tuple:
     raise ConfigError("window must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]")
 
 
+#: keys accepted at the top level ("") and in each fixed-schema section; any
+#: other key is a config error, so a misspelt setting never falls back silently
+CONFIG_KEYS = {
+    "": ("problem", "grid", "corners", "oracle", "oracles", "solver", "area", "perturb",
+         "tolerances", "surface", "samples", "formats", "out"),
+    "grid": ("ns", "nt", "m"),
+    "solver": ("method", "max_iters", "grad_tol", "armijo_c1", "backtrack", "step0",
+               "max_backtracks"),
+    "area": ("epsilon",),
+    "perturb": ("amplitude", "seed"),
+    "tolerances": ("minimal_surface", "euler_lagrange", "critical_point"),
+}
+
+
+def _check_keys(doc: dict, section: str) -> None:
+    known = CONFIG_KEYS[section]
+    for key in doc:
+        if key not in known:
+            name = f"{section}.{key}" if section else key
+            raise ConfigError(
+                f"unknown key {name!r}; {section or 'the top level'} takes {', '.join(known)}"
+            )
+
+
 def _section(doc: dict, key: str) -> dict:
+    """The object under ``key`` (empty if absent), key-checked if its schema is fixed."""
     sub = doc.get(key, {})
     if not isinstance(sub, dict):
         raise ConfigError(f"'{key}' must be a JSON object")
+    if key in CONFIG_KEYS:
+        _check_keys(sub, key)
     return sub
 
 
@@ -145,6 +173,7 @@ def load_config(path, out_override=None) -> RunConfig:
 
 
 def _parse_config(doc: dict, out_override) -> RunConfig:
+    _check_keys(doc, "")
     problem = doc.get("problem")
     if problem not in PROBLEMS:
         raise ConfigError(f"problem must be one of {PROBLEMS}, got {problem!r}")
@@ -273,14 +302,14 @@ def _assemble(cfg: RunConfig):
 
 
 def _write_boundary_csv(b: BoundarySpec, path: Path) -> None:
-    lines = ["edge,idx,k,value"]
+    parts = ["edge,idx,k,value\n"]
     for name, arr in (
         ("s0", b.edge_s0), ("s1", b.edge_s1), ("t0", b.edge_t0), ("t1", b.edge_t1)
     ):
-        for idx in range(arr.shape[0]):
-            for k in range(arr.shape[1]):
-                lines.append(f"{name},{idx},{k},{arr[idx, k]:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+        n, m = arr.shape
+        template = "".join(f"{name},{idx},{k},%.17g\n" for idx in range(n) for k in range(m))
+        parts.append(_fill_g17(template, arr))
+    path.write_text("".join(parts))
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -428,11 +457,9 @@ def cmd_export_plot(surface_path, out_dir, density_nodes=None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ns, nt = field.grid.ns, field.grid.nt
+    template = (",".join(["%.17g"] * nt) + "\n") * ns
     for k in range(field.dim):
-        lines = [
-            ",".join(f"{field.values[i, j, k]:.17g}" for j in range(nt)) for i in range(ns)
-        ]
-        (out / f"coord_{k + 1}.csv").write_text("\n".join(lines) + "\n")
+        (out / f"coord_{k + 1}.csv").write_text(_fill_g17(template, field.values[:, :, k]))
 
     if density_nodes is not None:
         # reconstruct densities from the quantile surface: at level z_k the

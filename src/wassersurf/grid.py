@@ -225,45 +225,93 @@ def coons_init(b: BoundarySpec) -> SurfaceField:
 #
 # Both formats round-trip finite doubles bit-exactly: CSV prints 17
 # significant digits, JSON uses Python's shortest-roundtrip float repr.
+# Every CSV writer fills a %-template with one ``%.17g`` slot per value in a
+# single C-level call (``_fill_g17``).  ``load_csv`` parses the body with
+# numpy's C parser, which rounds correctly, and accepts a file only if its
+# header is ``i,j,s,t,k,value``, every row has six fields, the i/j/k columns
+# are non-negative integers, no (i, j, k) appears twice, and every node of
+# the ns x nt x m box the largest indices span has a row.  The s and t
+# columns are not read back: they follow from ns and nt.
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "i,j,s,t,k,value"
 
 
+def _fill_g17(template: str, values) -> str:
+    """Fill the ``%.17g`` slots of ``template`` with ``values``, row-major."""
+    return template % tuple(np.ravel(values).tolist())
+
+
 def save_csv(f: SurfaceField, path) -> None:
     """Write a field as long-form CSV with header ``i,j,s,t,k,value``."""
     g = f.grid
-    s, t, v = g.s_nodes, g.t_nodes, f.values
-    lines = [CSV_HEADER]
-    for i in range(g.ns):
-        si = f"{s[i]:.17g}"
-        for j in range(g.nt):
-            tj = f"{t[j]:.17g}"
-            for k in range(f.dim):
-                lines.append(f"{i},{j},{si},{tj},{k},{v[i, j, k]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # one template per s-row; only its <i> and <s> fields change with the row
+    row = "".join(
+        f"<i>,{j},<s>,{t:.17g},{k},%.17g\n"
+        for j, t in enumerate(g.t_nodes.tolist())
+        for k in range(f.dim)
+    )
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for i, s in enumerate(g.s_nodes.tolist()):
+            template = row.replace("<i>", str(i)).replace("<s>", f"{s:.17g}")
+            fh.write(_fill_g17(template, f.values[i]))
+
+
+def _field_count_error(path) -> ValueError | None:
+    """The first data line of ``path`` that does not have six fields, if any."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\r\n").split(",")
+            if len(parts) != 6:
+                return ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+    return None
 
 
 def load_csv(path) -> SurfaceField:
     """Read a field from the long-form CSV format written by ``save_csv``."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].strip() != CSV_HEADER:
+    with open(path) as fh:
+        header, first = fh.readline(), fh.readline()
+    if header.strip() != CSV_HEADER:
         raise ValueError(f"expected header '{CSV_HEADER}' in {path}")
-    entries = []
-    for lineno, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        entries.append((int(parts[0]), int(parts[1]), int(parts[4]), float(parts[5])))
-    ns = max(e[0] for e in entries) + 1
-    nt = max(e[1] for e in entries) + 1
-    m = max(e[2] for e in entries) + 1
-    vals = np.full((ns, nt, m), np.nan)
-    for i, j, k, value in entries:
-        vals[i, j, k] = value
-    if not np.all(np.isfinite(vals)):
+    if not first.strip():
+        raise _field_count_error(path) or ValueError(f"{path}: no data rows after the header")
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise _field_count_error(path) or ValueError(f"{path}: {exc}") from exc
+    if rows.shape[1] != 6:
+        raise _field_count_error(path) or ValueError(f"{path}: expected 6 fields per row")
+
+    idx = rows[:, (0, 1, 4)]
+    bad = ~(np.isfinite(idx) & (idx >= 0) & (idx == np.trunc(idx))).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError(
+            f"{path}: data row {r + 1} has (i, j, k) = ({', '.join(f'{x:g}' for x in idx[r])}); "
+            "indices must be non-negative integers"
+        )
+    ns, nt, m = (int(n) + 1 for n in idx.max(axis=0))
+    if ns * nt * m > len(rows):
         raise ValueError(f"{path}: incomplete surface (missing grid entries)")
-    return SurfaceField(Grid2(ns, nt), vals)
+    # every index is now below the row count, so int64 holds it exactly
+    i, j, k = idx.astype(np.int64).T
+    flat = (i * nt + j) * m + k
+    counts = np.bincount(flat, minlength=ns * nt * m)
+    if (counts > 1).any():
+        r1, r2 = np.flatnonzero(flat == np.argmax(counts > 1))[:2]
+        raise ValueError(
+            f"{path}: duplicate entry for (i, j, k) = ({i[r1]}, {j[r1]}, {k[r1]}) "
+            f"at data rows {r1 + 1} and {r2 + 1}"
+        )
+    # no duplicates and at least ns*nt*m rows: each node has exactly one row
+    vals = np.empty(ns * nt * m)
+    vals[flat] = rows[:, 5]
+    try:
+        return SurfaceField(Grid2(ns, nt), vals.reshape(ns, nt, m))
+    except ValueError as exc:  # a one-node direction or a non-finite value
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def to_json_dict(f: SurfaceField) -> dict:
@@ -276,8 +324,16 @@ def to_json_dict(f: SurfaceField) -> dict:
 
 
 def from_json_dict(doc: dict) -> SurfaceField:
-    ns, nt, dim = int(doc["ns"]), int(doc["nt"]), int(doc["dim"])
-    vals = np.asarray(doc["values"], dtype=float)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a JSON surface must be an object, got {type(doc).__name__}")
+    missing = [key for key in ("ns", "nt", "dim", "values") if key not in doc]
+    if missing:
+        raise ValueError(f"a JSON surface needs keys ns, nt, dim and values; missing {missing}")
+    try:
+        ns, nt, dim = int(doc["ns"]), int(doc["nt"]), int(doc["dim"])
+        vals = np.asarray(doc["values"], dtype=float)
+    except TypeError as exc:  # e.g. null where a number belongs
+        raise ValueError(f"malformed JSON surface: {exc}") from exc
     if vals.size != ns * nt * dim:
         raise ValueError(
             f"values length {vals.size} does not match ns*nt*dim = {ns * nt * dim}"
@@ -291,4 +347,7 @@ def save_json(f: SurfaceField, path) -> None:
 
 
 def load_json(path) -> SurfaceField:
-    return from_json_dict(json.loads(Path(path).read_text()))
+    try:
+        return from_json_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

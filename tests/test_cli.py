@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wassersurf as ws
-from wassersurf.cli import load_config, main
+from wassersurf.cli import _write_boundary_csv, load_config, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -187,6 +187,25 @@ def test_solver_method_other_than_nonlinear_cg_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: solver.method must be 'nonlinear-cg'"), method
         assert err.count("\n") == 1, method
+
+
+def test_unknown_config_keys_exit_2(tmp_path, capsys):
+    edits = {
+        "solver.grad_tl": ("solver", "grad_tl", 1e-3),
+        "area.compensated": ("area", "compensated", True),
+        "grid.nss": ("grid", "nss", 9),
+        "perturb.sead": ("perturb", "sead", 3),
+        "tolerances.euler_lagrang": ("tolerances", "euler_lagrang", 1.0),
+        "outdir": (None, "outdir", "x"),
+    }
+    for name, (section, key, value) in edits.items():
+        doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+        (doc if section is None else doc.setdefault(section, {}))[key] = value
+        cfg = write_config(tmp_path, doc, name=f"unknown_{name}.json")
+        assert main(["solve", cfg]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown key '{name}'"), name
+        assert err.count("\n") == 1, name
 
 
 def test_readme_json_configs_load(tmp_path):
@@ -390,6 +409,43 @@ def test_export_import_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(back.values, field.values)
     ws.save_json(back, tmp_path / "again.json")
     assert (tmp_path / "surface.json").read_text() == (tmp_path / "again.json").read_text()
+
+
+def _g17_reference_texts(f, b):
+    """The three CSV writers' texts, formatted one value at a time."""
+    g = f.grid
+    surface = ["i,j,s,t,k,value"] + [
+        f"{i},{j},{g.s_nodes[i]:.17g},{g.t_nodes[j]:.17g},{k},{f.values[i, j, k]:.17g}"
+        for i in range(g.ns) for j in range(g.nt) for k in range(f.dim)
+    ]
+    boundary = ["edge,idx,k,value"] + [
+        f"{name},{idx},{k},{arr[idx, k]:.17g}"
+        for name, arr in (("s0", b.edge_s0), ("s1", b.edge_s1), ("t0", b.edge_t0), ("t1", b.edge_t1))
+        for idx in range(arr.shape[0]) for k in range(arr.shape[1])
+    ]
+    coords = [
+        "\n".join(",".join(f"{f.values[i, j, k]:.17g}" for j in range(g.nt)) for i in range(g.ns))
+        + "\n"
+        for k in range(f.dim)
+    ]
+    return "\n".join(surface) + "\n", "\n".join(boundary) + "\n", coords
+
+
+def test_csv_writers_match_per_value_reference(tmp_path, rng):
+    grid = ws.Grid2(7, 5)
+    vals = rng.standard_normal((7, 5, 3)) * 10.0 ** rng.integers(-300, 300, (7, 5, 3))
+    vals.flat[:4] = [-0.0, 5e-324, -1.7e308, 1.0 / 3.0]
+    field = ws.SurfaceField(grid, vals)
+    b = ws.BoundarySpec.of_field(field)
+    surface, boundary, coords = _g17_reference_texts(field, b)
+
+    ws.save_csv(field, tmp_path / "surface.csv")
+    assert (tmp_path / "surface.csv").read_text() == surface
+    _write_boundary_csv(b, tmp_path / "boundary.csv")
+    assert (tmp_path / "boundary.csv").read_text() == boundary
+    assert main(["export-plot", str(tmp_path / "surface.csv"), "--out", str(tmp_path / "plot")]) == 0
+    for k, text in enumerate(coords):
+        assert (tmp_path / "plot" / f"coord_{k + 1}.csv").read_text() == text
 
 
 def test_export_plot_density_reconstruction(tmp_path):

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import wassersurf as ws
+from wassersurf.cli import main
 from wassersurf.errors import CornerMismatchError, ShapeMismatchError
+from wassersurf.grid import CSV_HEADER, from_json_dict
 
 # Coons fill of catenoid edge traces, 9x9 over [0.8, 2.1]^2: regression
 # baseline for the interior gap to the analytic surface (the catenoid is
@@ -205,6 +209,66 @@ def test_load_csv_rejects_incomplete(tmp_path):
     path.write_text("i,j,s,t,k,value\n0,0,0,0,0,1.0\n1,1,1,1,0,2.0\n")
     with pytest.raises(ValueError):
         ws.load_csv(path)
+
+
+# a complete 2x2x1 body; each case below edits one of its rows
+GOOD_ROWS = ["0,0,0,0,0,1.5", "0,1,0,1,0,2.5", "1,0,1,0,0,3.5", "1,1,1,1,0,4.5"]
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        # a k = -1 row must not land in the last coordinate
+        pytest.param(GOOD_ROWS[:3] + ["1,1,1,1,-1,4.5"], r"non-negative integers", id="negative"),
+        pytest.param(GOOD_ROWS[:3] + ["1,0.5,1,1,0,4.5"], r"non-negative integers",
+                     id="non-integer"),
+        # a repeated row must not overwrite the earlier one
+        pytest.param(GOOD_ROWS + ["0,0,0,0,0,9.5"],
+                     r"duplicate entry for \(i, j, k\) = \(0, 0, 0\) at data rows 1 and 5",
+                     id="duplicate"),
+    ],
+)
+def test_load_csv_rejects_bad_index_rows(tmp_path, capsys, rows, match):
+    path = tmp_path / "surface.csv"
+    path.write_text("\n".join([CSV_HEADER] + rows) + "\n")
+    with pytest.raises(ValueError, match=match) as info:
+        ws.load_csv(path)
+    assert str(path) in str(info.value)
+    assert main(["export-plot", str(path), "--out", str(tmp_path / "plot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}") and err.count("\n") == 1
+
+
+def test_load_csv_header_and_field_count_messages(tmp_path):
+    bad_header = tmp_path / "header.csv"
+    bad_header.write_text("i,j,k,value\n0,0,0,1.0\n")
+    with pytest.raises(ValueError) as info:
+        ws.load_csv(bad_header)
+    assert str(info.value) == f"expected header '{CSV_HEADER}' in {bad_header}"
+    cases = {
+        "one_short_row": ([GOOD_ROWS[0], "0,1,0,1,2.5"] + GOOD_ROWS[2:], 3, 5),
+        "one_long_row": ([GOOD_ROWS[0], "0,1,0,1,0,2.5,7"] + GOOD_ROWS[2:], 3, 7),
+        "all_rows_short": ([row[2:] for row in GOOD_ROWS], 2, 5),
+    }
+    for name, (rows, lineno, n) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join([CSV_HEADER] + rows) + "\n")
+        with pytest.raises(ValueError) as info:
+            ws.load_csv(path)
+        assert str(info.value) == f"{path}:{lineno}: expected 6 fields, got {n}", name
+
+
+def test_from_json_dict_rejects_non_object(tmp_path, capsys):
+    with pytest.raises(ValueError, match="must be an object"):
+        from_json_dict([1, 2])
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    assert main(["export-plot", str(path), "--out", str(tmp_path / "plot")]) == 2
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"problem": "gaussian-diag", "surface": str(path)}))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {path}: a JSON surface must be an object, got list"] * 2
 
 
 def test_edges_from_corner_vectors_linear_and_consistent():

@@ -1,5 +1,8 @@
 """Property tests of the invariants the solver relies on."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,3 +33,29 @@ def test_total_area_invariant_under_rigid_maps_of_coordinates(m, seed, weight, e
     moved = ws.SurfaceField(grid, f.values @ q + rng.standard_normal(m))
     acfg = ws.AreaConfig(epsilon=epsilon, weights=np.full(m, weight))
     assert ws.total_area(moved, acfg) == pytest.approx(ws.total_area(f, acfg), rel=1e-11)
+
+
+# sign of zero, the subnormal range and the largest normals, where a reader
+# that does not round correctly would lose the last bit
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  1.7e308, -1.7e308, 1.0 / 3.0]
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    shape=st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(1, 5)),
+    data=st.data(),
+)
+def test_csv_and_json_round_trips_are_bit_exact(shape, data):
+    size = shape[0] * shape[1] * shape[2]
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    vals = np.array(data.draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+    f = ws.SurfaceField(ws.Grid2(shape[0], shape[1]), vals)
+    with tempfile.TemporaryDirectory() as tmp:
+        for save, load, name in ((ws.save_csv, ws.load_csv, "f.csv"),
+                                 (ws.save_json, ws.load_json, "f.json")):
+            save(f, Path(tmp) / name)
+            back = load(Path(tmp) / name)
+            assert back.grid == f.grid
+            # array_equal cannot tell -0.0 from 0.0; the bit patterns can
+            assert np.array_equal(back.values.view(np.int64), vals.view(np.int64)), name
