@@ -113,6 +113,16 @@ def degenerate_cell_count(f: SurfaceField, cfg: AreaConfig) -> int:
     return int(np.count_nonzero(cell_gram(f, cfg) < cfg.epsilon))
 
 
+def hourglass_amplitude(f: SurfaceField) -> float:
+    """Largest hourglass mode |v00 - v10 - v01 + v11| over cells and coordinates.
+
+    The cell-centred tangents, and so the area, do not see this mode.
+    """
+    v = f.values
+    mode = v[:-1, :-1] - v[1:, :-1] - v[:-1, 1:] + v[1:, 1:]
+    return float(np.max(np.abs(mode))) if mode.size else 0.0
+
+
 def cell_area_field(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:
     """Unscaled area density per cell, shape ``(ns-1, nt-1)``."""
     return np.sqrt(np.maximum(cell_gram(f, cfg), 0.0) + cfg.epsilon)
@@ -129,11 +139,12 @@ def total_area(f: SurfaceField, cfg: AreaConfig) -> float:
 
 
 def area_change(tangents, cells, cells_try, step, k, grid, cfg: AreaConfig) -> float:
-    """Total-area change when coordinate ``k`` alone moves by ``step``.
+    """Total-area change when the field moves by ``step``.
 
     ``tangents`` and ``cells`` are ``tangent_fields`` and ``cell_area_field``
     of the current field, ``cells_try`` is ``cell_area_field`` after the
-    move, and ``step`` is the ``(ns, nt)`` change of coordinate ``k``.  Per
+    move.  ``step`` is the ``(ns, nt)`` change of coordinate ``k`` alone or,
+    with ``k=None``, the ``(ns, nt, m)`` change of every coordinate.  Per
     cell the change is dG / (A_try + A), with the Gram change dG expanded in
     the step's own tangents, so no two rounded areas or determinants are
     subtracted and the result keeps full relative precision however small
@@ -143,11 +154,14 @@ def area_change(tangents, cells, cells_try, step, k, grid, cfg: AreaConfig) -> f
     ds, dt = tangents
     w = cfg.weight_vector(ds.shape[-1])
     a, b, c = _gram_terms(ds, dt, w)
-    sk, tk, wk = ds[..., k], dt[..., k], w[k]
     us, ut = _tangents(step, grid.hs, grid.ht)
-    da = wk * us * (2.0 * sk + us)
-    db = wk * ut * (2.0 * tk + ut)
-    dc = wk * (sk * ut + us * tk + us * ut)
+    if k is not None:
+        ds, dt, w = ds[..., k], dt[..., k], w[k]
+    da = w * us * (2.0 * ds + us)
+    db = w * ut * (2.0 * dt + ut)
+    dc = w * (ds * ut + us * dt + us * ut)
+    if k is None:
+        da, db, dc = da.sum(axis=-1), db.sum(axis=-1), dc.sum(axis=-1)
     gram = a * b - c * c
     dgram = da * b + (a + da) * db - dc * (2.0 * c + dc)
     live = (gram > 0.0) & (gram + dgram > 0.0)

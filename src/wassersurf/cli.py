@@ -45,6 +45,7 @@ from .grid import (
     load_json,
     save_csv,
     save_json,
+    whole_number,
 )
 from .solver import SolverConfig, euler_lagrange_residual, minimize, perturb_interior
 
@@ -179,11 +180,10 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         raise ConfigError(f"problem must be one of {PROBLEMS}, got {problem!r}")
 
     gdoc = _section(doc, "grid")
-    ns = int(gdoc.get("ns", 17))
-    nt = int(gdoc.get("nt", 17))
+    ns, nt, m = (whole_number(gdoc.get(key, default), f"grid.{key}")
+                 for key, default in (("ns", 17), ("nt", 17), ("m", 64)))
     if problem != "analytic-verify" and min(ns, nt) < 3:
         raise ConfigError("grids must have ns, nt >= 3 for solving")
-    m = int(gdoc.get("m", 64))
 
     corners = None
     if "corners" in doc:

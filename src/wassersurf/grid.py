@@ -8,6 +8,7 @@ data, never unknowns; optimizers only ever move interior nodes.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,15 @@ from .errors import CornerMismatchError, ShapeMismatchError
 
 #: absolute tolerance for corner agreement between adjacent boundary edges
 CORNER_TOL = 1e-12
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; raises ValueError for a fraction or a non-number, never truncates."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -330,7 +340,7 @@ def from_json_dict(doc: dict) -> SurfaceField:
     if missing:
         raise ValueError(f"a JSON surface needs keys ns, nt, dim and values; missing {missing}")
     try:
-        ns, nt, dim = int(doc["ns"]), int(doc["nt"]), int(doc["dim"])
+        ns, nt, dim = (whole_number(doc[key], key) for key in ("ns", "nt", "dim"))
         vals = np.asarray(doc["values"], dtype=float)
     except TypeError as exc:  # e.g. null where a number belongs
         raise ValueError(f"malformed JSON surface: {exc}") from exc

@@ -1,26 +1,47 @@
 """First-order minimization of the discrete area over interior nodes.
 
-The solver moves only interior node values (optionally only a subset of
-coordinates) with the four boundary edges held bit-exactly fixed, by
-Polak-Ribiere (PR+) nonlinear conjugate gradients under a backtracking
-Armijo line search that restarts once from steepest descent before a stall.
-Every accepted step strictly decreases the area, so the reported area
-trace is nonincreasing by construction.
+The solver moves only interior node values (optionally of one coordinate
+alone) with the four boundary edges held bit-exactly fixed, under a
+backtracking Armijo line search whose decrease ``area_change`` evaluates
+without cancellation (sum of dG / (A_try + A) over cells, dG expanded in
+the step's own tangents).  Every accepted step strictly decreases the
+area, so the reported area trace is nonincreasing by construction.
 
 When exactly one coordinate is free (graph problems, oracle-driven
-covariance problems) the descent is preconditioned by the inverse of the
-area's flat Hessian, a constant-coefficient form of the cell stencil that a
-DST-I diagonalises exactly, and the Armijo decrease is evaluated without
-cancellation by ``area_change``.  With the other coordinates pinned, each
-cell area sqrt(G_p + grad z^T M grad z) (M positive semidefinite) is convex
-in the free coordinate, so this Sobolev-gradient descent takes a
-grid-independent number of steps.  With several free coordinates the area
-is not convex (tangential and hourglass near-null directions), so that path
-stays unpreconditioned and takes the Armijo decrease as an exact (fsum) sum
-of per-cell area differences.  Known limitation: on density problems PR+
-clips beta to 0 at every step there (``step0=1`` never expands, so accepted
-steps stay short of the curvature scale), so the iterates are those of
-steepest descent.
+covariance problems) the solve is Polak-Ribiere (PR+) nonlinear conjugate
+gradients, preconditioned by the inverse of the area's flat Hessian, a
+constant-coefficient form of the cell stencil that a DST-I diagonalises
+exactly, and restarted once from the preconditioned gradient before a
+stall.  With the other coordinates pinned, each cell area
+sqrt(G_p + grad z^T M grad z) (M positive semidefinite) is convex in the
+free coordinate, so this Sobolev-gradient descent takes a grid-independent
+number of steps.  ``free_coords`` names one coordinate or all of them; a
+proper subset of several is rejected, since no problem here poses one and
+the area is not convex in it.
+
+When every coordinate is free (density and corner-driven covariance
+problems) the area is not convex: the parametrization is a gauge, and the
+cell-centred area cannot see tangential or hourglass motion of the nodes.
+The solve is then the Laplace-Beltrami iteration of Pinkall & Polthier
+(Exp. Math. 2(1), 1993) and Dziuk (Numer. Math. 58, 1991) with a normal
+projection as the gauge.  Each step takes the area gradient g, removes its
+tangential part at every interior node in the w-inner product (central-
+difference tangents; nodes with a degenerate tangent pair are left as they
+are), applies the inverse of S = -hs*ht*div(K grad .) with
+K = [[b, -c], [-c, a]] / sqrt(G) per cell frozen at the current field, so
+that g_k = w_k S[x_k], projects again and takes an Armijo step from
+``step0`` (a full step solves the frozen problem exactly).  S is inverted by
+matrix-free PCG over all coordinates at once, preconditioned by the DST-I
+inverse at S's mean coefficients.  The gradient's tangential (gauge) part
+belongs to the parametrization, not to the surface: normal steps cannot
+remove it, and the unprojected iteration lowers it only by sliding the
+nodes (about 1% per step, hourglass growing).  So the stopping test asks
+the max-norm of the normal part to meet ``grad_tol`` and, unless the
+tangential part alone is above ``grad_tol``, the full gradient too: the
+full Euler-Lagrange residual then meets grad_tol/(hs*ht) at convergence
+whenever the parametrization's gauge part allows it.  The tangential part
+is reported as ``grad_tangential`` (0 on the pinned paths, where the
+projector is the identity).
 
 When every coordinate is free and the area weights are uniform, the solve
 runs in an orthonormal basis U (m x r) of the span of the centred initial
@@ -28,12 +49,13 @@ field and lifts the displacement back at the end.  Corner-driven boundaries
 (straight geodesic edges between four corner vectors) span an affine space
 of dimension at most 3, plus one direction for a seeded perturbation, so r
 is usually far below m.  The reduction is exact: with uniform weights the
-gradient at a node is a combination of its cells' tangents, so iterates,
+gradient at a node is a combination of its cells' tangents, the node
+tangents lie in span(U) and S acts on each coordinate alike, so iterates,
 gradients and search directions never leave span(U), and since U is
 orthonormal the reduced area, inner products and step lengths equal the
-full ones up to rounding.  The stopping test still takes the max-norm of the
-lifted full-space gradient.  Non-uniform weights, a full-rank field or a
-given ``free_coords`` keep the full-space loop.
+full ones up to rounding.  The stopping test still takes the max-norms of
+the lifted full-space gradient and its parts.  Non-uniform weights, a
+full-rank field or a given ``free_coords`` keep the full-space loop.
 
 The discrete optimality residual is the flux divergence of the area
 module's one flux kernel, the same one ``area_gradient`` scales by -hs*ht,
@@ -51,15 +73,24 @@ from .area import (
     _divergence,
     _fluxes,
     _gram_terms,
+    _tangents,
     area_change,
     area_gradient,
     cell_area_field,
     degenerate_cell_count,
+    hourglass_amplitude,
     tangent_fields,
     total_area,
 )
 from .errors import ShapeMismatchError, SolverNaNError
 from .grid import BoundarySpec, Grid2, SurfaceField
+
+
+# inner PCG of the Laplace-Beltrami step: relative residual and step budget
+_PCG_RTOL = 1e-6
+_PCG_STEPS = 200
+# a node's tangent pair is degenerate below this sin^2 of the angle between them
+_NODE_FLOOR = 1e-8
 
 
 def default_grad_tol(grid: Grid2) -> float:
@@ -93,10 +124,12 @@ class SolveReport:
     iterations: int
     area_trace: list
     grad_norm: float
+    grad_tangential: float
     el_residual: float
     converged: bool
     degenerate_cells: int
     span_rank: int
+    hourglass: float
     stall: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -105,9 +138,11 @@ class SolveReport:
             "iters": self.iterations,
             "area_trace": list(self.area_trace),
             "grad_norm": self.grad_norm,
+            "grad_tangential": self.grad_tangential,
             "el_residual": self.el_residual,
             "degenerate_cells": self.degenerate_cells,
             "span_rank": self.span_rank,
+            "hourglass": self.hourglass,
             "stall": self.stall,
         }
 
@@ -195,7 +230,8 @@ def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
     average tridiag(1, 2, 1)/4: the operator is the Hessian of the cell
     stencil's area with frozen coefficients and no cross term.  Both 1-D
     factors share the DST-I eigenvectors, so the solve is exact.  Returns a
-    function on flattened ``(ns-2, nt-2)`` interior vectors.
+    function on interior arrays that flatten to ``(ns-2, nt-2, r)``, applied
+    to each of the r columns.
     """
     hs, ht = grid.hs, grid.ht
     n1, n2 = grid.ns - 2, grid.nt - 2
@@ -209,18 +245,19 @@ def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
     scale = 4.0 / ((n1 + 1) * (n2 + 1) * symbol)
 
     def solve(g):
-        spec = _dst1(_dst1(g.reshape(n1, n2), 0), 1) * scale
-        return _dst1(_dst1(spec, 0), 1).ravel()
+        spec = _dst1(_dst1(g.reshape(n1, n2, -1), 0), 1) * scale[..., None]
+        return _dst1(_dst1(spec, 0), 1).reshape(g.shape)
 
     return solve
 
 
-def _flat_hessian_inverse(tangents, grid: Grid2, k: int, acfg: AreaConfig):
-    """DST preconditioner for coordinate ``k``, frozen at the given cell tangents.
+def _flat_hessian_inverse(tangents, grid: Grid2, scale: float, acfg: AreaConfig):
+    """DST preconditioner frozen at the given cell tangents.
 
     The second derivatives of a cell's area in the k-th s- and t-tangent
     components are w_k*b/sqrt(G) and w_k*a/sqrt(G); their means over the
-    non-degenerate cells (1 when there are none) weight the operator.
+    non-degenerate cells (1 when there are none), times ``scale`` (w_k, or 1
+    for the scalar operator of ``_frozen_operator``), weight the operator.
     """
     w = acfg.weight_vector(tangents[0].shape[-1])
     a, b, c = _gram_terms(*tangents, w)
@@ -228,11 +265,107 @@ def _flat_hessian_inverse(tangents, grid: Grid2, k: int, acfg: AreaConfig):
     live = gram > acfg.epsilon
     if np.any(live):
         root = np.sqrt(gram[live] + acfg.epsilon)
-        c_s = w[k] * float(np.mean(b[live] / root))
-        c_t = w[k] * float(np.mean(a[live] / root))
+        c_s = scale * float(np.mean(b[live] / root))
+        c_t = scale * float(np.mean(a[live] / root))
     else:
         c_s = c_t = 1.0
     return _dst_inverse(grid, c_s, c_t)
+
+
+def _frozen_operator(tangents, grid: Grid2, acfg: AreaConfig):
+    """S = -hs*ht*div(K grad .) on interior columns, K frozen at the given cell tangents.
+
+    K = [[b, -c], [-c, a]] / sqrt(G) per cell is the flux kernel of
+    ``area._fluxes`` with its coefficients frozen (zero on the clamped side),
+    so ``area_gradient[..., k] = w_k * S[x_k]`` on interior nodes.  Returns a
+    function on ``(ns-2, nt-2, m)`` interior arrays, taken as zero on the edges.
+    """
+    m = tangents[0].shape[-1]
+    a, b, c = _gram_terms(*tangents, acfg.weight_vector(m))
+    gram = a * b - c * c
+    inv = np.where(gram > 0.0, 1.0 / np.sqrt(np.maximum(gram, 0.0) + acfg.epsilon), 0.0)
+    k_ss, k_st, k_tt = (b * inv)[..., None], (-c * inv)[..., None], (a * inv)[..., None]
+    hs, ht = grid.hs, grid.ht
+    padded = np.zeros((grid.ns, grid.nt, m))
+
+    def apply(x):
+        padded[1:-1, 1:-1] = x
+        xs, xt = _tangents(padded, hs, ht)
+        return -(hs * ht) * _divergence(k_ss * xs + k_st * xt, k_st * xs + k_tt * xt, hs, ht)
+
+    return apply
+
+
+def _pcg(apply, precondition, rhs, w):
+    """Preconditioned CG for ``apply(x) = rhs``, one Krylov space for all columns.
+
+    Inner products are weighted by w over the columns, so a truncated
+    iterate still has <x, rhs>_w > 0 and stays a descent direction.  Stops
+    at a relative residual of ``_PCG_RTOL`` or after ``_PCG_STEPS`` steps.
+    """
+
+    def dot(p, q):
+        return float(np.vdot(p * w, q))
+
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = precondition(r)
+    p = z.copy()
+    rz = dot(r, z)
+    stop = _PCG_RTOL**2 * dot(rhs, rhs)
+    for _ in range(_PCG_STEPS):
+        if dot(r, r) <= stop:
+            break
+        q = apply(p)
+        pq = dot(p, q)
+        if not pq > 0.0:
+            break
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        z = precondition(r)
+        rz_new = dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x
+
+
+def _normal_projector(values: np.ndarray, grid: Grid2, w: np.ndarray):
+    """Projector onto the normal space at each interior node, in the w-inner product.
+
+    The node tangents are central differences.  Nodes whose tangent Gram
+    determinant is below ``_NODE_FLOOR`` times the product of its diagonal
+    (parallel or vanishing tangents) are left unprojected.  Returns a
+    function on ``(ns-2, nt-2, r)`` arrays of vectors.
+    """
+    ts = (values[2:, 1:-1] - values[:-2, 1:-1]) / (2.0 * grid.hs)
+    tt = (values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * grid.ht)
+    g_ss, g_tt, g_st = _gram_terms(ts, tt, w)
+    det = g_ss * g_tt - g_st * g_st
+    live = det > _NODE_FLOOR * g_ss * g_tt
+    inv = np.divide(1.0, det, out=np.zeros_like(det), where=live)
+
+    def project(u):
+        ps = np.einsum("...k,k,...k->...", ts, w, u)
+        pt = np.einsum("...k,k,...k->...", tt, w, u)
+        along_s = (inv * (g_tt * ps - g_st * pt))[..., None]
+        along_t = (inv * (g_ss * pt - g_st * ps))[..., None]
+        return u - along_s * ts - along_t * tt
+
+    return project
+
+
+def normal_gradient(f: SurfaceField, acfg: AreaConfig) -> np.ndarray:
+    """Normal part of the area gradient on interior nodes, shape ``(ns-2, nt-2, m)``.
+
+    The gradient is a covector g: g/w is projected as a vector onto the
+    normal space of each node (``_normal_projector``) and mapped back by w.
+    The rest of g is its tangential (gauge) part, which the parametrization
+    of an all-free surface can absorb without changing the surface.
+    """
+    w = acfg.weight_vector(f.dim)
+    g = area_gradient(f, acfg)[1:-1, 1:-1]
+    return w * _normal_projector(f.values, f.grid, w)(g / w)
 
 
 def minimize(
@@ -248,12 +381,15 @@ def minimize(
     ``free_coords`` is given, only those coordinate indices move (the
     graph problems pin the two affine parameter coordinates and descend
     on the height alone); the rest of the field is treated as data.  With
-    exactly one free coordinate the descent is DST-preconditioned; with
-    ``free_coords=None`` and uniform weights it runs in the span of the
-    initial field (see the module docstring), and ``span_rank`` reports the
-    dimension used.
+    exactly one free coordinate the descent is DST-preconditioned CG; with
+    every coordinate free it is the normal-projected Laplace-Beltrami
+    iteration, and with ``free_coords=None`` and uniform weights it runs in
+    the span of the initial field (see the module docstring), and
+    ``span_rank`` reports the dimension used.  A proper subset of several
+    coordinates raises ValueError.
 
-    Line-search failure after the backtracking budget returns the best
+    Line-search failure after the backtracking budget, or a
+    Laplace-Beltrami step that is not a descent direction, returns the best
     field seen so far with ``converged=False`` and a stall diagnostic;
     conjugate gradients falls back to one steepest-descent retry first.
     Non-finite objective values raise SolverNaNError with the iteration.
@@ -271,6 +407,9 @@ def minimize(
         raise ValueError("initial field does not satisfy the boundary on its edges")
 
     free = _normalize_free(free_coords, init.dim)
+    all_free = len(free) == init.dim
+    if not (all_free or len(free) == 1):
+        raise ValueError("free_coords must name one coordinate or all of them")
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
 
     # The loop moves coordinates ``moving`` of ``work`` under ``loop_acfg``:
@@ -289,8 +428,12 @@ def minimize(
         work = (init.values - centre) @ basis
         start = work.copy()
     fld = SurfaceField(grid, work)
+    w = loop_acfg.weight_vector(work.shape[-1])
     inner_shape = (grid.ns - 2, grid.nt - 2, len(moving))
-    measure = grid.hs * grid.ht
+    # the exact decrease takes the step of the one moving coordinate, or of all
+    k = moving[0] if len(moving) == 1 else None
+    step = np.zeros(work.shape[:2] if k is not None else work.shape)
+    moved = (slice(1, -1), slice(1, -1)) + (() if k is not None else (moving,))
 
     def push(x):
         work[1:-1, 1:-1, moving] = x.reshape(inner_shape)
@@ -302,21 +445,17 @@ def minimize(
         # the stopping test is on the full-space gradient
         if basis is not None:
             g = g.reshape(-1, span_rank) @ basis.T
-        return float(np.max(np.abs(g)))
+        return float(np.max(np.abs(g), initial=0.0))
 
     x = work[1:-1, 1:-1, moving].reshape(-1).copy()
+    tangents = tangent_fields(fld)
     cells_cur = cell_area_field(fld, loop_acfg)
     f_cur = total_area(fld, loop_acfg)
     trace = [f_cur]
     iterations = 0
     stall = None
-
-    if len(free) == 1 and x.size:
-        tangents = tangent_fields(fld)
-        precondition = _flat_hessian_inverse(tangents, grid, moving[0], loop_acfg)
-        step = np.zeros((grid.ns, grid.nt))
-    else:
-        precondition = None
+    if not all_free:
+        precondition = _flat_hessian_inverse(tangents, grid, w[moving[0]], loop_acfg)
 
     def line_search(direction, slope):
         alpha = cfg.step0
@@ -324,12 +463,9 @@ def minimize(
             x_try = x + alpha * direction
             push(x_try)
             cells_try = cell_area_field(fld, loop_acfg)
-            if precondition is None:
-                delta = measure * math.fsum((cells_try - cells_cur).ravel(order="C").tolist())
-            else:
-                # the step as rounded into the trial field, not alpha * direction
-                step[1:-1, 1:-1] = (x_try - x).reshape(inner_shape[:2])
-                delta = area_change(tangents, cells_cur, cells_try, step, moving[0], grid, loop_acfg)
+            # the step as rounded into the trial field, not alpha * direction
+            step[moved] = (x_try - x).reshape(inner_shape[: step.ndim])
+            delta = area_change(tangents, cells_cur, cells_try, step, k, grid, loop_acfg)
             if math.isnan(delta):
                 raise SolverNaNError(it, "objective is NaN during line search")
             if delta <= cfg.armijo_c1 * alpha * slope:
@@ -337,18 +473,65 @@ def minimize(
             alpha *= cfg.backtrack
         return None, None, None
 
-    if x.size == 0:
-        g = np.zeros(0)
-        gnorm = 0.0
-        converged = True
-    else:
-        g = gradient()
-        z = g if precondition is None else precondition(g)
-        gnorm = max_norm(g)
-        converged = gnorm <= tol
-        d = -z
-        it = 0
+    def accept(alpha, direction, delta, cells_new):
+        nonlocal x, cells_cur, f_cur, tangents, iterations
+        x = x + alpha * direction
+        push(x)
+        if not np.all(np.isfinite(x)):
+            raise SolverNaNError(it, "field values are not finite")
+        cells_cur = cells_new
+        f_cur = f_cur + delta
+        trace.append(f_cur)
+        iterations = it
+        tangents = tangent_fields(fld)
+
+    def split():
+        # the gradient is a covector: project g/w as a vector; returns the
+        # projector, the normal part (as a vector) and the max-norms of the
+        # normal and tangential parts
+        project = _normal_projector(work, grid, w)
+        u = project(g.reshape(inner_shape) / w)
+        return project, u, max_norm(w * u), max_norm(g - (w * u).ravel())
+
+    def settled():
+        # the stopping test (module docstring); with pinned coordinates the
+        # tangential part is 0 and the normal part is the gradient
+        return gnorm <= tol and (tangential > tol or max_norm(g) <= tol)
+
+    g = gradient() if x.size else np.zeros(0)
+    gnorm = tangential = 0.0
+    if x.size:
+        if all_free:
+            project, u, gnorm, tangential = split()
+        else:
+            gnorm = max_norm(g)
+    converged = settled()
+    it = 0
+    if all_free:
+        # normal-projected Laplace-Beltrami steps (see the module docstring)
         while not converged and it < cfg.max_iters:
+            it += 1
+            operator = _frozen_operator(tangents, grid, loop_acfg)
+            inverse = _flat_hessian_inverse(tangents, grid, 1.0, loop_acfg)
+            d = -project(_pcg(operator, inverse, u, w)).ravel()
+            slope = float(np.dot(g, d))
+            if not slope < 0.0:
+                # no search ran: the inner solve gave no descent direction
+                stall = (it, 0)
+                break
+            alpha, delta, cells_new = line_search(d, slope)
+            if alpha is None:
+                push(x)
+                stall = (it, 1)
+                break
+            accept(alpha, d, delta, cells_new)
+            g = gradient()
+            project, u, gnorm, tangential = split()
+            converged = settled()
+    elif not converged:
+        z = precondition(g)
+        d = -z
+        while it < cfg.max_iters:
             it += 1
             gd = float(np.dot(g, d))
             if gd >= 0.0:
@@ -367,17 +550,7 @@ def minimize(
                 push(x)
                 stall = (it, searches)
                 break
-
-            x = x + alpha * d
-            push(x)
-            if not np.all(np.isfinite(x)):
-                raise SolverNaNError(it, "field values are not finite")
-            cells_cur = cells_new
-            f_cur = f_cur + delta
-            trace.append(f_cur)
-            iterations = it
-            if precondition is not None:
-                tangents = tangent_fields(fld)
+            accept(alpha, d, delta, cells_new)
 
             g_new = gradient()
             gnorm = max_norm(g_new)
@@ -385,7 +558,7 @@ def minimize(
                 converged = True
                 g = g_new
                 break
-            z_new = g_new if precondition is None else precondition(g_new)
+            z_new = precondition(g_new)
             beta = max(0.0, float(np.dot(z_new, g_new - g)) / float(np.dot(z, g)))
             d = -z_new + beta * d
             g, z = g_new, z_new
@@ -402,30 +575,50 @@ def minimize(
     kept = inner[~rep.excluded_mask] if inner.size else inner
     el_norm = float(np.max(np.abs(kept))) if kept.size else 0.0
     if stall is not None:
-        stall = _stall_message(*stall, cfg, gnorm, tol, el_norm, tol / measure)
+        stall = _stall_message(*stall, cfg, max_norm(g), gnorm, tol, el_norm,
+                               tol / (grid.hs * grid.ht))
     return SolveReport(
         field=final,
         iterations=iterations,
         area_trace=trace,
         grad_norm=gnorm,
+        grad_tangential=tangential,
         el_residual=el_norm,
         converged=converged,
         degenerate_cells=degenerate_cell_count(final, acfg),
         span_rank=span_rank,
+        hourglass=hourglass_amplitude(final),
         stall=stall,
     )
 
 
-def _stall_message(it, searches, cfg, gnorm, tol, el_norm, el_tol) -> str:
-    """Why the line search gave up, with the numbers that say what to change."""
-    last_alpha = cfg.step0 * cfg.backtrack**cfg.max_backtracks
+def _stall_message(it, searches, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str:
+    """Why the solve stopped early, with the numbers that say what to change.
+
+    ``searches`` is the number of line searches that failed at iteration
+    ``it``; 0 means none ran because the step's direction was not a descent
+    direction.  ``gfull`` and ``gnorm`` are the max-norms of the gradient
+    and of its normal part (equal when coordinates are pinned).
+    """
+    advice = "raise grad_tol if the gradient sits at its rounding floor"
+    if searches:
+        last_alpha = cfg.step0 * cfg.backtrack**cfg.max_backtracks
+        head = (
+            f"line search stalled at iteration {it}: {searches * cfg.max_backtracks} backtracks "
+            f"over {searches} search(es) down to step {last_alpha:.3e} gave no Armijo decrease"
+        )
+        advice = f"raise max_backtracks or lower step0 if the step is too long, or {advice}"
+    else:
+        head = (
+            f"no descent direction at iteration {it}: the inner solve of the Laplace-Beltrami "
+            f"step gave a direction along which the area does not fall, so no line search ran"
+        )
+    normal = "" if gnorm == gfull else f" (normal part {gnorm:.3e})"
     return (
-        f"line search stalled at iteration {it}: {searches * cfg.max_backtracks} backtracks "
-        f"over {searches} search(es) down to step {last_alpha:.3e} gave no Armijo decrease; "
-        f"gradient max-norm {gnorm:.3e} above tolerance {tol:.3e}; "
+        f"{head}; "
+        f"gradient max-norm {gfull:.3e}{normal} against tolerance {tol:.3e}; "
         f"Euler-Lagrange residual {el_norm:.3e} against {el_tol:.3e} (grad_tol / (hs*ht)); "
-        f"raise max_backtracks or lower step0 if the step is too long, "
-        f"or raise grad_tol if the gradient sits at its rounding floor"
+        f"{advice}"
     )
 
 

@@ -184,3 +184,61 @@ def test_weight_vector_validation():
     cfg = ws.AreaConfig(weights=ws.quantile_weights(4))
     with pytest.raises(ValueError):
         cfg.weight_vector(5)
+
+
+def _area_changes(f, step, acfg):
+    """(plain fsum difference, area_change) for moving every coordinate of ``f`` by ``step``."""
+    grid = f.grid
+    moved = ws.SurfaceField(grid, f.values + step)
+    step = moved.values - f.values  # the step as rounded into the moved field
+    cells = ws.area.cell_area_field(f, acfg)
+    cells_try = ws.area.cell_area_field(moved, acfg)
+    plain = grid.hs * grid.ht * math.fsum((cells_try - cells).ravel().tolist())
+    exact = ws.area_change(ws.area.tangent_fields(f), cells, cells_try, step, None, grid, acfg)
+    return plain, exact
+
+
+def test_area_change_every_coordinate_matches_plain_difference():
+    grid = ws.Grid2(13, 11)
+    f = smooth_test_field(grid, m=3)
+    acfg = ws.AreaConfig(epsilon=1e-12, weights=np.array([1.0, 0.5, 2.0]))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        step = np.zeros_like(f.values)
+        step[1:-1, 1:-1] = 1e-2 * rng.standard_normal((grid.ns - 2, grid.nt - 2, 3))
+        plain, exact = _area_changes(f, step, acfg)
+        assert abs(plain) > 1e-6
+        assert exact == pytest.approx(plain, rel=1e-12)
+
+
+def test_area_change_resolves_second_order_change_of_tiny_steps():
+    # at a plane, a critical point, the change along a step eps*v is
+    # eps^2 * (v'Hv/2) + O(eps^3): far below the rounding of two cell areas
+    grid = ws.Grid2(9, 8)
+    _, f = ws.graph_boundary(ws.Plane(0.7, -0.4, 0.2), grid, ((0.0, 1.0), (0.0, 1.0)))
+    acfg = ws.AreaConfig(epsilon=0.0)
+    v = np.zeros_like(f.values)
+    v[1:-1, 1:-1] = np.random.default_rng(4).standard_normal((grid.ns - 2, grid.nt - 2, 3))
+    _, reference = _area_changes(f, 1e-7 * v, acfg)
+    plain, exact = _area_changes(f, 1e-9 * v, acfg)
+    assert exact > 0.0
+    assert exact / 1e-18 == pytest.approx(reference / 1e-14, rel=1e-6)
+    # the plain difference of the same cells is rounding noise
+    assert abs(plain - exact) > abs(exact)
+
+
+def test_hourglass_amplitude():
+    # an affine field has no hourglass mode, a twisted one has hs*ht times its
+    # twist, and a checkerboard of amplitude d adds 4d in every cell
+    grid = ws.Grid2(5, 4)
+    s = grid.s_nodes[:, None, None]
+    t = grid.t_nodes[None, :, None]
+    affine = (1.0 + s - 2.0 * t) * np.array([1.0, -3.0])
+    assert ws.area.hourglass_amplitude(ws.SurfaceField(grid, affine)) <= 1e-15
+    twisted = affine + s * t * np.array([0.0, 6.0])
+    twist = ws.area.hourglass_amplitude(ws.SurfaceField(grid, twisted))
+    assert twist == pytest.approx(6.0 * grid.hs * grid.ht, rel=1e-12)
+    i, j = np.indices((5, 4))
+    checker = 1e-3 * (-1.0) ** (i + j)
+    vals = affine + checker[..., None] * np.array([0.5, 1.0])
+    assert ws.area.hourglass_amplitude(ws.SurfaceField(grid, vals)) == pytest.approx(4e-3, rel=1e-12)

@@ -218,6 +218,31 @@ def test_readme_json_configs_load(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["ns", "nt", "m"])
+def test_fractional_grid_size_exits_2(tmp_path, capsys, key):
+    doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+    doc["grid"][key] = 17.9
+    assert main(["solve", write_config(tmp_path, doc, name=f"frac_{key}.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: grid.{key} must be a whole number, got 17.9\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_readme_solve_configs_exit_0(tmp_path):
+    # every documented solve example converges at its own (default) settings
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    solves = [b for b in blocks if json.loads(b)["problem"] != "analytic-verify"]
+    assert {json.loads(b)["problem"] for b in solves} == {"graph", "density1d", "gaussian-diag"}
+    for n, block in enumerate(solves):
+        path = tmp_path / f"readme_{n}.json"
+        path.write_text(block)
+        out = tmp_path / f"out_{n}"
+        assert main(["solve", str(path), "--out", str(out)]) == 0, block
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] and report["iters"] > 0, block
+
+
 def test_threads_flag_removed(tmp_path):
     with pytest.raises(SystemExit):
         main(["--threads", "2", "solve", scherk_graph_config(tmp_path)])

@@ -271,6 +271,20 @@ def test_from_json_dict_rejects_non_object(tmp_path, capsys):
     assert err == [f"config error: {path}: a JSON surface must be an object, got list"] * 2
 
 
+@pytest.mark.parametrize("key", ["ns", "nt", "dim"])
+def test_json_surface_fractional_size_exits_2(tmp_path, capsys, key):
+    doc = {"ns": 2, "nt": 2, "dim": 1, "values": [0.0, 1.0, 2.0, 3.0]}
+    # a whole float is a size; a fraction is an error, never truncated
+    assert from_json_dict(dict(doc, **{key: float(doc[key])})).values.shape == (2, 2, 1)
+    fractional = dict(doc, **{key: doc[key] + 0.9})
+    with pytest.raises(ValueError, match=f"{key} must be a whole number, got {doc[key] + 0.9}"):
+        from_json_dict(fractional)
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(fractional))
+    assert main(["export-plot", str(path), "--out", str(tmp_path / "plot")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_edges_from_corner_vectors_linear_and_consistent():
     g = ws.Grid2(5, 9)
     c00 = np.array([1.0, 2.0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wassersurf as ws
-from conftest import smooth_test_field
+from conftest import fd_area_gradient_entry, smooth_test_field
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,6 +33,35 @@ def test_total_area_invariant_under_rigid_maps_of_coordinates(m, seed, weight, e
     moved = ws.SurfaceField(grid, f.values @ q + rng.standard_normal(m))
     acfg = ws.AreaConfig(epsilon=epsilon, weights=np.full(m, weight))
     assert ws.total_area(moved, acfg) == pytest.approx(ws.total_area(f, acfg), rel=1e-11)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    shape=st.tuples(st.integers(3, 8), st.integers(3, 8), st.integers(3, 5)),
+    seed=st.integers(0, 2**32 - 1),
+    uniform=st.booleans(),
+    data=st.data(),
+)
+def test_area_gradient_matches_finite_differences_everywhere(shape, seed, uniform, data):
+    # the exact algebraic gradient against a central difference of the
+    # exactly summed area, at any interior node and coordinate of a
+    # nondegenerate field with a random rough part (m >= 3: at m = 2 the
+    # rough part can nearly fold a cell, where the difference quotient's
+    # truncation error is no longer small)
+    ns, nt, m = shape
+    rng = np.random.default_rng(seed)
+    grid = ws.Grid2(ns, nt)
+    smooth = smooth_test_field(grid, m, seed=seed % 997).values
+    f = ws.SurfaceField(grid, smooth + 0.02 * rng.standard_normal(smooth.shape))
+    weights = np.full(m, 1.0 / m) if uniform else rng.uniform(0.2, 2.0, m)
+    acfg = ws.AreaConfig(epsilon=0.0, weights=weights)
+    i = data.draw(st.integers(1, ns - 2))
+    j = data.draw(st.integers(1, nt - 2))
+    k = data.draw(st.integers(0, m - 1))
+    grad = ws.area_gradient(f, acfg)[i, j, k]
+    fd = fd_area_gradient_entry(f, acfg, i, j, k)
+    # the difference quotient's rounding is a few eps * area / step (step 1e-6)
+    assert abs(fd - grad) <= 1e-6 * abs(grad) + 1e-8 * ws.total_area(f, acfg)
 
 
 # sign of zero, the subnormal range and the largest normals, where a reader

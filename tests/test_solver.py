@@ -74,6 +74,9 @@ def test_free_coords_validation():
         ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(), free_coords=(5,))
     with pytest.raises(ValueError):
         ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(), free_coords=())
+    # one coordinate or all of them; no problem poses a proper subset of several
+    with pytest.raises(ValueError, match="one coordinate or all"):
+        ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(), free_coords=(1, 2))
 
 
 def test_solver_config_validation():
@@ -191,6 +194,22 @@ def test_el_residual_is_gradient_bit_for_bit():
     assert np.array_equal(grad, -(grid.hs * grid.ht) * el)
 
 
+def test_el_residual_symmetric_under_swap(rng):
+    # swapping s and t swaps the two fluxes exactly; only the order of the
+    # divergence's four adds changes, so the residual moves by rounding
+    grid = ws.Grid2(9, 6)
+    vals = smooth_test_field(grid, m=3).values + 0.05 * rng.standard_normal((9, 6, 3))
+    acfg = ws.AreaConfig(epsilon=1e-12, weights=np.array([1.0, 0.5, 2.0]))
+    rep = ws.euler_lagrange_residual(ws.SurfaceField(grid, vals), acfg)
+    swapped = ws.euler_lagrange_residual(
+        ws.SurfaceField(ws.Grid2(6, 9), np.swapaxes(vals, 0, 1).copy()), acfg
+    )
+    assert np.allclose(swapped.values, np.swapaxes(rep.values, 0, 1), rtol=0.0,
+                       atol=1e-13 * rep.max_norm)
+    assert swapped.max_norm == pytest.approx(rep.max_norm, rel=1e-13)
+    assert np.array_equal(swapped.excluded_mask, rep.excluded_mask.T)
+
+
 def test_el_residual_refinement_on_sampled_scherk():
     scherk = ws.Scherk(1.0)
     window = ((0.1, 0.4), (0.1, 0.4))
@@ -243,8 +262,8 @@ def test_report_json_schema():
     boundary, init, _ = plane_problem(9)
     rep = ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
     doc = rep.to_json_dict()
-    assert set(doc) == {"converged", "iters", "area_trace", "grad_norm", "el_residual",
-                        "degenerate_cells", "span_rank", "stall"}
+    assert set(doc) == {"converged", "iters", "area_trace", "grad_norm", "grad_tangential",
+                        "el_residual", "degenerate_cells", "span_rank", "hourglass", "stall"}
     assert doc["converged"] is True and doc["stall"] is None
     assert doc["span_rank"] == 3
 
@@ -420,8 +439,8 @@ def test_span_reduction_meets_full_space_tolerance():
     boundary, init, acfg, tol = density_span_problem()
     rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=tol, max_iters=3000), acfg)
     assert rep.converged and rep.span_rank == 3
-    grad = ws.area_gradient(rep.field, acfg)[1:-1, 1:-1]
-    assert np.max(np.abs(grad)) <= tol * (1.0 + 1e-9)
+    normal = wassersurf.solver.normal_gradient(rep.field, acfg)
+    assert np.max(np.abs(normal)) <= tol * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -453,3 +472,111 @@ def test_stall_message_explains_itself():
     for part in ("iteration 1", "backtracks", f"step {1e8 * 0.5**3:.3e}",
                  f"Euler-Lagrange residual {rep.el_residual:.3e}", f"against {el_tol:.3e}"):
         assert part in rep.stall
+
+
+def test_stall_message_without_a_line_search():
+    # a direction that is not a descent direction runs no line search, and
+    # the message must not claim backtracks that never happened
+    msg = wassersurf.solver._stall_message(4, 0, ws.SolverConfig(), 1e-3, 2e-4, 1e-5, 2.0, 0.1)
+    assert msg.startswith("no descent direction at iteration 4")
+    assert "backtracks" not in msg and "step0" not in msg
+    assert "gradient max-norm 1.000e-03 (normal part 2.000e-04) against tolerance 1.000e-05" in msg
+
+
+# ---------------------------------------------------------------------------
+# all-free solves: normal-projected Laplace-Beltrami steps
+# ---------------------------------------------------------------------------
+
+COV_ORACLES = {
+    "scherk": (ws.Scherk(1.0), ((0.1, 0.4), (0.1, 0.4)), 2.0),
+    "catenoid": (ws.Catenoid(0.0, 1.0, 1), ((0.8, 2.1), (0.8, 2.1)), 0.5),
+}
+
+
+def graph_distance(surf, z_offset, values):
+    """Max over interior nodes of the closed-form graph's height distance from the node.
+
+    It depends on where the nodes lie, not on how the surface is parametrized.
+    """
+    inner = values[1:-1, 1:-1]
+    z = ws.evaluate(surf, inner[..., 0], inner[..., 1]).z + z_offset
+    return float(np.max(np.abs(inner[..., 2] - z)))
+
+
+def all_free_oracle_problem(name, n):
+    surf, window, z_offset = COV_ORACLES[name]
+    boundary, _ = ws.to_cov_boundary(surf, ws.Grid2(n, n), window, z_offset)
+    init = ws.perturb_interior(ws.coons_init(boundary), 1e-2, seed=1)
+    return boundary, init, lambda values: graph_distance(surf, z_offset, values)
+
+
+@pytest.mark.parametrize("name", sorted(COV_ORACLES))
+def test_all_free_oracle_gaps_refine_without_drift(name):
+    acfg = ws.AreaConfig(epsilon=0.0)
+    gaps = {}
+    for n in (17, 33):
+        boundary, init, gap = all_free_oracle_problem(name, n)
+        rep = ws.minimize(init, boundary, ws.SolverConfig(), acfg)
+        assert rep.converged and rep.span_rank == 3
+        gaps[n] = gap(rep.field.values)
+        # past the stopping rule: a tolerance below the rounding floor keeps
+        # the solve stepping until max_iters or a stall at that floor
+        past = {}
+        for iters in (10, 200):
+            long = ws.minimize(init, boundary, ws.SolverConfig(max_iters=iters, grad_tol=1e-300), acfg)
+            assert not long.converged and long.iterations > rep.iterations
+            past[iters] = (gap(long.field.values), long.hourglass)
+        assert past[200][0] <= past[10][0] * (1.0 + 1e-6)
+        assert past[200][1] <= past[10][1] * (1.0 + 1e-6)
+        assert past[10][0] <= gaps[n] * (1.0 + 1e-5)
+    assert 3.2 <= gaps[17] / gaps[33] <= 4.8
+
+
+@pytest.mark.parametrize("name", [
+    "scherk",
+    pytest.param("catenoid", marks=pytest.mark.xfail(strict=True, reason=(
+        "all-free gaps 3.054e-4 / 7.609e-5 at 17^2 / 33^2 are 10.7% / 12.4% above "
+        "the pinned-(x, y) gaps 2.758e-4 / 6.766e-5"))),
+])
+def test_all_free_oracle_gaps_within_ten_percent_of_pinned(name):
+    acfg = ws.AreaConfig(epsilon=0.0)
+    for n in (17, 33):
+        boundary, init, gap = all_free_oracle_problem(name, n)
+        free = ws.minimize(init, boundary, ws.SolverConfig(), acfg)
+        # the same perturbed nodes with (x, y) pinned and the height free
+        pinned = ws.minimize(init, boundary, ws.SolverConfig(), acfg, free_coords=(2,))
+        assert free.converged and pinned.converged
+        ratio = gap(free.field.values) / gap(pinned.field.values)
+        assert abs(ratio - 1.0) <= 0.10, (n, ratio)
+
+
+def test_all_free_report_splits_the_gradient():
+    boundary, init, acfg, tol = covariance_span_problem()
+    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=tol), acfg)
+    assert rep.converged
+    normal = wassersurf.solver.normal_gradient(rep.field, acfg)
+    assert rep.grad_norm == pytest.approx(float(np.max(np.abs(normal))), rel=1e-6, abs=1e-14)
+    full = ws.area_gradient(rep.field, acfg)[1:-1, 1:-1]
+    tangential = float(np.max(np.abs(full - normal)))
+    assert rep.grad_tangential == pytest.approx(tangential, rel=1e-6)
+    assert rep.grad_tangential > rep.grad_norm
+    assert rep.hourglass == ws.area.hourglass_amplitude(rep.field)
+    plane_boundary, plane_init, _ = plane_problem(9)
+    pinned = ws.minimize(plane_init, plane_boundary, ws.SolverConfig(), ws.AreaConfig(),
+                         free_coords=(2,))
+    assert pinned.grad_tangential == 0.0
+
+
+def test_corner_driven_covariance_example_converges_below_coons_residual():
+    corners = ([1.0, 2.0, 0.5], [2.0, 1.0, 1.5], [0.5, 3.0, 1.0], [3.0, 0.7, 2.0])
+    grid = ws.Grid2(17, 17)
+    boundary = ws.edges_from_corner_vectors(*(np.sqrt(c) for c in corners), grid)
+    init = ws.coons_init(boundary)
+    rep = ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig())
+    assert rep.converged and rep.stall is None
+    assert rep.iterations <= 30
+    trace = rep.area_trace
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    coons = ws.critical_point_residual(ws.DiagonalCovSurface(init), border=2).max_norm
+    solved = ws.critical_point_residual(ws.DiagonalCovSurface(rep.field), border=2).max_norm
+    assert solved < coons
