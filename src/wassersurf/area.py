@@ -138,30 +138,28 @@ def total_area(f: SurfaceField, cfg: AreaConfig) -> float:
     return math.fsum(cells.ravel().tolist())
 
 
-def area_change(tangents, cells, cells_try, step, k, grid, cfg: AreaConfig) -> float:
+def area_change(tangents, cells, cells_try, step, moving: slice, grid, cfg: AreaConfig) -> float:
     """Total-area change when the field moves by ``step``.
 
     ``tangents`` and ``cells`` are ``tangent_fields`` and ``cell_area_field``
     of the current field, ``cells_try`` is ``cell_area_field`` after the
-    move.  ``step`` is the ``(ns, nt)`` change of coordinate ``k`` alone or,
-    with ``k=None``, the ``(ns, nt, m)`` change of every coordinate.  Per
-    cell the change is dG / (A_try + A), with the Gram change dG expanded in
-    the step's own tangents, so no two rounded areas or determinants are
-    subtracted and the result keeps full relative precision however small
-    the step.  Cells where either determinant sits on the clamp fall back to
-    A_try - A.  Cells are summed exactly (fsum).
+    move.  ``step`` is the ``(ns, nt, width)`` change of the coordinates in
+    the slice ``moving`` (one coordinate, or ``slice(None)`` for all of
+    them); the others stay put.  Per cell the change is dG / (A_try + A),
+    with the Gram change dG expanded in the step's own tangents, so no two
+    rounded areas or determinants are subtracted and the result keeps full
+    relative precision however small the step.  Cells where either
+    determinant sits on the clamp fall back to A_try - A.  Cells are summed
+    exactly (fsum).
     """
     ds, dt = tangents
     w = cfg.weight_vector(ds.shape[-1])
     a, b, c = _gram_terms(ds, dt, w)
     us, ut = _tangents(step, grid.hs, grid.ht)
-    if k is not None:
-        ds, dt, w = ds[..., k], dt[..., k], w[k]
-    da = w * us * (2.0 * ds + us)
-    db = w * ut * (2.0 * dt + ut)
-    dc = w * (ds * ut + us * dt + us * ut)
-    if k is None:
-        da, db, dc = da.sum(axis=-1), db.sum(axis=-1), dc.sum(axis=-1)
+    ds, dt, w = ds[..., moving], dt[..., moving], w[moving]
+    da = (w * us * (2.0 * ds + us)).sum(axis=-1)
+    db = (w * ut * (2.0 * dt + ut)).sum(axis=-1)
+    dc = (w * (ds * ut + us * dt + us * ut)).sum(axis=-1)
     gram = a * b - c * c
     dgram = da * b + (a + da) * db - dc * (2.0 * c + dc)
     live = (gram > 0.0) & (gram + dgram > 0.0)

@@ -1,47 +1,56 @@
 """First-order minimization of the discrete area over interior nodes.
 
-The solver moves only interior node values (optionally of one coordinate
-alone) with the four boundary edges held bit-exactly fixed, under a
-backtracking Armijo line search whose decrease ``area_change`` evaluates
-without cancellation (sum of dG / (A_try + A) over cells, dG expanded in
-the step's own tangents).  Every accepted step strictly decreases the
-area, so the reported area trace is nonincreasing by construction.
+The solver moves only interior node values (one coordinate, or all of
+them) with the four boundary edges held bit-exactly fixed.  Every solve
+runs one loop: take the area gradient g and the max-norms of its normal
+and tangential parts, apply the problem's metric to get z, step along
+d = -z + beta*d under a backtracking Armijo line search, and stop once
+the gradient meets ``grad_tol``.  The line search's decrease
+``area_change`` is evaluated without cancellation (sum of dG / (A_try + A)
+over cells, dG expanded in the step's own tangents), so every accepted step
+strictly decreases the area and the area trace is nonincreasing by
+construction.  A conjugate direction that fails its line search is retried
+once from -z before the solve reports a stall.  ``free_coords`` names one
+coordinate or all of them; a proper subset of several is rejected, since
+no problem here poses one and the area is not convex in it.
 
-When exactly one coordinate is free (graph problems, oracle-driven
-covariance problems) the solve is Polak-Ribiere (PR+) nonlinear conjugate
-gradients, preconditioned by the inverse of the area's flat Hessian, a
-constant-coefficient form of the cell stencil that a DST-I diagonalises
-exactly, and restarted once from the preconditioned gradient before a
-stall.  With the other coordinates pinned, each cell area
-sqrt(G_p + grad z^T M grad z) (M positive semidefinite) is convex in the
-free coordinate, so this Sobolev-gradient descent takes a grid-independent
-number of steps.  ``free_coords`` names one coordinate or all of them; a
-proper subset of several is rejected, since no problem here poses one and
-the area is not convex in it.
+The two metrics differ in what the parametrization leaves free:
 
-When every coordinate is free (density and corner-driven covariance
-problems) the area is not convex: the parametrization is a gauge, and the
-cell-centred area cannot see tangential or hourglass motion of the nodes.
-The solve is then the Laplace-Beltrami iteration of Pinkall & Polthier
-(Exp. Math. 2(1), 1993) and Dziuk (Numer. Math. 58, 1991) with a normal
-projection as the gauge.  Each step takes the area gradient g, removes its
-tangential part at every interior node in the w-inner product (central-
-difference tangents; nodes with a degenerate tangent pair are left as they
-are), applies the inverse of S = -hs*ht*div(K grad .) with
-K = [[b, -c], [-c, a]] / sqrt(G) per cell frozen at the current field, so
-that g_k = w_k S[x_k], projects again and takes an Armijo step from
-``step0`` (a full step solves the frozen problem exactly).  S is inverted by
-matrix-free PCG over all coordinates at once, preconditioned by the DST-I
-inverse at S's mean coefficients.  The gradient's tangential (gauge) part
-belongs to the parametrization, not to the surface: normal steps cannot
-remove it, and the unprojected iteration lowers it only by sliding the
-nodes (about 1% per step, hourglass growing).  So the stopping test asks
-the max-norm of the normal part to meet ``grad_tol`` and, unless the
-tangential part alone is above ``grad_tol``, the full gradient too: the
-full Euler-Lagrange residual then meets grad_tol/(hs*ht) at convergence
-whenever the parametrization's gauge part allows it.  The tangential part
-is reported as ``grad_tangential`` (0 on the pinned paths, where the
-projector is the identity).
+* One free coordinate (graph problems, oracle-driven covariance problems):
+  the inverse of the area's flat Hessian, a constant-coefficient form of
+  the cell stencil that a DST-I diagonalises exactly, frozen once at the
+  initial field; the projector is the identity.  With the other
+  coordinates pinned, each cell area sqrt(G_p + grad z^T M grad z)
+  (M positive semidefinite) is convex in the free coordinate, so this
+  preconditioned Polak-Ribiere (PR+) descent takes a grid-independent
+  number of steps.
+* Every coordinate free (density and corner-driven covariance problems):
+  the area is not convex, the parametrization is a gauge, and the
+  cell-centred area cannot see tangential or hourglass motion of the
+  nodes.  The metric is then the Laplace-Beltrami iteration of Pinkall &
+  Polthier (Exp. Math. 2(1), 1993) and Dziuk (Numer. Math. 58, 1991) with
+  a normal projection P as the gauge: z = P S^-1 P g, where P removes the
+  tangential part at every interior node in the w-inner product (central-
+  difference tangents; nodes with a degenerate tangent pair are left as
+  they are) and S = -hs*ht*div(K grad .), with K = [[b, -c], [-c, a]] /
+  sqrt(G) per cell, is frozen at the current field, so that g_k = w_k
+  S[x_k].  S is inverted by matrix-free PCG over all coordinates at once,
+  preconditioned by the DST-I inverse at S's mean coefficients.
+
+beta is PR+ on the fixed DST metric and exactly 0 on the re-frozen
+Laplace-Beltrami metric: a full step there already solves the frozen
+problem, and a conjugate term measured against the previous step's
+metric only costs steps.
+
+The gradient's tangential (gauge) part belongs to the parametrization, not
+to the surface: normal steps cannot remove it, and the unprojected
+iteration lowers it only by sliding the nodes (about 1% per step,
+hourglass growing).  So the stopping test asks the max-norm of the normal
+part to meet ``grad_tol`` and, unless the tangential part alone is above
+``grad_tol``, the full gradient too: the full Euler-Lagrange residual then
+meets grad_tol/(hs*ht) at convergence whenever the parametrization's gauge
+part allows it.  The tangential part is reported as ``grad_tangential``
+(0 with a pinned coordinate, where the normal part is the gradient).
 
 When every coordinate is free and the area weights are uniform, the solve
 runs in an orthonormal basis U (m x r) of the span of the centred initial
@@ -55,7 +64,8 @@ gradients and search directions never leave span(U), and since U is
 orthonormal the reduced area, inner products and step lengths equal the
 full ones up to rounding.  The stopping test still takes the max-norms of
 the lifted full-space gradient and its parts.  Non-uniform weights, a
-full-rank field or a given ``free_coords`` keep the full-space loop.
+full-rank field or a given ``free_coords`` keep the full space.  Either
+way the loop moves one contiguous run of coordinates, held as a slice.
 
 The discrete optimality residual is the flux divergence of the area
 module's one flux kernel, the same one ``area_gradient`` scales by -hs*ht,
@@ -108,11 +118,14 @@ class SolverConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol is not None and self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
-        if not (0.0 < self.armijo_c1 < 1.0 and 0.0 < self.backtrack < 1.0 and self.step0 > 0.0):
+        if self.grad_tol is not None and not (0.0 < self.grad_tol < math.inf):
+            raise ValueError("grad_tol must be positive and finite")
+        if not self.max_backtracks >= 0:
+            raise ValueError("max_backtracks must be >= 0")
+        if not (0.0 < self.armijo_c1 < 1.0 and 0.0 < self.backtrack < 1.0
+                and 0.0 < self.step0 < math.inf):
             raise ValueError("invalid line-search parameters")
 
 
@@ -380,19 +393,20 @@ def minimize(
     ``init`` must already satisfy the boundary on its edges.  When
     ``free_coords`` is given, only those coordinate indices move (the
     graph problems pin the two affine parameter coordinates and descend
-    on the height alone); the rest of the field is treated as data.  With
-    exactly one free coordinate the descent is DST-preconditioned CG; with
-    every coordinate free it is the normal-projected Laplace-Beltrami
-    iteration, and with ``free_coords=None`` and uniform weights it runs in
-    the span of the initial field (see the module docstring), and
-    ``span_rank`` reports the dimension used.  A proper subset of several
-    coordinates raises ValueError.
+    on the height alone); the rest of the field is treated as data.  It
+    names one coordinate or all of them, else ValueError.  One loop serves
+    both (see the module docstring): PR+ conjugate gradients in the fixed
+    DST metric with one coordinate free, normal-projected Laplace-Beltrami
+    steps with every coordinate free.  With ``free_coords=None`` and
+    uniform weights the loop runs in the span of the initial field, and
+    ``span_rank`` reports the dimension used.
 
-    Line-search failure after the backtracking budget, or a
-    Laplace-Beltrami step that is not a descent direction, returns the best
-    field seen so far with ``converged=False`` and a stall diagnostic;
-    conjugate gradients falls back to one steepest-descent retry first.
-    Non-finite objective values raise SolverNaNError with the iteration.
+    A solve that stops short returns the best field seen so far with
+    ``converged=False`` and a ``stall`` that says why: a line search that
+    failed after the backtracking budget (a conjugate direction first gets
+    one retry from the preconditioned gradient), a step direction that is
+    not a descent direction, or ``max_iters`` spent.  Non-finite objective
+    values raise SolverNaNError with the iteration.
     """
     grid = init.grid
     if (b.ns, b.nt, b.dim) != (grid.ns, grid.nt, init.dim):
@@ -410,6 +424,7 @@ def minimize(
     all_free = len(free) == init.dim
     if not (all_free or len(free) == 1):
         raise ValueError("free_coords must name one coordinate or all of them")
+    free = slice(free[0], free[-1] + 1)
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
 
     # The loop moves coordinates ``moving`` of ``work`` under ``loop_acfg``:
@@ -423,17 +438,14 @@ def minimize(
     else:
         centre, basis = span
         span_rank = basis.shape[1]
-        moving = list(range(span_rank))
+        moving = slice(0, span_rank)
         loop_acfg = replace(acfg, weights=np.full(span_rank, acfg.weight_vector(init.dim)[0]))
         work = (init.values - centre) @ basis
         start = work.copy()
     fld = SurfaceField(grid, work)
     w = loop_acfg.weight_vector(work.shape[-1])
-    inner_shape = (grid.ns - 2, grid.nt - 2, len(moving))
-    # the exact decrease takes the step of the one moving coordinate, or of all
-    k = moving[0] if len(moving) == 1 else None
-    step = np.zeros(work.shape[:2] if k is not None else work.shape)
-    moved = (slice(1, -1), slice(1, -1)) + (() if k is not None else (moving,))
+    inner_shape = work[1:-1, 1:-1, moving].shape
+    step = np.zeros(work.shape[:2] + inner_shape[-1:])
 
     def push(x):
         work[1:-1, 1:-1, moving] = x.reshape(inner_shape)
@@ -452,10 +464,15 @@ def minimize(
     cells_cur = cell_area_field(fld, loop_acfg)
     f_cur = total_area(fld, loop_acfg)
     trace = [f_cur]
-    iterations = 0
     stall = None
-    if not all_free:
-        precondition = _flat_hessian_inverse(tangents, grid, w[moving[0]], loop_acfg)
+    if all_free:
+        def precondition(u):
+            # S^-1 frozen at the current field, by PCG preconditioned with the
+            # DST solve at S's mean coefficients
+            return _pcg(_frozen_operator(tangents, grid, loop_acfg),
+                        _flat_hessian_inverse(tangents, grid, 1.0, loop_acfg), u, w)
+    else:
+        precondition = _flat_hessian_inverse(tangents, grid, w[moving.start], loop_acfg)
 
     def line_search(direction, slope):
         alpha = cfg.step0
@@ -464,8 +481,8 @@ def minimize(
             push(x_try)
             cells_try = cell_area_field(fld, loop_acfg)
             # the step as rounded into the trial field, not alpha * direction
-            step[moved] = (x_try - x).reshape(inner_shape[: step.ndim])
-            delta = area_change(tangents, cells_cur, cells_try, step, k, grid, loop_acfg)
+            step[1:-1, 1:-1] = (x_try - x).reshape(inner_shape)
+            delta = area_change(tangents, cells_cur, cells_try, step, moving, grid, loop_acfg)
             if math.isnan(delta):
                 raise SolverNaNError(it, "objective is NaN during line search")
             if delta <= cfg.armijo_c1 * alpha * slope:
@@ -473,95 +490,70 @@ def minimize(
             alpha *= cfg.backtrack
         return None, None, None
 
-    def accept(alpha, direction, delta, cells_new):
-        nonlocal x, cells_cur, f_cur, tangents, iterations
-        x = x + alpha * direction
+    def measure():
+        # the projector, the vector the metric acts on and the max-norms of
+        # the gradient and of its normal and tangential parts; the gradient is
+        # a covector, so all-free solves project g/w as a vector, and pinned
+        # ones take the identity and g itself
+        gfull = max_norm(g)
+        if not all_free:
+            return (lambda v: v), g, gfull, gfull, 0.0
+        project = _normal_projector(work, grid, w)
+        u = project(g.reshape(inner_shape) / w)
+        return project, u, gfull, max_norm(w * u), max_norm(g - (w * u).ravel())
+
+    def settled():
+        # the stopping test (module docstring); with pinned coordinates the
+        # tangential part is 0 and the normal part is the gradient
+        return gnorm <= tol and (tangential > tol or gfull <= tol)
+
+    g = gradient()
+    project, u, gfull, gnorm, tangential = measure()
+    converged = settled()
+    d = np.zeros_like(x)
+    z = None
+    it = 0
+    while not converged and it < cfg.max_iters:
+        it += 1
+        z, z_prev = project(precondition(u)).ravel(), z
+        # PR+ on the fixed metric; 0 on the re-frozen one, whose full step
+        # already solves the frozen problem
+        beta = 0.0
+        if not (all_free or z_prev is None):
+            beta = max(0.0, float(np.dot(z, g - g_prev)) / float(np.dot(z_prev, g_prev)))
+        d = -z + beta * d
+        slope = float(np.dot(g, d))
+        if math.isnan(slope):
+            raise SolverNaNError(it, "gradient or search direction is not finite")
+        searches, alpha = 0, None
+        for restart in (False, True):
+            if restart:
+                # once from the preconditioned gradient before declaring a stall
+                if not beta:
+                    break
+                d, slope = -z, -float(np.dot(g, z))
+            if slope < 0.0:
+                searches += 1
+                alpha, delta, cells_new = line_search(d, slope)
+                if alpha is not None:
+                    break
+        if alpha is None:
+            push(x)
+            stall = (it, searches)
+            break
+        x = x + alpha * d
         push(x)
         if not np.all(np.isfinite(x)):
             raise SolverNaNError(it, "field values are not finite")
         cells_cur = cells_new
         f_cur = f_cur + delta
         trace.append(f_cur)
-        iterations = it
         tangents = tangent_fields(fld)
-
-    def split():
-        # the gradient is a covector: project g/w as a vector; returns the
-        # projector, the normal part (as a vector) and the max-norms of the
-        # normal and tangential parts
-        project = _normal_projector(work, grid, w)
-        u = project(g.reshape(inner_shape) / w)
-        return project, u, max_norm(w * u), max_norm(g - (w * u).ravel())
-
-    def settled():
-        # the stopping test (module docstring); with pinned coordinates the
-        # tangential part is 0 and the normal part is the gradient
-        return gnorm <= tol and (tangential > tol or max_norm(g) <= tol)
-
-    g = gradient() if x.size else np.zeros(0)
-    gnorm = tangential = 0.0
-    if x.size:
-        if all_free:
-            project, u, gnorm, tangential = split()
-        else:
-            gnorm = max_norm(g)
-    converged = settled()
-    it = 0
-    if all_free:
-        # normal-projected Laplace-Beltrami steps (see the module docstring)
-        while not converged and it < cfg.max_iters:
-            it += 1
-            operator = _frozen_operator(tangents, grid, loop_acfg)
-            inverse = _flat_hessian_inverse(tangents, grid, 1.0, loop_acfg)
-            d = -project(_pcg(operator, inverse, u, w)).ravel()
-            slope = float(np.dot(g, d))
-            if not slope < 0.0:
-                # no search ran: the inner solve gave no descent direction
-                stall = (it, 0)
-                break
-            alpha, delta, cells_new = line_search(d, slope)
-            if alpha is None:
-                push(x)
-                stall = (it, 1)
-                break
-            accept(alpha, d, delta, cells_new)
-            g = gradient()
-            project, u, gnorm, tangential = split()
-            converged = settled()
-    elif not converged:
-        z = precondition(g)
-        d = -z
-        while it < cfg.max_iters:
-            it += 1
-            gd = float(np.dot(g, d))
-            if gd >= 0.0:
-                d = -z
-                gd = -float(np.dot(g, z))
-
-            searches = 1
-            alpha, delta, cells_new = line_search(d, gd)
-            if alpha is None and not np.array_equal(d, -z):
-                # restart once from steepest descent before declaring a stall
-                d = -z
-                gd = -float(np.dot(g, z))
-                searches = 2
-                alpha, delta, cells_new = line_search(d, gd)
-            if alpha is None:
-                push(x)
-                stall = (it, searches)
-                break
-            accept(alpha, d, delta, cells_new)
-
-            g_new = gradient()
-            gnorm = max_norm(g_new)
-            if gnorm <= tol:
-                converged = True
-                g = g_new
-                break
-            z_new = precondition(g_new)
-            beta = max(0.0, float(np.dot(z_new, g_new - g)) / float(np.dot(z, g)))
-            d = -z_new + beta * d
-            g, z = g_new, z_new
+        g_prev, g = g, gradient()
+        project, u, gfull, gnorm, tangential = measure()
+        converged = settled()
+    if not (converged or stall):
+        stall = (it, None)
 
     if basis is None:
         values = work.copy()
@@ -575,11 +567,10 @@ def minimize(
     kept = inner[~rep.excluded_mask] if inner.size else inner
     el_norm = float(np.max(np.abs(kept))) if kept.size else 0.0
     if stall is not None:
-        stall = _stall_message(*stall, cfg, max_norm(g), gnorm, tol, el_norm,
-                               tol / (grid.hs * grid.ht))
+        stall = _stall_message(*stall, cfg, gfull, gnorm, tol, el_norm, tol / (grid.hs * grid.ht))
     return SolveReport(
         field=final,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         area_trace=trace,
         grad_norm=gnorm,
         grad_tangential=tangential,
@@ -597,11 +588,18 @@ def _stall_message(it, searches, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str
 
     ``searches`` is the number of line searches that failed at iteration
     ``it``; 0 means none ran because the step's direction was not a descent
-    direction.  ``gfull`` and ``gnorm`` are the max-norms of the gradient
-    and of its normal part (equal when coordinates are pinned).
+    direction, and None that ``max_iters`` ran out with every step accepted.
+    ``gfull`` and ``gnorm`` are the max-norms of the gradient and of its
+    normal part (equal when coordinates are pinned).
     """
     advice = "raise grad_tol if the gradient sits at its rounding floor"
-    if searches:
+    if searches is None:
+        head = (
+            f"iteration budget spent: max_iters = {cfg.max_iters} steps were all accepted "
+            f"without meeting the stopping test"
+        )
+        advice = f"raise max_iters if the gradient is still falling, or {advice}"
+    elif searches:
         last_alpha = cfg.step0 * cfg.backtrack**cfg.max_backtracks
         head = (
             f"line search stalled at iteration {it}: {searches * cfg.max_backtracks} backtracks "
@@ -610,8 +608,8 @@ def _stall_message(it, searches, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str
         advice = f"raise max_backtracks or lower step0 if the step is too long, or {advice}"
     else:
         head = (
-            f"no descent direction at iteration {it}: the inner solve of the Laplace-Beltrami "
-            f"step gave a direction along which the area does not fall, so no line search ran"
+            f"no descent direction at iteration {it}: the preconditioned gradient gave a "
+            f"direction along which the area does not fall, so no line search ran"
         )
     normal = "" if gnorm == gfull else f" (normal part {gnorm:.3e})"
     return (

@@ -194,7 +194,7 @@ def _area_changes(f, step, acfg):
     cells = ws.area.cell_area_field(f, acfg)
     cells_try = ws.area.cell_area_field(moved, acfg)
     plain = grid.hs * grid.ht * math.fsum((cells_try - cells).ravel().tolist())
-    exact = ws.area_change(ws.area.tangent_fields(f), cells, cells_try, step, None, grid, acfg)
+    exact = ws.area_change(ws.area.tangent_fields(f), cells, cells_try, step, slice(None), grid, acfg)
     return plain, exact
 
 

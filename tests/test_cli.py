@@ -171,6 +171,19 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
             "corners": {k: {"type": "mixture", "components": None}
                         for k in ("c00", "c10", "c01", "c11")},
         },
+        "nan_grad_tol": {"problem": "graph", "oracle": scherk, "solver": {"grad_tol": math.nan}},
+        "inf_grad_tol": {"problem": "graph", "oracle": scherk, "solver": {"grad_tol": math.inf}},
+        "inf_step0": {"problem": "graph", "oracle": scherk, "solver": {"step0": math.inf}},
+        "fractional_max_iters": {"problem": "graph", "oracle": scherk, "solver": {"max_iters": 2.5}},
+        "fractional_max_backtracks": {
+            "problem": "graph", "oracle": scherk, "solver": {"max_backtracks": 0.5},
+        },
+        "negative_max_backtracks": {
+            "problem": "graph", "oracle": scherk, "solver": {"max_backtracks": -1},
+        },
+        "fractional_seed": {
+            "problem": "graph", "oracle": scherk, "perturb": {"amplitude": 1e-2, "seed": 1.5},
+        },
     }
     for name, doc in docs.items():
         cfg = write_config(tmp_path, doc, name=f"{name}.json")
@@ -269,6 +282,18 @@ def test_solver_stall_exit_code_with_artifacts(tmp_path):
     assert report["converged"] is False
     assert report["stall"]
     assert (tmp_path / "stall" / "surface.json").exists()
+
+
+def test_spent_iteration_budget_exits_3_with_its_reason(tmp_path, capsys):
+    doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+    doc["oracle"] = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1]}
+    doc["solver"]["max_iters"] = 2
+    assert main(["solve", write_config(tmp_path, doc, name="budget.json")]) == 3
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["converged"] is False and report["iters"] == 2
+    assert report["stall"].startswith("iteration budget spent: max_iters = 2")
+    assert "raise max_iters" in report["stall"]
+    assert f"stall: {report['stall']}\n" in capsys.readouterr().err
 
 
 def density_config(tmp_path, out, m=16):
