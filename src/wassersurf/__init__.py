@@ -28,10 +28,12 @@ from .analytic import (
 )
 from .area import (
     AreaConfig,
+    CellTerms,
     area_change,
     area_element,
     area_gradient,
     cell_tangents,
+    cell_terms,
     degenerate_cell_count,
     quantile_weights,
     total_area,

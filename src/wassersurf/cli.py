@@ -11,6 +11,7 @@ iteration that did not converge).
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -222,7 +223,18 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
     adoc = _section(doc, "area")
+    area_epsilon = float(adoc.get("epsilon", 1e-12))
+    try:
+        AreaConfig(epsilon=area_epsilon)
+    except ValueError as exc:
+        raise ConfigError(f"area.{exc}") from exc
     pdoc = _section(doc, "perturb")
+    amplitude = float(pdoc.get("amplitude", 0.0))
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"perturb.amplitude must be finite, got {amplitude!r}")
+    samples = whole_number(doc.get("samples", 21), "samples")
+    if samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
     out = Path(out_override if out_override is not None else doc.get("out", "."))
     formats = list(doc.get("formats", ["csv", "json"]))
     for fmt in formats:
@@ -236,14 +248,14 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         oracle=oracle,
         oracles=oracles,
         solver=solver,
-        area_epsilon=float(adoc.get("epsilon", 1e-12)),
-        perturb_amplitude=float(pdoc.get("amplitude", 0.0)),
+        area_epsilon=area_epsilon,
+        perturb_amplitude=amplitude,
         perturb_seed=whole_number(pdoc.get("seed", 0), "perturb.seed"),
         out=out,
         formats=formats,
         tolerances=_section(doc, "tolerances"),
         surface_path=doc.get("surface"),
-        samples=int(doc.get("samples", 21)),
+        samples=samples,
     )
 
 

@@ -6,13 +6,20 @@ runs one loop: take the area gradient g and the max-norms of its normal
 and tangential parts, apply the problem's metric to get z, step along
 d = -z + beta*d under a backtracking Armijo line search, and stop once
 the gradient meets ``grad_tol``.  The line search's decrease
-``area_change`` is evaluated without cancellation (sum of dG / (A_try + A)
-over cells, dG expanded in the step's own tangents), so every accepted step
-strictly decreases the area and the area trace is nonincreasing by
-construction.  A conjugate direction that fails its line search is retried
-once from -z before the solve reports a stall.  ``free_coords`` names one
-coordinate or all of them; a proper subset of several is rejected, since
-no problem here poses one and the area is not convex in it.
+(``area.terms_change``) is evaluated without cancellation (sum of
+dG / (A_try + A) over cells, dG expanded in the step's own tangents), so
+every accepted step strictly decreases the area and the area trace is
+nonincreasing by construction.  Each trial field is evaluated once, by
+``area.cell_terms``: an accepted trial's tangents, Gram terms and cell
+areas become the current terms, which feed the next decrease, the next
+gradient (the fluxes of the moving coordinates only) and, on all-free
+solves, the frozen operator below.  The Gram terms of pinned coordinates
+never change, so they are taken once per solve and each trial takes the
+tangents of the moving coordinates only.  A conjugate direction that
+fails its line search is retried once from -z before the solve reports a
+stall.  ``free_coords`` names one coordinate or all of them; a proper
+subset of several is rejected, since no problem here poses one and the
+area is not convex in it.
 
 The two metrics differ in what the parametrization leaves free:
 
@@ -84,13 +91,13 @@ from .area import (
     _fluxes,
     _gram_terms,
     _tangents,
-    area_change,
     area_gradient,
-    cell_area_field,
+    cell_terms,
     degenerate_cell_count,
     hourglass_amplitude,
-    tangent_fields,
-    total_area,
+    summed_area,
+    terms_change,
+    terms_gradient,
 )
 from .errors import ShapeMismatchError, SolverNaNError
 from .grid import BoundarySpec, Grid2, SurfaceField
@@ -183,11 +190,15 @@ def euler_lagrange_residual(f: SurfaceField, acfg: AreaConfig) -> ResidualReport
     under the same config, since both come from one flux kernel.
     """
     grid = f.grid
-    fs, ft, gram = _fluxes(f, acfg)
+    terms = cell_terms(f, acfg)
+    fs, ft = _fluxes(terms)
+    deg = terms.gram < acfg.epsilon
+    # the tangents the terms hold are as large as the fluxes on wide fields;
+    # dropping them first keeps the divergence's temporaries in reused memory
+    del terms
     values = np.zeros_like(f.values)
     values[1:-1, 1:-1] = _divergence(fs, ft, grid.hs, grid.ht)
 
-    deg = gram < acfg.epsilon
     excluded = deg[:-1, :-1] & deg[:-1, 1:] & deg[1:, :-1] & deg[1:, 1:]
     kept = values[1:-1, 1:-1][~excluded]
     max_norm = float(np.max(np.abs(kept))) if kept.size else 0.0
@@ -226,16 +237,6 @@ def _span_basis(init: SurfaceField, acfg: AreaConfig):
     return (centre, vt[:rank].T) if 0 < rank < m else None
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalised DST-I along ``axis`` via the rfft of the odd extension."""
-    x = np.moveaxis(x, axis, -1)
-    n = x.shape[-1]
-    zero = np.zeros(x.shape[:-1] + (1,))
-    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
-    out = -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : n + 1]
-    return np.moveaxis(out, -1, axis)
-
-
 def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
     """Inverse of hs*ht*(c_s D_s(x)A_t/hs^2 + c_t A_s(x)D_t/ht^2) on the interior.
 
@@ -256,50 +257,62 @@ def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
         c_s * np.outer(d1, a2) / (hs * hs) + c_t * np.outer(a1, d2) / (ht * ht)
     )
     scale = 4.0 / ((n1 + 1) * (n2 + 1) * symbol)
+    # odd extensions [0, x, 0, -x reversed] along axis 0 and 1, by (axis, r);
+    # their zero entries are never written
+    odd = {}
+
+    def dst1(x, axis):
+        # unnormalised DST-I along axis 0 or 1: one rfft of the odd extension
+        n, key = x.shape[axis], (axis, x.shape[2])
+        if key not in odd:
+            shape = list(x.shape)
+            shape[axis] = 2 * n + 2
+            odd[key] = np.zeros(shape)
+        ext = odd[key]
+        lead = (slice(None),) * axis
+        ext[lead + (slice(1, n + 1),)] = x
+        np.negative(np.flip(x, axis), out=ext[lead + (slice(n + 2, None),)])
+        return -0.5 * np.fft.rfft(ext, axis=axis).imag[lead + (slice(1, n + 1),)]
 
     def solve(g):
-        spec = _dst1(_dst1(g.reshape(n1, n2, -1), 0), 1) * scale[..., None]
-        return _dst1(_dst1(spec, 0), 1).reshape(g.shape)
+        spec = dst1(dst1(g.reshape(n1, n2, -1), 0), 1) * scale[..., None]
+        return dst1(dst1(spec, 0), 1).reshape(g.shape)
 
     return solve
 
 
-def _flat_hessian_inverse(tangents, grid: Grid2, scale: float, acfg: AreaConfig):
-    """DST preconditioner frozen at the given cell tangents.
+def _flat_hessian_inverse(terms, grid: Grid2, scale: float, acfg: AreaConfig):
+    """DST preconditioner frozen at the given cell terms.
 
     The second derivatives of a cell's area in the k-th s- and t-tangent
     components are w_k*b/sqrt(G) and w_k*a/sqrt(G); their means over the
     non-degenerate cells (1 when there are none), times ``scale`` (w_k, or 1
     for the scalar operator of ``_frozen_operator``), weight the operator.
     """
-    w = acfg.weight_vector(tangents[0].shape[-1])
-    a, b, c = _gram_terms(*tangents, w)
-    gram = a * b - c * c
-    live = gram > acfg.epsilon
+    live = terms.gram > acfg.epsilon
     if np.any(live):
-        root = np.sqrt(gram[live] + acfg.epsilon)
-        c_s = scale * float(np.mean(b[live] / root))
-        c_t = scale * float(np.mean(a[live] / root))
+        root = terms.cells[live]
+        c_s = scale * float(np.mean(terms.b[live] / root))
+        c_t = scale * float(np.mean(terms.a[live] / root))
     else:
         c_s = c_t = 1.0
     return _dst_inverse(grid, c_s, c_t)
 
 
-def _frozen_operator(tangents, grid: Grid2, acfg: AreaConfig):
-    """S = -hs*ht*div(K grad .) on interior columns, K frozen at the given cell tangents.
+def _frozen_operator(terms, grid: Grid2):
+    """S = -hs*ht*div(K grad .) on interior columns, K frozen at the given cell terms.
 
     K = [[b, -c], [-c, a]] / sqrt(G) per cell is the flux kernel of
     ``area._fluxes`` with its coefficients frozen (zero on the clamped side),
     so ``area_gradient[..., k] = w_k * S[x_k]`` on interior nodes.  Returns a
-    function on ``(ns-2, nt-2, m)`` interior arrays, taken as zero on the edges.
+    function on ``(ns-2, nt-2, width)`` interior arrays, taken as zero on the
+    edges, for the coordinates ``terms`` was taken over.
     """
-    m = tangents[0].shape[-1]
-    a, b, c = _gram_terms(*tangents, acfg.weight_vector(m))
-    gram = a * b - c * c
-    inv = np.where(gram > 0.0, 1.0 / np.sqrt(np.maximum(gram, 0.0) + acfg.epsilon), 0.0)
-    k_ss, k_st, k_tt = (b * inv)[..., None], (-c * inv)[..., None], (a * inv)[..., None]
+    inv = np.where(terms.gram > 0.0, 1.0 / terms.cells, 0.0)
+    k_ss, k_st, k_tt = ((terms.b * inv)[..., None], (-terms.c * inv)[..., None],
+                        (terms.a * inv)[..., None])
     hs, ht = grid.hs, grid.ht
-    padded = np.zeros((grid.ns, grid.nt, m))
+    padded = np.zeros((grid.ns, grid.nt, terms.ds.shape[-1]))
 
     def apply(x):
         padded[1:-1, 1:-1] = x
@@ -450,9 +463,6 @@ def minimize(
     def push(x):
         work[1:-1, 1:-1, moving] = x.reshape(inner_shape)
 
-    def gradient():
-        return area_gradient(fld, loop_acfg)[1:-1, 1:-1, moving].ravel()
-
     def max_norm(g):
         # the stopping test is on the full-space gradient
         if basis is not None:
@@ -460,33 +470,35 @@ def minimize(
         return float(np.max(np.abs(g), initial=0.0))
 
     x = work[1:-1, 1:-1, moving].reshape(-1).copy()
-    tangents = tangent_fields(fld)
-    cells_cur = cell_area_field(fld, loop_acfg)
-    f_cur = total_area(fld, loop_acfg)
+    # the terms of the current field: taken once here, then handed over from
+    # the accepted trial; the Gram part of the coordinates outside
+    # ``moving`` (none on all-free solves) is frozen for the whole solve
+    terms = cell_terms(fld, loop_acfg, moving)
+    f_cur = summed_area(terms.cells, grid)
     trace = [f_cur]
     stall = None
     if all_free:
         def precondition(u):
             # S^-1 frozen at the current field, by PCG preconditioned with the
             # DST solve at S's mean coefficients
-            return _pcg(_frozen_operator(tangents, grid, loop_acfg),
-                        _flat_hessian_inverse(tangents, grid, 1.0, loop_acfg), u, w)
+            return _pcg(_frozen_operator(terms, grid),
+                        _flat_hessian_inverse(terms, grid, 1.0, loop_acfg), u, w)
     else:
-        precondition = _flat_hessian_inverse(tangents, grid, w[moving.start], loop_acfg)
+        precondition = _flat_hessian_inverse(terms, grid, w[moving.start], loop_acfg)
 
     def line_search(direction, slope):
         alpha = cfg.step0
         for _ in range(cfg.max_backtracks + 1):
             x_try = x + alpha * direction
             push(x_try)
-            cells_try = cell_area_field(fld, loop_acfg)
+            trial = cell_terms(fld, loop_acfg, moving, terms.pinned)
             # the step as rounded into the trial field, not alpha * direction
             step[1:-1, 1:-1] = (x_try - x).reshape(inner_shape)
-            delta = area_change(tangents, cells_cur, cells_try, step, moving, grid, loop_acfg)
+            delta = terms_change(terms, trial.cells, step, grid)
             if math.isnan(delta):
                 raise SolverNaNError(it, "objective is NaN during line search")
             if delta <= cfg.armijo_c1 * alpha * slope:
-                return alpha, delta, cells_try
+                return alpha, delta, trial
             alpha *= cfg.backtrack
         return None, None, None
 
@@ -507,7 +519,7 @@ def minimize(
         # tangential part is 0 and the normal part is the gradient
         return gnorm <= tol and (tangential > tol or gfull <= tol)
 
-    g = gradient()
+    g = terms_gradient(terms, grid).ravel()
     project, u, gfull, gnorm, tangential = measure()
     converged = settled()
     d = np.zeros_like(x)
@@ -534,7 +546,7 @@ def minimize(
                 d, slope = -z, -float(np.dot(g, z))
             if slope < 0.0:
                 searches += 1
-                alpha, delta, cells_new = line_search(d, slope)
+                alpha, delta, accepted = line_search(d, slope)
                 if alpha is not None:
                     break
         if alpha is None:
@@ -545,11 +557,10 @@ def minimize(
         push(x)
         if not np.all(np.isfinite(x)):
             raise SolverNaNError(it, "field values are not finite")
-        cells_cur = cells_new
+        terms = accepted
         f_cur = f_cur + delta
         trace.append(f_cur)
-        tangents = tangent_fields(fld)
-        g_prev, g = g, gradient()
+        g_prev, g = g, terms_gradient(terms, grid).ravel()
         project, u, gfull, gnorm, tangential = measure()
         converged = settled()
     if not (converged or stall):

@@ -227,6 +227,37 @@ def test_area_change_resolves_second_order_change_of_tiny_steps():
     assert abs(plain - exact) > abs(exact)
 
 
+def test_area_config_rejects_non_finite_epsilon():
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative and finite"):
+            ws.AreaConfig(epsilon=eps)
+
+
+def test_cell_terms_of_a_trailing_slice_equal_one_pass_bit_for_bit():
+    grid = ws.Grid2(13, 11)
+    f = smooth_test_field(grid, m=3)
+    acfg = ws.AreaConfig(epsilon=1e-12, weights=np.array([1.0, 0.5, 2.0]))
+    whole = ws.cell_terms(f, acfg)
+    assert whole.ds.shape == (12, 10, 3)
+    # one pass over every coordinate is the plain weighted inner products
+    reference = ws.area._gram_terms(*ws.area.tangent_fields(f), acfg.weights)
+    assert all(np.array_equal(p, q) for p, q in zip((whole.a, whole.b, whole.c), reference))
+    first = ws.cell_terms(f, acfg, slice(2, 3))
+    moved = f.values.copy()
+    moved[1:-1, 1:-1, 2] += 0.1 * np.random.default_rng(8).standard_normal((11, 9))
+    moved = ws.SurfaceField(grid, moved)
+    # the pinned part of the first field serves every field that moves only slice(2, 3)
+    later = ws.cell_terms(moved, acfg, slice(2, 3), first.pinned)
+    for terms, field in ((first, f), (later, moved)):
+        one_pass = ws.cell_terms(field, acfg)
+        assert terms.ds.shape == (12, 10, 1)
+        assert np.array_equal(terms.ds, one_pass.ds[..., 2:])
+        assert np.array_equal(terms.dt, one_pass.dt[..., 2:])
+        for name in ("a", "b", "c", "gram", "cells"):
+            assert np.array_equal(getattr(terms, name), getattr(one_pass, name)), name
+    assert ws.total_area(f, acfg) == ws.area.summed_area(first.cells, grid)
+
+
 def test_hourglass_amplitude():
     # an affine field has no hourglass mode, a twisted one has hs*ht times its
     # twist, and a checkerboard of amplitude d adds 4d in every cell

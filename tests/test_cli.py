@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +243,51 @@ def test_fractional_grid_size_exits_2(tmp_path, capsys, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("area", "epsilon", math.nan, "must be nonnegative and finite, got nan"),
+    ("area", "epsilon", math.inf, "must be nonnegative and finite, got inf"),
+    ("perturb", "amplitude", math.inf, "must be finite, got inf"),
+    ("perturb", "amplitude", math.nan, "must be finite, got nan"),
+], ids=["nan_epsilon", "inf_epsilon", "inf_amplitude", "nan_amplitude"])
+def test_non_finite_area_and_perturb_values_exit_2_naming_the_key(
+    tmp_path, capsys, section, key, value, message
+):
+    doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+    doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, doc, name=f"{section}_{key}.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {section}.{key} {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def plane_verify_config(tmp_path, samples):
+    return write_config(tmp_path, {
+        "problem": "analytic-verify",
+        "samples": samples,
+        "oracles": [{"oracle": "plane", "a1": 2, "a2": 3, "a3": 1, "window": [0, 1]}],
+        "out": str(tmp_path / "verify"),
+    }, name=f"samples_{samples}.json")
+
+
+@pytest.mark.parametrize("samples, message", [
+    (5.7, "samples must be a whole number, got 5.7"),
+    (0, "samples must be at least 1, got 0"),
+    (-3, "samples must be at least 1, got -3"),
+])
+def test_bad_samples_exit_2(tmp_path, capsys, samples, message):
+    assert main(["verify", plane_verify_config(tmp_path, samples)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "verify").exists()
+
+
+def test_whole_float_samples_are_read_as_that_count(tmp_path):
+    assert main(["verify", plane_verify_config(tmp_path, 5.0)]) == 0
+    doc = json.loads((tmp_path / "verify" / "residuals.json").read_text())
+    assert doc["minimal_surface"][0]["samples"] == 5
+
+
 def test_readme_solve_configs_exit_0(tmp_path):
     # every documented solve example converges at its own (default) settings
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -322,15 +369,15 @@ def test_density_report_records_span_rank(tmp_path):
 
 
 def test_solver_nan_exit_code(tmp_path, monkeypatch, capsys):
-    real = ws.solver.cell_area_field
+    real = ws.solver.cell_terms
     calls = {"n": 0}
 
-    def flaky(f, cfg):
+    def flaky(*args):
         calls["n"] += 1
-        out = real(f, cfg)
-        return out if calls["n"] == 1 else np.full_like(out, np.nan)
+        out = real(*args)
+        return out if calls["n"] == 1 else replace(out, cells=np.full_like(out.cells, np.nan))
 
-    monkeypatch.setattr(ws.solver, "cell_area_field", flaky)
+    monkeypatch.setattr(ws.solver, "cell_terms", flaky)
     assert main(["solve", density_config(tmp_path, "nan")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: non-finite values detected at iteration 1")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,20 +139,20 @@ def test_solver_stall_returns_best_so_far():
 def test_nan_objective_raises_with_iteration(monkeypatch):
     boundary, init, acfg, _ = quantile_problem()
 
-    def bad_cells(f, cfg):
-        out = np.full((f.grid.ns - 1, f.grid.nt - 1), np.nan)
+    def bad_cells(terms):
+        out = replace(terms, cells=np.full(terms.cells.shape, np.nan))
         return out
 
-    real = wassersurf.solver.cell_area_field
+    real = wassersurf.solver.cell_terms
     calls = {"n": 0}
 
-    def flaky(f, cfg):
+    def flaky(*args):
         calls["n"] += 1
         if calls["n"] > 1:
-            return bad_cells(f, cfg)
-        return real(f, cfg)
+            return bad_cells(real(*args))
+        return real(*args)
 
-    monkeypatch.setattr(wassersurf.solver, "cell_area_field", flaky)
+    monkeypatch.setattr(wassersurf.solver, "cell_terms", flaky)
     with pytest.raises(SolverNaNError) as err:
         ws.minimize(init, boundary, ws.SolverConfig(max_iters=10), acfg)
     assert err.value.iteration == 1
@@ -380,15 +381,15 @@ def test_dst_preconditioner_inverts_its_operator():
 
 
 def test_nan_objective_raises_on_preconditioned_path(monkeypatch):
-    real = wassersurf.solver.cell_area_field
+    real = wassersurf.solver.cell_terms
     calls = {"n": 0}
 
-    def flaky(f, cfg):
+    def flaky(*args):
         calls["n"] += 1
-        out = real(f, cfg)
-        return out if calls["n"] == 1 else np.full_like(out, np.nan)
+        out = real(*args)
+        return out if calls["n"] == 1 else replace(out, cells=np.full_like(out.cells, np.nan))
 
-    monkeypatch.setattr(wassersurf.solver, "cell_area_field", flaky)
+    monkeypatch.setattr(wassersurf.solver, "cell_terms", flaky)
     with pytest.raises(SolverNaNError) as err:
         graph_solve(*CATENOID, 17)
     assert err.value.iteration == 1
@@ -398,11 +399,103 @@ def test_nan_objective_raises_on_preconditioned_path(monkeypatch):
 def test_nan_gradient_raises_before_any_line_search(monkeypatch, free_coords):
     # a NaN area gradient is a numerical failure on either metric, not a stall
     boundary, init, acfg, _ = covariance_span_problem([d[:3] for d in COV_DIAGS])
-    monkeypatch.setattr(wassersurf.solver, "area_gradient",
-                        lambda f, cfg: np.full_like(f.values, np.nan))
+    real = wassersurf.solver.terms_gradient
+    monkeypatch.setattr(wassersurf.solver, "terms_gradient",
+                        lambda terms, grid: np.full_like(real(terms, grid), np.nan))
     with pytest.raises(SolverNaNError) as err:
         ws.minimize(init, boundary, ws.SolverConfig(), acfg, free_coords=free_coords)
     assert err.value.iteration == 1
+
+
+# ---------------------------------------------------------------------------
+# each field evaluated once
+# ---------------------------------------------------------------------------
+
+
+def _count_evaluations(monkeypatch):
+    """Record minimize's kernel calls and trials; fail on the per-quantity functions.
+
+    Returns the list of ``(values, cfg, args after cfg, terms)`` of every
+    ``cell_terms`` call and the list of ``terms_change`` calls, one per
+    line-search trial.
+    """
+    real_terms = wassersurf.solver.cell_terms
+    real_change = wassersurf.solver.terms_change
+    calls, trials = [], []
+
+    def recording_terms(f, cfg, *args):
+        terms = real_terms(f, cfg, *args)
+        calls.append((f.values.copy(), cfg, args, terms))
+        return terms
+
+    def recording_change(*args):
+        trials.append(args)
+        return real_change(*args)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called inside minimize")
+        return call
+
+    monkeypatch.setattr(wassersurf.solver, "cell_terms", recording_terms)
+    monkeypatch.setattr(wassersurf.solver, "terms_change", recording_change)
+    for module in (wassersurf.area, wassersurf.solver):
+        for name in ("tangent_fields", "cell_area_field", "area_gradient"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    return calls, trials
+
+
+def _assert_terms_equal(got, want):
+    for name in ("ds", "dt", "w", "a", "b", "c", "gram", "cells"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert all(np.array_equal(p, q) for p, q in zip(got.pinned, want.pinned))
+
+
+def _graph_problem():
+    grid = ws.Grid2(17, 17)
+    surf, window = CATENOID
+    boundary, _ = ws.graph_boundary(surf, grid, window)
+    init = ws.perturb_interior(ws.coons_init(boundary), 1e-2, seed=1, free_coords=(2,))
+    return boundary, init, ws.AreaConfig(epsilon=0.0), (2,)
+
+
+def _all_free_problem():
+    boundary, init, acfg, _ = covariance_span_problem()
+    return boundary, init, acfg, None
+
+
+@pytest.mark.parametrize("problem", [_graph_problem, _all_free_problem], ids=["graph", "all-free"])
+def test_each_field_is_evaluated_once(monkeypatch, problem):
+    boundary, init, acfg, free_coords = problem()
+    real_terms = wassersurf.solver.cell_terms
+    calls, trials = _count_evaluations(monkeypatch)
+    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=1e-9), acfg,
+                      free_coords=free_coords)
+    assert rep.converged and rep.iterations >= 3
+    # once at the start, once per line-search trial, once for the final residual
+    assert len(trials) >= rep.iterations
+    assert len(calls) == 1 + len(trials) + 1
+    start, loop, final = calls[0], calls[1:-1], calls[-1]
+    (moving,) = start[2]
+    assert final[2] == () and np.array_equal(final[0], rep.field.values)
+    for values, cfg, args, terms in loop:
+        # the pinned part is frozen once per solve and handed to every trial
+        assert args[0] == moving and args[1] is start[3].pinned
+        fresh = real_terms(ws.SurfaceField(init.grid, values), cfg, moving)
+        _assert_terms_equal(terms, fresh)
+    if free_coords is not None:
+        # one free trailing coordinate: the trial terms equal one pass over
+        # all coordinates, and the last trial is the returned field
+        assert start[3].ds.shape[-1] == 1 and np.any(start[3].pinned[0] > 0.0)
+        for values, cfg, _, terms in calls[:-1]:
+            one_pass = real_terms(ws.SurfaceField(init.grid, values), cfg)
+            for name in ("a", "b", "c", "gram", "cells"):
+                assert np.array_equal(getattr(terms, name), getattr(one_pass, name)), name
+        assert np.array_equal(loop[-1][0], rep.field.values)
+    else:
+        assert start[3].ds.shape[-1] == rep.span_rank < init.dim
+        assert not np.any(start[3].pinned[0])
 
 
 # ---------------------------------------------------------------------------
