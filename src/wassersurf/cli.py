@@ -44,6 +44,7 @@ from .grid import (
     edges_from_corner_vectors,
     load_csv,
     load_json,
+    real_number,
     save_csv,
     save_json,
     whole_number,
@@ -69,15 +70,19 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _parse_window(doc) -> tuple:
+def _parse_window(doc, name: str) -> tuple:
     if doc is None:
         raise ConfigError("oracle needs a 'window'")
-    arr = np.asarray(doc, dtype=float)
-    if arr.shape == (2,):
-        return ((float(arr[0]), float(arr[1])), (float(arr[0]), float(arr[1])))
-    if arr.shape == (2, 2):
-        return ((float(arr[0, 0]), float(arr[0, 1])), (float(arr[1, 0]), float(arr[1, 1])))
-    raise ConfigError("window must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]")
+    if isinstance(doc, list) and len(doc) == 2:
+        if all(isinstance(part, list) and len(part) == 2 for part in doc):
+            return tuple(
+                tuple(real_number(x, f"{name}[{a}][{b}]") for b, x in enumerate(part))
+                for a, part in enumerate(doc)
+            )
+        if not any(isinstance(part, list) for part in doc):
+            lo, hi = (real_number(x, f"{name}[{a}]") for a, x in enumerate(doc))
+            return ((lo, hi), (lo, hi))
+    raise ConfigError(f"{name} must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]")
 
 
 #: keys accepted at the top level ("") and in each fixed-schema section; any
@@ -114,31 +119,33 @@ def _section(doc: dict, key: str) -> dict:
     return sub
 
 
-def parse_oracle(doc: dict):
-    """Build an analytic surface plus window/offset from its config form."""
+def parse_oracle(doc: dict, name: str = "oracle"):
+    """Build an analytic surface plus window/offset from its config form.
+
+    ``name`` is where ``doc`` sits in the config; error messages name keys by it.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("an oracle must be a JSON object")
+
+    def real(key, default=None):
+        value = doc[key] if default is None else doc.get(key, default)
+        return real_number(value, f"{name}.{key}")
+
     kind = doc.get("oracle")
     if kind == "plane":
-        surf = analytic.Plane(float(doc["a1"]), float(doc["a2"]), float(doc["a3"]))
+        surf = analytic.Plane(real("a1"), real("a2"), real("a3"))
     elif kind == "scherk":
-        surf = analytic.Scherk(
-            float(doc["c"]),
-            float(doc.get("k1", 0.0)),
-            float(doc.get("k2", 0.0)),
-            float(doc.get("offset", 0.0)),
-        )
+        surf = analytic.Scherk(real("c"), real("k1", 0.0), real("k2", 0.0), real("offset", 0.0))
     elif kind == "catenoid":
         surf = analytic.Catenoid(
-            float(doc["c1"]), float(doc["r1"]), int(doc.get("sign", 1))
+            real("c1"), real("r1"), whole_number(doc.get("sign", 1), f"{name}.sign")
         )
     elif kind == "helicoid":
-        surf = analytic.Helicoid(float(doc["c1"]), float(doc["c2"]))
+        surf = analytic.Helicoid(real("c1"), real("c2"))
     else:
         raise ConfigError(f"unknown oracle {kind!r}")
-    window = _parse_window(doc.get("window"))
-    z_offset = float(doc.get("z_offset", 0.0))
-    return surf, window, z_offset
+    window = _parse_window(doc.get("window"), f"{name}.window")
+    return surf, window, real("z_offset", 0.0)
 
 
 @dataclass
@@ -201,7 +208,7 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         oracle = parse_oracle(doc["oracle"])
         oracles = [oracle]
     if "oracles" in doc:
-        oracles = [parse_oracle(o) for o in doc["oracles"]]
+        oracles = [parse_oracle(o, f"oracles[{n}]") for n, o in enumerate(doc["oracles"])]
         if oracle is None and oracles:
             oracle = oracles[0]
 
@@ -212,10 +219,11 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
     try:
         solver = SolverConfig(
             max_iters=whole_number(sdoc.get("max_iters", 5000), "solver.max_iters"),
-            grad_tol=(None if sdoc.get("grad_tol") is None else float(sdoc["grad_tol"])),
-            armijo_c1=float(sdoc.get("armijo_c1", 1e-4)),
-            backtrack=float(sdoc.get("backtrack", 0.5)),
-            step0=float(sdoc.get("step0", 1.0)),
+            grad_tol=(None if sdoc.get("grad_tol") is None
+                      else real_number(sdoc["grad_tol"], "solver.grad_tol")),
+            armijo_c1=real_number(sdoc.get("armijo_c1", 1e-4), "solver.armijo_c1"),
+            backtrack=real_number(sdoc.get("backtrack", 0.5), "solver.backtrack"),
+            step0=real_number(sdoc.get("step0", 1.0), "solver.step0"),
             max_backtracks=whole_number(sdoc.get("max_backtracks", 40),
                                         "solver.max_backtracks"),
         )
@@ -223,15 +231,20 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
     adoc = _section(doc, "area")
-    area_epsilon = float(adoc.get("epsilon", 1e-12))
+    area_epsilon = real_number(adoc.get("epsilon", 1e-12), "area.epsilon")
     try:
         AreaConfig(epsilon=area_epsilon)
     except ValueError as exc:
         raise ConfigError(f"area.{exc}") from exc
     pdoc = _section(doc, "perturb")
-    amplitude = float(pdoc.get("amplitude", 0.0))
+    amplitude = real_number(pdoc.get("amplitude", 0.0), "perturb.amplitude")
     if not math.isfinite(amplitude):
         raise ConfigError(f"perturb.amplitude must be finite, got {amplitude!r}")
+    tolerances = {}
+    for key, value in _section(doc, "tolerances").items():
+        tol = tolerances[key] = real_number(value, f"tolerances.{key}")
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ConfigError(f"tolerances.{key} must be nonnegative and finite, got {tol!r}")
     samples = whole_number(doc.get("samples", 21), "samples")
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
@@ -253,7 +266,7 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         perturb_seed=whole_number(pdoc.get("seed", 0), "perturb.seed"),
         out=out,
         formats=formats,
-        tolerances=_section(doc, "tolerances"),
+        tolerances=tolerances,
         surface_path=doc.get("surface"),
         samples=samples,
     )
@@ -390,7 +403,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     passed = True
 
     if cfg.problem == "analytic-verify" or cfg.oracles:
-        tol = float(cfg.tolerances.get("minimal_surface", 1e-10))
+        tol = cfg.tolerances.get("minimal_surface", 1e-10)
         entries = []
         for surf, window, _ in cfg.oracles:
             (u0, u1), (v0, v1) = window
@@ -419,7 +432,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         rep = euler_lagrange_residual(field, acfg)
         entry = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
         if "euler_lagrange" in cfg.tolerances:
-            entry["tol"] = float(cfg.tolerances["euler_lagrange"])
+            entry["tol"] = cfg.tolerances["euler_lagrange"]
             entry["pass"] = rep.max_norm <= entry["tol"]
             passed &= entry["pass"]
         results["euler_lagrange"] = entry
@@ -429,7 +442,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             mw = critical_point_residual(cov)
             centry = {"max_norm": mw.max_norm, "border": mw.border}
             if "critical_point" in cfg.tolerances:
-                centry["tol"] = float(cfg.tolerances["critical_point"])
+                centry["tol"] = cfg.tolerances["critical_point"]
                 centry["pass"] = mw.max_norm <= centry["tol"]
                 passed &= centry["pass"]
             results["critical_point"] = centry

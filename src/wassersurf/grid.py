@@ -29,6 +29,13 @@ def whole_number(value, name: str) -> int:
     return int(value)
 
 
+def real_number(value, name: str) -> float:
+    """``value`` as a float; raises ValueError for a string, a boolean or any other non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Grid2:
     """Uniform tensor grid on [0, 1]^2 with ``ns`` x ``nt`` nodes."""
@@ -238,13 +245,20 @@ def coons_init(b: BoundarySpec) -> SurfaceField:
 # Every CSV writer fills a %-template with one ``%.17g`` slot per value in a
 # single C-level call (``_fill_g17``).  ``load_csv`` parses the body with
 # numpy's C parser, which rounds correctly, and accepts a file only if its
-# header is ``i,j,s,t,k,value``, every row has six fields, the i/j/k columns
-# are non-negative integers, no (i, j, k) appears twice, and every node of
-# the ns x nt x m box the largest indices span has a row.  The s and t
-# columns are not read back: they follow from ns and nt.
+# header is ``i,j,s,t,k,value``, every row has six numeric fields, the i/j/k
+# columns are non-negative integers, no (i, j, k) appears twice, and every
+# node of the ns x nt x m box the largest indices span has a row.  The s and
+# t columns are parsed, so a non-numeric one is rejected, but not used: they
+# follow from ns and nt.  The index columns are checked one at a time as
+# views of the parsed array, and the per-row diagnostics behind an error
+# message are built only once a check has failed.  ``save_json`` writes the
+# bytes ``json.dumps`` gives for the whole document, ``JSON_CHUNK`` values
+# at a time, so its memory does not grow with the field.
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "i,j,s,t,k,value"
+#: values per ``json.dumps`` call in ``save_json``; bounds its memory whatever the field size
+JSON_CHUNK = 2048
 
 
 def _fill_g17(template: str, values) -> str:
@@ -279,6 +293,19 @@ def _field_count_error(path) -> ValueError | None:
     return None
 
 
+def _index_error(path, rows) -> ValueError:
+    """Why the i, j, k columns of ``rows`` are not the indices of a complete box."""
+    idx = rows[:, (0, 1, 4)]
+    bad = ~(np.isfinite(idx) & (idx >= 0) & (idx == np.trunc(idx))).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        return ValueError(
+            f"{path}: data row {r + 1} has (i, j, k) = ({', '.join(f'{x:g}' for x in idx[r])}); "
+            "indices must be non-negative integers"
+        )
+    return ValueError(f"{path}: incomplete surface (missing grid entries)")
+
+
 def load_csv(path) -> SurfaceField:
     """Read a field from the long-form CSV format written by ``save_csv``."""
     with open(path) as fh:
@@ -294,43 +321,41 @@ def load_csv(path) -> SurfaceField:
     if rows.shape[1] != 6:
         raise _field_count_error(path) or ValueError(f"{path}: expected 6 fields per row")
 
-    idx = rows[:, (0, 1, 4)]
-    bad = ~(np.isfinite(idx) & (idx >= 0) & (idx == np.trunc(idx))).all(axis=1)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ValueError(
-            f"{path}: data row {r + 1} has (i, j, k) = ({', '.join(f'{x:g}' for x in idx[r])}); "
-            "indices must be non-negative integers"
-        )
-    ns, nt, m = (int(n) + 1 for n in idx.max(axis=0))
-    if ns * nt * m > len(rows):
+    # Each index column is checked as a view: a NaN fails both comparisons,
+    # and an index at or past the row count means a box with missing nodes.
+    n = len(rows)
+    sizes = []
+    for col in (rows[:, 0], rows[:, 1], rows[:, 4]):
+        lo, hi = col.min(), col.max()
+        if not (lo >= 0 and hi < n) or (np.trunc(col) != col).any():
+            raise _index_error(path, rows)
+        sizes.append(int(hi) + 1)
+    ns, nt, m = sizes
+    if ns * nt * m > n:
         raise ValueError(f"{path}: incomplete surface (missing grid entries)")
-    # every index is now below the row count, so int64 holds it exactly
-    i, j, k = idx.astype(np.int64).T
-    flat = (i * nt + j) * m + k
-    counts = np.bincount(flat, minlength=ns * nt * m)
-    if (counts > 1).any():
+    # every partial sum is a whole number below ns*nt*m <= n < 2**53: exact in float64
+    flat = rows[:, 0] * nt
+    flat += rows[:, 1]
+    flat *= m
+    flat += rows[:, 4]
+    flat = flat.astype(np.int64)
+    seen = np.zeros(ns * nt * m, dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) < n:
+        counts = np.bincount(flat, minlength=ns * nt * m)
         r1, r2 = np.flatnonzero(flat == np.argmax(counts > 1))[:2]
+        i, j, k = (int(x) for x in rows[r1, (0, 1, 4)])
         raise ValueError(
-            f"{path}: duplicate entry for (i, j, k) = ({i[r1]}, {j[r1]}, {k[r1]}) "
+            f"{path}: duplicate entry for (i, j, k) = ({i}, {j}, {k}) "
             f"at data rows {r1 + 1} and {r2 + 1}"
         )
-    # no duplicates and at least ns*nt*m rows: each node has exactly one row
+    # n distinct flat indices in a box of at most n nodes: each node has one row
     vals = np.empty(ns * nt * m)
     vals[flat] = rows[:, 5]
     try:
         return SurfaceField(Grid2(ns, nt), vals.reshape(ns, nt, m))
     except ValueError as exc:  # a one-node direction or a non-finite value
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def to_json_dict(f: SurfaceField) -> dict:
-    return {
-        "ns": f.grid.ns,
-        "nt": f.grid.nt,
-        "dim": f.dim,
-        "values": f.values.ravel(order="C").tolist(),
-    }
 
 
 def from_json_dict(doc: dict) -> SurfaceField:
@@ -353,7 +378,15 @@ def from_json_dict(doc: dict) -> SurfaceField:
 
 def save_json(f: SurfaceField, path) -> None:
     """Write a field as ``{ns, nt, dim, values}`` with a row-major flat array."""
-    Path(path).write_text(json.dumps(to_json_dict(f)) + "\n")
+    head = json.dumps({"ns": f.grid.ns, "nt": f.grid.nt, "dim": f.dim, "values": []})
+    flat = f.values.flat
+    with open(path, "w") as fh:
+        fh.write(head[:-2])
+        for start in range(0, f.values.size, JSON_CHUNK):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(flat[start:start + JSON_CHUNK].tolist())[1:-1])
+        fh.write("]}\n")
 
 
 def load_json(path) -> SurfaceField:

@@ -262,6 +262,85 @@ def test_non_finite_area_and_perturb_values_exit_2_naming_the_key(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("area", "epsilon", "abc", "area.epsilon must be a real number, got 'abc'"),
+    ("solver", "grad_tol", True,
+     "invalid solver config: solver.grad_tol must be a real number, got True"),
+    ("solver", "armijo_c1", "1e-4",
+     "invalid solver config: solver.armijo_c1 must be a real number, got '1e-4'"),
+    ("solver", "backtrack", False,
+     "invalid solver config: solver.backtrack must be a real number, got False"),
+    ("solver", "step0", "1", "invalid solver config: solver.step0 must be a real number, got '1'"),
+    ("perturb", "amplitude", "1e-3", "perturb.amplitude must be a real number, got '1e-3'"),
+    ("oracle", "c", "1.0", "oracle.c must be a real number, got '1.0'"),
+    ("oracle", "k1", True, "oracle.k1 must be a real number, got True"),
+    ("oracle", "z_offset", "2", "oracle.z_offset must be a real number, got '2'"),
+    ("oracle", "window", ["0.1", 0.4], "oracle.window[0] must be a real number, got '0.1'"),
+    ("oracle", "window", [[0.1, 0.4], [0.1, True]],
+     "oracle.window[1][1] must be a real number, got True"),
+    ("oracle", "window", [0.1, 0.2, 0.4],
+     "oracle.window must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]"),
+], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
+        "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
+        "string_z_offset", "string_window_entry", "bool_window_entry", "long_window"])
+def test_non_numeric_config_values_exit_2_naming_the_key(
+    tmp_path, capsys, section, key, value, message
+):
+    doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+    doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, doc, name=f"{section}_{key}.json")
+    assert main(["solve", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_catenoid_sign_is_a_whole_number(tmp_path, capsys):
+    catenoid = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1]}
+    assert main(["verify", write_config(tmp_path, {
+        "problem": "analytic-verify",
+        "oracles": [catenoid, dict(catenoid, sign=-1.0)],
+        "out": str(tmp_path / "whole"),
+    }, name="whole.json")]) == 0
+    assert main(["verify", write_config(tmp_path, {
+        "problem": "analytic-verify",
+        "oracles": [catenoid, dict(catenoid, sign=1.7)],
+        "out": str(tmp_path / "fractional"),
+    }, name="fractional.json")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: oracles[1].sign must be a whole number, got 1.7\n"
+    )
+    assert not (tmp_path / "fractional").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "must be nonnegative and finite, got nan"),
+    (math.inf, "must be nonnegative and finite, got inf"),
+    (-1, "must be nonnegative and finite, got -1.0"),
+    (True, "must be a real number, got True"),
+    ("1e-3", "must be a real number, got '1e-3'"),
+], ids=["nan", "inf", "negative", "bool", "string"])
+def test_bad_tolerances_exit_2_before_the_surface_is_read(
+    tmp_path, monkeypatch, capsys, value, message
+):
+    grid = ws.Grid2(5, 5)
+    field = ws.graph_field(ws.Plane(2.0, 3.0, 1.0), grid, ((0.0, 1.0), (0.0, 1.0)))
+    ws.save_csv(field, tmp_path / "plane.csv")
+    cfg = write_config(tmp_path, {
+        "problem": "graph",
+        "surface": str(tmp_path / "plane.csv"),
+        "tolerances": {"euler_lagrange": value},
+        "out": str(tmp_path / "verify"),
+    })
+
+    def unread(path):
+        raise AssertionError(f"surface {path} read before the tolerances were checked")
+
+    monkeypatch.setattr("wassersurf.cli._load_surface", unread)
+    assert main(["verify", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: tolerances.euler_lagrange {message}\n"
+    assert not (tmp_path / "verify").exists()
+
+
 def plane_verify_config(tmp_path, samples):
     return write_config(tmp_path, {
         "problem": "analytic-verify",

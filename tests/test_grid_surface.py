@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,63 @@ def test_load_csv_header_and_field_count_messages(tmp_path):
         with pytest.raises(ValueError) as info:
             ws.load_csv(path)
         assert str(info.value) == f"{path}:{lineno}: expected 6 fields, got {n}", name
+
+
+@pytest.mark.parametrize("column", [2, 3], ids=["s", "t"])
+def test_load_csv_rejects_non_numeric_s_or_t(tmp_path, capsys, column):
+    # s and t are never used, but they are parsed: a file with text there is no surface
+    parts = GOOD_ROWS[1].split(",")
+    parts[column] = "abc"
+    path = tmp_path / "surface.csv"
+    path.write_text("\n".join([CSV_HEADER, GOOD_ROWS[0], ",".join(parts)] + GOOD_ROWS[2:]) + "\n")
+    with pytest.raises(ValueError, match="'abc'"):
+        ws.load_csv(path)
+    assert main(["export-plot", str(path), "--out", str(tmp_path / "plot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+
+# values whose shortest repr is easy to get wrong: signed zero, the smallest
+# subnormal, the largest double, a non-terminating binary and an exponent form
+JSON_SPECIALS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16]
+
+
+# 9x7x700 spans many chunks of the writer, with chunk ends inside s-rows
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 2, 4), (9, 7, 700)],
+                         ids=["2x2x1", "3x2x4", "9x7x700"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_save_json_bytes_equal_json_dumps_of_the_document(tmp_path, rng, shape, order):
+    vals = rng.standard_normal(shape)
+    n = min(len(JSON_SPECIALS), vals.size)
+    vals.flat[-n:] = JSON_SPECIALS[-n:]
+    vals.flat[:n] = JSON_SPECIALS[:n]
+    ns, nt, m = shape
+    doc = {"ns": ns, "nt": nt, "dim": m, "values": vals.ravel().tolist()}
+    path = tmp_path / "surface.json"
+    ws.save_json(ws.SurfaceField(ws.Grid2(ns, nt), np.asarray(vals, order=order)), path)
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+    assert ws.load_json(path).values.tobytes() == vals.tobytes()
+
+
+def traced_peak(fn, *args) -> int:
+    """Largest traced allocation total while ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_big_field_io_runs_in_bounded_memory(tmp_path, rng):
+    field = ws.SurfaceField(ws.Grid2(33, 33), rng.standard_normal((33, 33, 64)))
+    ws.save_csv(field, tmp_path / "surface.csv")
+    nbytes = field.values.nbytes
+    # the six parsed columns are 6x the field and the result 1x; no full-size
+    # copies of the index columns on top of them
+    assert traced_peak(ws.load_csv, tmp_path / "surface.csv") <= 10 * nbytes
+    # the writer holds one chunk of text, never the whole document
+    assert traced_peak(ws.save_json, field, tmp_path / "surface.json") <= nbytes
 
 
 def test_from_json_dict_rejects_non_object(tmp_path, capsys):
