@@ -240,6 +240,9 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
     amplitude = real_number(pdoc.get("amplitude", 0.0), "perturb.amplitude")
     if not math.isfinite(amplitude):
         raise ConfigError(f"perturb.amplitude must be finite, got {amplitude!r}")
+    seed = whole_number(pdoc.get("seed", 0), "perturb.seed")
+    if seed < 0:
+        raise ConfigError(f"perturb.seed must be non-negative, got {seed}")
     tolerances = {}
     for key, value in _section(doc, "tolerances").items():
         tol = tolerances[key] = real_number(value, f"tolerances.{key}")
@@ -263,7 +266,7 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         solver=solver,
         area_epsilon=area_epsilon,
         perturb_amplitude=amplitude,
-        perturb_seed=whole_number(pdoc.get("seed", 0), "perturb.seed"),
+        perturb_seed=seed,
         out=out,
         formats=formats,
         tolerances=tolerances,
@@ -333,13 +336,16 @@ def _write_boundary_csv(b: BoundarySpec, path: Path) -> None:
         ("s0", b.edge_s0), ("s1", b.edge_s1), ("t0", b.edge_t0), ("t1", b.edge_t1)
     ):
         n, m = arr.shape
-        template = "".join(f"{name},{idx},{k},%.17g\n" for idx in range(n) for k in range(m))
+        # one row template per edge; only its <idx> field changes with the row
+        row = "".join(f"{name},<idx>,{k},%.17g\n" for k in range(m))
+        template = "".join(row.replace("<idx>", str(idx)) for idx in range(n))
         parts.append(_fill_g17(template, arr))
     path.write_text("".join(parts))
 
 
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    """Write ``obj`` as strict JSON: a NaN or infinite value raises instead of being written."""
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -464,37 +470,44 @@ def _load_surface(path) -> SurfaceField:
 
 
 def _parse_nodes(spec: str, ns: int, nt: int) -> list:
+    """The ``--density-nodes`` list as (i, j) pairs; negative indices count from the end."""
     nodes = []
     for part in spec.split(";"):
-        i_str, j_str = part.split(",")
-        i, j = int(i_str), int(j_str)
-        if i < 0:
-            i += ns
-        if j < 0:
-            j += nt
-        if not (0 <= i < ns and 0 <= j < nt):
-            raise ConfigError(f"node ({i},{j}) out of range for {ns}x{nt} grid")
-        nodes.append((i, j))
+        try:
+            i, j = (int(x) for x in part.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--density-nodes: {part!r} is not an i,j pair of integers"
+            ) from None
+        if not (-ns <= i < ns and -nt <= j < nt):
+            raise ConfigError(f"--density-nodes: node ({i},{j}) out of range for {ns}x{nt} grid")
+        nodes.append((i % ns, j % nt))
     return nodes
+
+
+def _density(dz: float):
+    """1/dz, or None where that is no finite density (dz <= 0, or 1/dz overflows)."""
+    pdf = 1.0 / dz if dz > 0.0 else math.inf
+    return pdf if pdf < math.inf else None
 
 
 def cmd_export_plot(surface_path, out_dir, density_nodes=None) -> int:
     field = _load_surface(surface_path)
+    ns, nt, m = field.grid.ns, field.grid.nt, field.dim
+    if density_nodes is not None:
+        if m < 3:
+            raise ConfigError("density reconstruction needs m >= 3 quantile levels")
+        nodes = _parse_nodes(density_nodes, ns, nt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ns, nt = field.grid.ns, field.grid.nt
     template = (",".join(["%.17g"] * nt) + "\n") * ns
-    for k in range(field.dim):
+    for k in range(m):
         (out / f"coord_{k + 1}.csv").write_text(_fill_g17(template, field.values[:, :, k]))
 
     if density_nodes is not None:
         # reconstruct densities from the quantile surface: at level z_k the
         # density at x = Z(z_k) is 1 / dZ/dz, with dZ/dz by central
         # differences over the midpoint grid spacing 1/m.
-        m = field.dim
-        if m < 3:
-            raise ConfigError("density reconstruction needs m >= 3 quantile levels")
-        nodes = _parse_nodes(density_nodes, ns, nt)
         zs = (np.arange(m) + 0.5) / m
         snaps = []
         for i, j in nodes:
@@ -508,11 +521,11 @@ def cmd_export_plot(surface_path, out_dir, density_nodes=None) -> int:
                     "t": float(field.grid.t_nodes[j]),
                     "z": zs[1:-1].tolist(),
                     "x": Z[1:-1].tolist(),
-                    "pdf": (1.0 / dZ).tolist(),
+                    "pdf": [_density(dz) for dz in dZ.tolist()],
                 }
             )
         _dump_json(snaps, out / "densities.json")
-    print(f"export-plot: wrote {field.dim} coordinate grids to {out}")
+    print(f"export-plot: wrote {m} coordinate grids to {out}")
     return EXIT_OK
 
 

@@ -81,6 +81,8 @@ that quadrature factor, bit for bit.
 """
 
 import math
+import operator
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -636,15 +638,29 @@ def perturb_interior(
 ) -> SurfaceField:
     """Seeded smooth perturbation of the free interior values.
 
-    Adds a random combination of the first 3x3 sine modes (vanishing on
-    the edges), scaled to the given max amplitude.  Used by the CLI to
-    explore alternative basins; deterministic for a fixed seed.
+    Adds sum_{p,q=1..3} c_pq sin(p pi s) sin(q pi t) (vanishing on the
+    edges), scaled to the given max amplitude, to every free coordinate.
+    The nine coefficients are ``random.Random(seed).uniform(-1.0, 1.0)``
+    draws in (p, q) order, p outer.  Python keeps the ``random()`` sequence
+    of an int seed fixed across versions and defines ``uniform(a, b)`` as
+    ``a + (b - a) * random()``, so a seed gives the same field on every
+    Python and numpy.  Fields seeded when this drew from numpy's
+    ``default_rng`` differ from today's.  ``seed`` must be a non-negative
+    integer (numpy integers included); a negative one, a bool, a float or
+    a string raises ValueError.  Used by the CLI to explore alternative
+    basins.
     """
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = None
+    if index is None or index < 0 or isinstance(seed, bool):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if amplitude == 0.0:
         return f.copy()
     grid = f.grid
     free = _normalize_free(free_coords, f.dim)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(index)
     s = grid.s_nodes[:, None]
     t = grid.t_nodes[None, :]
     bump = np.zeros((grid.ns, grid.nt))

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -292,6 +295,61 @@ def test_non_numeric_config_values_exit_2_naming_the_key(
     assert main(["solve", cfg]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, -3, -3.0])
+def test_negative_perturb_seed_exits_2_naming_the_key(tmp_path, capsys, seed):
+    doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+    doc["perturb"] = {"amplitude": 1e-2, "seed": seed}
+    assert main(["solve", write_config(tmp_path, doc, name="seed.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: perturb.seed must be non-negative, got {int(seed)}\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+PERTURBED_SOLVES = {
+    "graph": {
+        "problem": "graph",
+        "grid": {"ns": 9, "nt": 9},
+        "oracle": {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1]},
+        "area": {"epsilon": 0.0},
+        "perturb": {"amplitude": 1e-2, "seed": 3},
+    },
+    "density": {
+        "problem": "density1d",
+        "grid": {"ns": 9, "nt": 9, "m": 8},
+        "corners": {
+            "c00": {"type": "mixture", "components": [
+                {"weight": 0.5, "mean": -1.5, "std": 0.6},
+                {"weight": 0.5, "mean": 1.5, "std": 0.6},
+            ]},
+            "c10": {"type": "gaussian", "mean": 1, "std": 1.3},
+            "c01": {"type": "gaussian", "mean": -0.5, "std": 2},
+            "c11": {"type": "gaussian", "mean": 1.5, "std": 2.5},
+        },
+        "solver": {"grad_tol": 3e-4},
+        "perturb": {"amplitude": 1e-3, "seed": 3},
+    },
+}
+
+
+@pytest.mark.parametrize("problem", sorted(PERTURBED_SOLVES))
+def test_perturbed_solve_does_not_import_numpy_random(tmp_path, problem):
+    # a fresh interpreter: test plugins may already have imported numpy.random here
+    cfg = write_config(tmp_path, dict(PERTURBED_SOLVES[problem], out=str(tmp_path / "out")))
+    script = (
+        "import sys\n"
+        "from wassersurf import cli\n"
+        f"code = cli.main(['solve', {cfg!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(ws.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["converged"] is True
 
 
 def test_catenoid_sign_is_a_whole_number(tmp_path, capsys):
@@ -649,6 +707,51 @@ def test_export_plot_density_reconstruction(tmp_path):
     rec = np.array(snaps[0]["pdf"])
     true = np.exp(-((x - 1.0) ** 2) / 8.0) / (2.0 * math.sqrt(2.0 * math.pi))
     assert np.max(np.abs(rec - true)) <= 1e-3
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_export_plot_densities_are_strict_json_on_flat_and_decreasing_rows(tmp_path):
+    grid = ws.Grid2(3, 3)
+    vals = np.tile(np.arange(5.0), (3, 3, 1))
+    vals[0, 0] = [0.0, 1.0, 1.0, 1.0, 2.0]  # three equal levels: dZ = 0 at the middle one
+    vals[1, 1] = [0.0, 2.0, 1.0, 0.0, 2.0]  # decreasing in the middle: dZ < 0 there
+    vals[2, 0] = [0.0, 1e-310, 2e-310, 3e-310, 4e-310]  # dZ > 0, but 1/dZ overflows
+    ws.save_json(ws.SurfaceField(grid, vals), tmp_path / "rows.json")
+    out = tmp_path / "plot"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["export-plot", str(tmp_path / "rows.json"), "--out", str(out),
+                     "--density-nodes", "0,0;1,1;2,0;2,2"]) == 0
+    snaps = _strict_json((out / "densities.json").read_text())
+    assert [snap["pdf"] for snap in snaps] == [
+        [0.4, None, 0.4],
+        [0.4, None, 0.4],
+        [None, None, None],
+        [0.2, 0.2, 0.2],
+    ]
+
+
+@pytest.mark.parametrize("nodes, m, message", [
+    *((nodes, 5, f"--density-nodes: {part} is not an i,j pair of integers") for nodes, part in (
+        ("1,2,3", "'1,2,3'"), ("1;2", "'1'"), ("", "''"), ("0,0;a,1", "'a,1'"), ("0,0;", "''"),
+    )),
+    ("0,3", 5, "--density-nodes: node (0,3) out of range for 3x3 grid"),
+    ("-4,0", 5, "--density-nodes: node (-4,0) out of range for 3x3 grid"),
+    ("0,0", 2, "density reconstruction needs m >= 3 quantile levels"),
+])
+def test_bad_density_nodes_exit_2_before_writing(tmp_path, capsys, nodes, m, message):
+    ws.save_json(ws.SurfaceField(ws.Grid2(3, 3), np.tile(np.arange(float(m)), (3, 3, 1))),
+                 tmp_path / "q.json")
+    out = tmp_path / "plot"
+    assert main(["export-plot", str(tmp_path / "q.json"), "--out", str(out),
+                 f"--density-nodes={nodes}"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_export_plot_missing_file(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,44 @@ def test_perturb_interior_deterministic_and_bounded():
     assert np.array_equal(p1.values[:, :, :2], init.values[:, :, :2])
     p3 = ws.perturb_interior(init, 0.01, seed=4, free_coords=(2,))
     assert not np.array_equal(p1.values, p3.values)
+
+
+def documented_bump(grid, amplitude, seed):
+    """The perturbation's documented formula, from ``random.Random(seed)`` draws."""
+    rng = random.Random(seed)
+    coeffs = [[rng.uniform(-1.0, 1.0) for q in range(1, 4)] for p in range(1, 4)]
+    s, t = np.meshgrid(grid.s_nodes, grid.t_nodes, indexing="ij")
+    bump = sum(
+        coeffs[p - 1][q - 1] * np.sin(p * np.pi * s) * np.sin(q * np.pi * t)
+        for p in range(1, 4) for q in range(1, 4)
+    )
+    return bump * (amplitude / np.max(np.abs(bump)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, np.int64(12)])
+@pytest.mark.parametrize("free_coords", [(2,), None], ids=["pinned", "all-free"])
+def test_perturb_interior_is_the_documented_formula(seed, free_coords):
+    grid = ws.Grid2(13, 9)
+    init = smooth_test_field(grid, 3)
+    got = ws.perturb_interior(init, 0.02, seed, free_coords)
+    bump = documented_bump(grid, 0.02, int(seed))
+    moved = (2,) if free_coords else (0, 1, 2)
+    for k in range(3):
+        delta = got.values[..., k] - init.values[..., k]
+        if k not in moved:
+            assert not np.any(delta)
+            continue
+        assert not np.any(delta[0]) and not np.any(delta[-1])
+        assert not np.any(delta[:, 0]) and not np.any(delta[:, -1])
+        np.testing.assert_allclose(delta[1:-1, 1:-1], bump[1:-1, 1:-1], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [-1, -3, True, False, 3.0, 1.5, "3", None],
+                         ids=["minus1", "minus3", "true", "false", "float", "fraction", "str", "none"])
+def test_perturb_interior_rejects_a_seed_that_is_no_non_negative_integer(seed):
+    _, init, _ = plane_problem(5)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ws.perturb_interior(init, 1e-2, seed, (2,))
 
 
 def test_perturbed_init_converges_to_same_surface():
@@ -661,8 +700,8 @@ def test_all_free_oracle_gaps_refine_without_drift(name):
 @pytest.mark.parametrize("name", [
     "scherk",
     pytest.param("catenoid", marks=pytest.mark.xfail(strict=True, reason=(
-        "all-free gaps 3.054e-4 / 7.609e-5 at 17^2 / 33^2 are 10.7% / 12.4% above "
-        "the pinned-(x, y) gaps 2.758e-4 / 6.766e-5"))),
+        "all-free gaps 3.348e-4 / 8.343e-5 at 17^2 / 33^2 are 18.4% / 19.1% above "
+        "the pinned-(x, y) gaps 2.828e-4 / 7.003e-5"))),
 ])
 def test_all_free_oracle_gaps_within_ten_percent_of_pinned(name):
     acfg = ws.AreaConfig(epsilon=0.0)
