@@ -29,7 +29,6 @@ from .analytic import (
 from .area import (
     AreaConfig,
     CellTerms,
-    area_change,
     area_element,
     area_gradient,
     cell_tangents,

@@ -23,7 +23,7 @@ coordinate evaluates each trial field.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,11 +87,6 @@ def _tangents(v: np.ndarray, hs: float, ht: float) -> tuple[np.ndarray, np.ndarr
     return ds, dt
 
 
-def tangent_fields(f: SurfaceField) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cell tangents for all cells, shapes ``(ns-1, nt-1, m)``."""
-    return _tangents(f.values, f.grid.hs, f.grid.ht)
-
-
 def _gram_terms(ds, dt, w):
     a = np.einsum("...k,k,...k->...", ds, w, ds)
     b = np.einsum("...k,k,...k->...", dt, w, dt)
@@ -131,20 +126,6 @@ class CellTerms:
     cells: np.ndarray
 
 
-def _moving_terms(ds, dt, w, pinned, epsilon: float) -> CellTerms:
-    a, b, c = (p + q for p, q in zip(pinned, _gram_terms(ds, dt, w)))
-    gram = a * b - c * c
-    return CellTerms(ds, dt, w, pinned, a, b, c, gram, np.sqrt(np.maximum(gram, 0.0) + epsilon))
-
-
-def _split_terms(ds, dt, w, moving: slice, epsilon: float) -> CellTerms:
-    """Terms from the tangents of every coordinate, ``moving`` kept apart from the rest."""
-    rest = np.ones(w.size, dtype=bool)
-    rest[moving] = False
-    pinned = _gram_terms(ds[..., rest], dt[..., rest], w[rest])
-    return _moving_terms(ds[..., moving], dt[..., moving], w[moving], pinned, epsilon)
-
-
 def cell_terms(f: SurfaceField, cfg: AreaConfig, moving: slice = slice(None),
                pinned: tuple | None = None) -> CellTerms:
     """Cell tangents of the coordinates ``moving``, Gram terms and cell areas of ``f``.
@@ -158,19 +139,23 @@ def cell_terms(f: SurfaceField, cfg: AreaConfig, moving: slice = slice(None),
     w = cfg.weight_vector(f.dim)
     hs, ht = f.grid.hs, f.grid.ht
     if pinned is None:
-        return _split_terms(*_tangents(f.values, hs, ht), w, moving, cfg.epsilon)
-    return _moving_terms(*_tangents(f.values[..., moving], hs, ht), w[moving], pinned,
-                         cfg.epsilon)
-
-
-def cell_gram(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:
-    """Raw (unclamped) Gram determinant per cell, shape ``(ns-1, nt-1)``."""
-    return cell_terms(f, cfg).gram
+        ds, dt = _tangents(f.values, hs, ht)
+        rest = np.ones(w.size, dtype=bool)
+        rest[moving] = False
+        pinned = _gram_terms(ds[..., rest], dt[..., rest], w[rest])
+        ds, dt = ds[..., moving], dt[..., moving]
+    else:
+        ds, dt = _tangents(f.values[..., moving], hs, ht)
+    w = w[moving]
+    a, b, c = (p + q for p, q in zip(pinned, _gram_terms(ds, dt, w)))
+    gram = a * b - c * c
+    cells = np.sqrt(np.maximum(gram, 0.0) + cfg.epsilon)
+    return CellTerms(ds, dt, w, pinned, a, b, c, gram, cells)
 
 
 def degenerate_cell_count(f: SurfaceField, cfg: AreaConfig) -> int:
     """Number of cells whose Gram determinant lies below the epsilon floor."""
-    return int(np.count_nonzero(cell_gram(f, cfg) < cfg.epsilon))
+    return int(np.count_nonzero(cell_terms(f, cfg).gram < cfg.epsilon))
 
 
 def hourglass_amplitude(f: SurfaceField) -> float:
@@ -181,11 +166,6 @@ def hourglass_amplitude(f: SurfaceField) -> float:
     v = f.values
     mode = v[:-1, :-1] - v[1:, :-1] - v[:-1, 1:] + v[1:, 1:]
     return float(np.max(np.abs(mode))) if mode.size else 0.0
-
-
-def cell_area_field(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:
-    """Unscaled area density per cell, shape ``(ns-1, nt-1)``."""
-    return cell_terms(f, cfg).cells
 
 
 def summed_area(cells: np.ndarray, grid) -> float:
@@ -200,22 +180,7 @@ def summed_area(cells: np.ndarray, grid) -> float:
 
 def total_area(f: SurfaceField, cfg: AreaConfig) -> float:
     """Total discrete area: sum of cell area densities times hs*ht (see ``summed_area``)."""
-    return summed_area(cell_area_field(f, cfg), f.grid)
-
-
-def area_change(tangents, cells, cells_try, step, moving: slice, grid, cfg: AreaConfig) -> float:
-    """Total-area change when the field moves by ``step``.
-
-    ``tangents`` and ``cells`` are ``tangent_fields`` and ``cell_area_field``
-    of the current field, ``cells_try`` is ``cell_area_field`` after the
-    move.  ``step`` is the ``(ns, nt, width)`` change of the coordinates in
-    the slice ``moving`` (one coordinate, or ``slice(None)`` for all of
-    them); the others stay put.  See ``terms_change``, which this evaluates
-    on the terms of the given tangents.
-    """
-    ds, dt = tangents
-    current = _split_terms(ds, dt, cfg.weight_vector(ds.shape[-1]), moving, cfg.epsilon)
-    return terms_change(replace(current, cells=cells), cells_try, step, grid)
+    return summed_area(cell_terms(f, cfg).cells, f.grid)
 
 
 def terms_change(current: CellTerms, cells_try, step, grid) -> float:

@@ -4,9 +4,9 @@ All problem assembly is driven by a single JSON config document; the only
 flag that overrides it is ``--out`` (artifact directory).
 
 Exit codes: 0 success/converged, 1 verification tolerance failure,
-2 config or input error, 3 solver stall, 4 degenerate problem,
-5 numerical failure (non-finite values during a solve, or a quantile
-iteration that did not converge).
+2 config or input error (an unusable input or output path included),
+3 solver stall, 4 degenerate problem, 5 numerical failure (non-finite
+values during a solve, or a quantile iteration that did not converge).
 """
 
 import argparse
@@ -45,6 +45,7 @@ from .grid import (
     load_csv,
     load_json,
     real_number,
+    real_vector,
     save_csv,
     save_json,
     whole_number,
@@ -89,7 +90,7 @@ def _parse_window(doc, name: str) -> tuple:
 #: other key is a config error, so a misspelt setting never falls back silently
 CONFIG_KEYS = {
     "": ("problem", "grid", "corners", "oracle", "oracles", "solver", "area", "perturb",
-         "tolerances", "surface", "samples", "formats", "out"),
+         "tolerances", "surface", "samples", "out"),
     "grid": ("ns", "nt", "m"),
     "solver": ("method", "max_iters", "grad_tol", "armijo_c1", "backtrack", "step0",
                "max_backtracks"),
@@ -161,7 +162,6 @@ class RunConfig:
     perturb_amplitude: float
     perturb_seed: int
     out: Path
-    formats: list
     tolerances: dict
     surface_path: str | None
     samples: int
@@ -252,10 +252,6 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     out = Path(out_override if out_override is not None else doc.get("out", "."))
-    formats = list(doc.get("formats", ["csv", "json"]))
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown export format {fmt!r}")
     return RunConfig(
         problem=problem,
         grid=Grid2(ns, nt),
@@ -268,7 +264,6 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         perturb_amplitude=amplitude,
         perturb_seed=seed,
         out=out,
-        formats=formats,
         tolerances=tolerances,
         surface_path=doc.get("surface"),
         samples=samples,
@@ -302,10 +297,10 @@ def _assemble(cfg: RunConfig):
             if cdoc.get("type") != "gaussian_diag":
                 raise ConfigError(f"corner {key} must have type 'gaussian_diag'")
             try:
-                diag = np.asarray(cdoc["diag"], dtype=float)
+                diag = real_vector(cdoc["diag"], f"corners.{key}.diag")
             except TypeError as exc:
                 raise ConfigError(f"corner {key} diag must be positive reals") from exc
-            if diag.ndim != 1 or np.any(diag <= 0.0):
+            if np.any(diag <= 0.0):
                 raise ConfigError(f"corner {key} diag must be positive reals")
             roots[key] = np.sqrt(diag)
         boundary = edges_from_corner_vectors(
@@ -316,10 +311,14 @@ def _assemble(cfg: RunConfig):
     if cfg.problem == "density1d":
         if cfg.corners is None:
             raise ConfigError("density1d needs 'corners'")
-        try:
-            dens = {k: parse_density(v) for k, v in cfg.corners.items()}
-        except TypeError as exc:
-            raise ConfigError(f"malformed density corner: {exc}") from exc
+        dens = {}
+        for key, cdoc in cfg.corners.items():
+            try:
+                dens[key] = parse_density(cdoc)
+            except TypeError as exc:
+                raise ConfigError(f"malformed density corner: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"corners.{key}.{exc}") from exc
         qg = QuantileGrid(cfg.m)
         boundary = boundary_from_corners(
             dens["c00"], dens["c10"], dens["c01"], dens["c11"], cfg.grid, qg
@@ -360,10 +359,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     report = minimize(init, boundary, cfg.solver, acfg, free_coords=free)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if "csv" in cfg.formats:
-        save_csv(report.field, cfg.out / "surface.csv")
-    if "json" in cfg.formats:
-        save_json(report.field, cfg.out / "surface.json")
+    save_csv(report.field, cfg.out / "surface.csv")
+    save_json(report.field, cfg.out / "surface.json")
     _write_boundary_csv(boundary, cfg.out / "boundary.csv")
     _dump_json(report.to_json_dict(), cfg.out / "report.json")
 
@@ -576,7 +573,8 @@ def main(argv=None) -> int:
     except (SolverNaNError, QuantileConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError, OSError) as exc:
+        # OSError: an input or output path of the command that cannot be used
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

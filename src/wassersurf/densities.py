@@ -16,7 +16,14 @@ from typing import Union
 import numpy as np
 
 from .errors import QuantileConvergenceError
-from .grid import BoundarySpec, Grid2, SurfaceField, edges_from_corner_vectors
+from .grid import (
+    BoundarySpec,
+    Grid2,
+    SurfaceField,
+    edges_from_corner_vectors,
+    real_number,
+    real_vector,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -39,7 +46,9 @@ class GaussianDensity:
 
     def __post_init__(self):
         if not (self.std > 0.0 and math.isfinite(self.std) and math.isfinite(self.mean)):
-            raise ValueError(f"Gaussian needs finite mean and std > 0, got N({self.mean}, {self.std})")
+            raise ValueError(
+                f"mean and std must be finite with std > 0, got N({self.mean}, {self.std})"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +62,13 @@ class MixtureDensity:
         for w, g in self.components:
             w = float(w)
             if w <= 0.0:
-                raise ValueError("mixture weights must be positive")
+                raise ValueError("components: weights must be positive")
             if not isinstance(g, GaussianDensity):
                 g = GaussianDensity(*g)
             comps.append((w, g))
         total = math.fsum(w for w, _ in comps)
         if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"mixture weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
+            raise ValueError(f"components: weights sum to {total!r}, not 1 within {WEIGHT_TOL}")
         object.__setattr__(self, "components", tuple(comps))
 
 
@@ -78,23 +87,23 @@ class TabulatedDensity:
         x = np.asarray(self.x, dtype=float)
         p = np.asarray(self.pdf, dtype=float)
         if x.ndim != 1 or x.size < 2 or p.shape != x.shape:
-            raise ValueError("tabulated density needs matching 1-D x and pdf arrays (>= 2 points)")
+            raise ValueError("x and pdf must be matching 1-D arrays of at least 2 points")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise ValueError("tabulated density values must be finite")
+            raise ValueError("x and pdf values must be finite")
         if np.any(np.diff(x) <= 0.0):
-            raise ValueError("tabulated x-grid must be strictly increasing")
+            raise ValueError("x must be strictly increasing")
         if np.any(p < 0.0):
-            raise ValueError("tabulated pdf values must be nonnegative")
+            raise ValueError("pdf values must be nonnegative")
         dx = np.diff(x)
         mass = float(np.sum(0.5 * (p[:-1] + p[1:]) * dx))
         if mass <= 0.0:
-            raise ValueError("tabulated density has no mass")
+            raise ValueError("pdf has no mass")
         p = p / mass
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[:-1] + p[1:]) * dx)])
         cum /= cum[-1]
         total = float(np.sum(0.5 * (p[:-1] + p[1:]) * dx))
         if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"normalization failed: trapezoid mass {total!r}")
+            raise ValueError(f"pdf normalization failed: trapezoid mass {total!r}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pdf", p)
         object.__setattr__(self, "_cum", cum)
@@ -104,19 +113,25 @@ Density1D = Union[GaussianDensity, MixtureDensity, TabulatedDensity]
 
 
 def parse_density(doc: dict) -> Density1D:
-    """Build a density from its JSON configuration form."""
+    """Build a density from its JSON configuration form.
+
+    Numbers go through ``grid.real_number``; a ValueError names its key
+    relative to ``doc`` (``std``, ``components[1].weight``, ``x[2]``).
+    """
     kind = doc.get("type")
     if kind == "gaussian":
-        return GaussianDensity(float(doc["mean"]), float(doc["std"]))
+        return GaussianDensity(real_number(doc["mean"], "mean"), real_number(doc["std"], "std"))
     if kind == "mixture":
         comps = [
-            (float(c["weight"]), GaussianDensity(float(c["mean"]), float(c["std"])))
-            for c in doc["components"]
+            (real_number(c["weight"], f"components[{n}].weight"),
+             GaussianDensity(real_number(c["mean"], f"components[{n}].mean"),
+                             real_number(c["std"], f"components[{n}].std")))
+            for n, c in enumerate(doc["components"])
         ]
         return MixtureDensity(tuple(comps))
     if kind == "tabulated":
-        return TabulatedDensity(np.asarray(doc["x"], float), np.asarray(doc["pdf"], float))
-    raise ValueError(f"unknown density type {kind!r}")
+        return TabulatedDensity(real_vector(doc["x"], "x"), real_vector(doc["pdf"], "pdf"))
+    raise ValueError(f"type must be 'gaussian', 'mixture' or 'tabulated', got {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,51 +274,50 @@ def _mixture_quantiles(d: MixtureDensity, zs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _tabulated_quantile(d: TabulatedDensity, z: float) -> float:
+def _tabulated_quantiles(d: TabulatedDensity, zs: np.ndarray) -> np.ndarray:
+    """Exact inverse of the piecewise-quadratic CDF at every level of the 1-D array ``zs``.
+
+    Each level's interval k is the last with cum[k] <= z; within it the level
+    solves p0*xi + slope*xi^2/2 = z - cum[k] by the cancellation-free root.
+    """
     xs, ps, cum = d.x, d.pdf, d._cum
-    k = int(np.clip(np.searchsorted(cum, z, side="right") - 1, 0, xs.size - 2))
-    dx = xs[k + 1] - xs[k]
-    p0 = ps[k]
+    k = np.clip(np.searchsorted(cum, zs, side="right") - 1, 0, xs.size - 2)
+    x0, dx, p0 = xs[k], xs[k + 1] - xs[k], ps[k]
     slope = (ps[k + 1] - p0) / dx
-    target = z - cum[k]
-    if target <= 0.0:
-        return float(xs[k])
-    # Solve p0*xi + slope*xi^2/2 = target with the cancellation-free root.
-    disc = p0 * p0 + 2.0 * slope * target
-    denom = p0 + math.sqrt(max(disc, 0.0))
-    if denom <= 0.0:
-        return float(xs[k] + dx)
-    return float(xs[k] + 2.0 * target / denom)
+    target = zs - cum[k]
+    denom = p0 + np.sqrt(np.maximum(p0 * p0 + 2.0 * slope * target, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = x0 + 2.0 * target / denom
+    return np.where(target <= 0.0, x0, np.where(denom <= 0.0, x0 + dx, inner))
+
+
+def quantiles(d: Density1D, zs) -> np.ndarray:
+    """Inverse CDF at every level of ``zs`` (any shape), each strictly inside (0, 1).
+
+    Gaussian variants use the closed-form inverse normal; mixtures use
+    bracketed Newton with bisection fallback on the numeric CDF, all levels
+    at once; tabulated densities invert their piecewise-quadratic CDF
+    exactly.  A level outside (0, 1), or NaN, raises ValueError.
+    """
+    zs = np.asarray(zs, dtype=float)
+    flat = zs.ravel()
+    outside = ~((flat > 0.0) & (flat < 1.0))
+    if np.any(outside):
+        raise ValueError(f"quantile level must lie in (0, 1), got {float(flat[outside][0])}")
+    if isinstance(d, GaussianDensity):
+        q = d.mean + d.std * standard_normal_quantile(flat)
+    elif isinstance(d, MixtureDensity):
+        q = _mixture_quantiles(d, flat)
+    elif isinstance(d, TabulatedDensity):
+        q = _tabulated_quantiles(d, flat)
+    else:
+        raise TypeError(f"unknown density {type(d).__name__}")
+    return q.reshape(zs.shape)
 
 
 def quantile(d: Density1D, z: float) -> float:
-    """Inverse CDF at level z in (0, 1).
-
-    Gaussian variants use the closed-form inverse normal; mixtures use
-    bracketed Newton with bisection fallback on the numeric CDF;
-    tabulated densities invert their piecewise-quadratic CDF exactly.
-    """
-    z = float(z)
-    if not (0.0 < z < 1.0):
-        raise ValueError(f"quantile level must lie in (0, 1), got {z}")
-    if isinstance(d, GaussianDensity):
-        return d.mean + d.std * standard_normal_quantile(z)
-    if isinstance(d, MixtureDensity):
-        return float(_mixture_quantiles(d, np.array([z]))[0])
-    if isinstance(d, TabulatedDensity):
-        return _tabulated_quantile(d, z)
-    raise TypeError(f"unknown density {type(d).__name__}")
-
-
-def quantiles(d: Density1D, zs: np.ndarray) -> np.ndarray:
-    """Vector of quantiles; closed form for Gaussians, all levels at once for
-    mixtures, per level for tabulated densities."""
-    zs = np.asarray(zs, dtype=float)
-    if isinstance(d, GaussianDensity):
-        return d.mean + d.std * standard_normal_quantile(zs)
-    if isinstance(d, MixtureDensity):
-        return _mixture_quantiles(d, zs.ravel()).reshape(zs.shape)
-    return np.array([quantile(d, z) for z in zs.ravel().tolist()]).reshape(zs.shape)
+    """Inverse CDF at one level z in (0, 1): ``quantiles`` at that level."""
+    return float(quantiles(d, z))
 
 
 # ---------------------------------------------------------------------------

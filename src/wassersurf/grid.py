@@ -36,6 +36,11 @@ def real_number(value, name: str) -> float:
     return float(value)
 
 
+def real_vector(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D float array; each entry through ``real_number`` as ``name[n]``."""
+    return np.array([real_number(v, f"{name}[{n}]") for n, v in enumerate(values)], dtype=float)
+
+
 @dataclass(frozen=True)
 class Grid2:
     """Uniform tensor grid on [0, 1]^2 with ``ns`` x ``nt`` nodes."""

@@ -95,7 +95,6 @@ from .area import (
     _tangents,
     area_gradient,
     cell_terms,
-    degenerate_cell_count,
     hourglass_amplitude,
     summed_area,
     terms_change,
@@ -174,13 +173,15 @@ class ResidualReport:
     """Discrete optimality residual per node, zero on edges.
 
     Interior nodes whose four incident cells all sit below the Gram
-    degeneracy floor are excluded from the max-norm and counted.
+    degeneracy floor are excluded from the max-norm and counted;
+    ``degenerate_cells`` counts the cells below that floor.
     """
 
     values: np.ndarray
     max_norm: float
     excluded_nodes: int
     excluded_mask: np.ndarray
+    degenerate_cells: int
 
 
 def euler_lagrange_residual(f: SurfaceField, acfg: AreaConfig) -> ResidualReport:
@@ -209,6 +210,7 @@ def euler_lagrange_residual(f: SurfaceField, acfg: AreaConfig) -> ResidualReport
         max_norm=max_norm,
         excluded_nodes=int(np.count_nonzero(excluded)),
         excluded_mask=excluded,
+        degenerate_cells=int(np.count_nonzero(deg)),
     )
 
 
@@ -589,7 +591,7 @@ def minimize(
         grad_tangential=tangential,
         el_residual=el_norm,
         converged=converged,
-        degenerate_cells=degenerate_cell_count(final, acfg),
+        degenerate_cells=rep.degenerate_cells,
         span_rank=span_rank,
         hourglass=hourglass_amplitude(final),
         stall=stall,

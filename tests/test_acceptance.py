@@ -47,15 +47,13 @@ def central_fd_entry(field, acfg, i, j, k, step):
     per-cell differences avoids the big-minus-big cancellation that would
     otherwise dominate small gradient entries.
     """
-    from wassersurf.area import cell_area_field
-
     measure = field.grid.hs * field.grid.ht
     vp = field.values.copy()
     vp[i, j, k] += step
     vm = field.values.copy()
     vm[i, j, k] -= step
-    cp = cell_area_field(ws.SurfaceField(field.grid, vp), acfg)
-    cm = cell_area_field(ws.SurfaceField(field.grid, vm), acfg)
+    cp = ws.cell_terms(ws.SurfaceField(field.grid, vp), acfg).cells
+    cm = ws.cell_terms(ws.SurfaceField(field.grid, vm), acfg).cells
     return measure * math.fsum((cp - cm).ravel().tolist()) / (2.0 * step)
 
 

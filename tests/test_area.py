@@ -174,6 +174,9 @@ def test_degenerate_cell_count():
     cfg = ws.AreaConfig(epsilon=1e-12)
     assert ws.degenerate_cell_count(f, cfg) == 16
     assert ws.degenerate_cell_count(graph_plane(g), cfg) == 0
+    # the residual counts the same cells from its own pass
+    assert ws.euler_lagrange_residual(f, cfg).degenerate_cells == 16
+    assert ws.euler_lagrange_residual(graph_plane(g), cfg).degenerate_cells == 0
 
 
 def test_weight_vector_validation():
@@ -187,14 +190,14 @@ def test_weight_vector_validation():
 
 
 def _area_changes(f, step, acfg):
-    """(plain fsum difference, area_change) for moving every coordinate of ``f`` by ``step``."""
+    """(plain fsum difference, terms_change) for moving every coordinate of ``f`` by ``step``."""
     grid = f.grid
     moved = ws.SurfaceField(grid, f.values + step)
     step = moved.values - f.values  # the step as rounded into the moved field
-    cells = ws.area.cell_area_field(f, acfg)
-    cells_try = ws.area.cell_area_field(moved, acfg)
+    current = ws.cell_terms(f, acfg)
+    cells, cells_try = current.cells, ws.cell_terms(moved, acfg).cells
     plain = grid.hs * grid.ht * math.fsum((cells_try - cells).ravel().tolist())
-    exact = ws.area_change(ws.area.tangent_fields(f), cells, cells_try, step, slice(None), grid, acfg)
+    exact = ws.area.terms_change(current, cells_try, step, grid)
     return plain, exact
 
 
@@ -240,7 +243,7 @@ def test_cell_terms_of_a_trailing_slice_equal_one_pass_bit_for_bit():
     whole = ws.cell_terms(f, acfg)
     assert whole.ds.shape == (12, 10, 3)
     # one pass over every coordinate is the plain weighted inner products
-    reference = ws.area._gram_terms(*ws.area.tangent_fields(f), acfg.weights)
+    reference = ws.area._gram_terms(*ws.area._tangents(f.values, grid.hs, grid.ht), acfg.weights)
     assert all(np.array_equal(p, q) for p, q in zip((whole.a, whole.b, whole.c), reference))
     first = ws.cell_terms(f, acfg, slice(2, 3))
     moved = f.values.copy()

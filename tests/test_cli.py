@@ -215,6 +215,7 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
         "perturb.sead": ("perturb", "sead", 3),
         "tolerances.euler_lagrang": ("tolerances", "euler_lagrang", 1.0),
         "outdir": (None, "outdir", "x"),
+        "formats": (None, "formats", ["csv"]),
     }
     for name, (section, key, value) in edits.items():
         doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
@@ -265,36 +266,93 @@ def test_non_finite_area_and_perturb_values_exit_2_naming_the_key(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("section, key, value, message", [
-    ("area", "epsilon", "abc", "area.epsilon must be a real number, got 'abc'"),
-    ("solver", "grad_tol", True,
+CORNER_CONFIGS = {
+    "density1d": {
+        "problem": "density1d",
+        "grid": {"ns": 5, "nt": 5, "m": 8},
+        "corners": {
+            "c00": {"type": "gaussian", "mean": 0.0, "std": 1.0},
+            "c10": {"type": "mixture", "components": [
+                {"weight": 0.5, "mean": -1.0, "std": 0.5},
+                {"weight": 0.5, "mean": 1.0, "std": 0.5},
+            ]},
+            "c01": {"type": "tabulated", "x": [0.0, 1.0, 2.0], "pdf": [0.0, 1.0, 0.0]},
+            "c11": {"type": "gaussian", "mean": 1.0, "std": 2.0},
+        },
+    },
+    "gaussian-diag": {
+        "problem": "gaussian-diag",
+        "grid": {"ns": 5, "nt": 5},
+        "corners": {key: {"type": "gaussian_diag", "diag": [1.0, 2.0, 0.5]}
+                    for key in ("c00", "c10", "c01", "c11")},
+    },
+}
+
+
+@pytest.mark.parametrize("problem, section, key, value, message", [
+    ("graph", "area", "epsilon", "abc", "area.epsilon must be a real number, got 'abc'"),
+    ("graph", "solver", "grad_tol", True,
      "invalid solver config: solver.grad_tol must be a real number, got True"),
-    ("solver", "armijo_c1", "1e-4",
+    ("graph", "solver", "armijo_c1", "1e-4",
      "invalid solver config: solver.armijo_c1 must be a real number, got '1e-4'"),
-    ("solver", "backtrack", False,
+    ("graph", "solver", "backtrack", False,
      "invalid solver config: solver.backtrack must be a real number, got False"),
-    ("solver", "step0", "1", "invalid solver config: solver.step0 must be a real number, got '1'"),
-    ("perturb", "amplitude", "1e-3", "perturb.amplitude must be a real number, got '1e-3'"),
-    ("oracle", "c", "1.0", "oracle.c must be a real number, got '1.0'"),
-    ("oracle", "k1", True, "oracle.k1 must be a real number, got True"),
-    ("oracle", "z_offset", "2", "oracle.z_offset must be a real number, got '2'"),
-    ("oracle", "window", ["0.1", 0.4], "oracle.window[0] must be a real number, got '0.1'"),
-    ("oracle", "window", [[0.1, 0.4], [0.1, True]],
+    ("graph", "solver", "step0", "1",
+     "invalid solver config: solver.step0 must be a real number, got '1'"),
+    ("graph", "perturb", "amplitude", "1e-3",
+     "perturb.amplitude must be a real number, got '1e-3'"),
+    ("graph", "oracle", "c", "1.0", "oracle.c must be a real number, got '1.0'"),
+    ("graph", "oracle", "k1", True, "oracle.k1 must be a real number, got True"),
+    ("graph", "oracle", "z_offset", "2", "oracle.z_offset must be a real number, got '2'"),
+    ("graph", "oracle", "window", ["0.1", 0.4],
+     "oracle.window[0] must be a real number, got '0.1'"),
+    ("graph", "oracle", "window", [[0.1, 0.4], [0.1, True]],
      "oracle.window[1][1] must be a real number, got True"),
-    ("oracle", "window", [0.1, 0.2, 0.4],
+    ("graph", "oracle", "window", [0.1, 0.2, 0.4],
      "oracle.window must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]"),
+    ("density1d", "corners", "c00.std", "2", "corners.c00.std must be a real number, got '2'"),
+    ("density1d", "corners", "c11.mean", True,
+     "corners.c11.mean must be a real number, got True"),
+    ("density1d", "corners", "c10.components",
+     [{"weight": 0.5, "mean": -1.0, "std": 0.5}, {"weight": "0.5", "mean": 1.0, "std": 0.5}],
+     "corners.c10.components[1].weight must be a real number, got '0.5'"),
+    ("density1d", "corners", "c01.x", [0, 1, "2"],
+     "corners.c01.x[2] must be a real number, got '2'"),
+    ("density1d", "corners", "c01.pdf", [0.0, False, 0.0],
+     "corners.c01.pdf[1] must be a real number, got False"),
+    ("gaussian-diag", "corners", "c00.diag", [1.0, True, "0.5"],
+     "corners.c00.diag[1] must be a real number, got True"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
-        "string_z_offset", "string_window_entry", "bool_window_entry", "long_window"])
+        "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
+        "string_corner_std", "bool_corner_mean", "string_mixture_weight",
+        "string_tabulated_x", "bool_tabulated_pdf", "bool_gaussian_diag_entry"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
-    tmp_path, capsys, section, key, value, message
+    tmp_path, capsys, problem, section, key, value, message
 ):
-    doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
-    doc.setdefault(section, {})[key] = value
+    if problem == "graph":
+        doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
+    else:
+        doc = json.loads(json.dumps(CORNER_CONFIGS[problem]))
+        doc["out"] = str(tmp_path / "run")
+    # ``key`` may be a dotted path inside ``section``
+    target = doc.setdefault(section, {})
+    *path, last = key.split(".")
+    for part in path:
+        target = target[part]
+    target[last] = value
     cfg = write_config(tmp_path, doc, name=f"{section}_{key}.json")
     assert main(["solve", cfg]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("problem", sorted(CORNER_CONFIGS))
+def test_numeric_corner_configs_solve(tmp_path, problem):
+    # the base configs of the corner cases above are valid as they stand
+    doc = dict(CORNER_CONFIGS[problem], out=str(tmp_path / "run"))
+    assert main(["solve", write_config(tmp_path, doc)]) == 0
+    assert (tmp_path / "run" / "surface.json").is_file()
 
 
 @pytest.mark.parametrize("seed", [-1, -3, -3.0])
@@ -756,6 +814,36 @@ def test_bad_density_nodes_exit_2_before_writing(tmp_path, capsys, nodes, m, mes
 
 def test_export_plot_missing_file(tmp_path):
     assert main(["export-plot", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("case", ["solve_out_is_file", "verify_surface_is_dir",
+                                  "verify_out_is_file", "export_surface_is_dir",
+                                  "export_out_is_file"])
+def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, case):
+    plane = ws.graph_field(ws.Plane(2.0, 3.0, 1.0), ws.Grid2(5, 5), ((0.0, 1.0), (0.0, 1.0)))
+    ws.save_json(plane, tmp_path / "plane.json")
+    a_file, a_dir = tmp_path / "taken", tmp_path / "folder.json"
+    a_file.write_text("")
+    a_dir.mkdir()
+    verify_doc = {"problem": "graph", "surface": str(tmp_path / "plane.json"),
+                  "out": str(tmp_path / "verify")}
+    argv, path = {
+        "solve_out_is_file": (["solve", scherk_graph_config(tmp_path), "--out", str(a_file)],
+                              a_file),
+        "verify_surface_is_dir": (
+            ["verify", write_config(tmp_path, dict(verify_doc, surface=str(a_dir)), "dir.json")],
+            a_dir),
+        "verify_out_is_file": (["verify", write_config(tmp_path, verify_doc, "plane_cfg.json"),
+                                "--out", str(a_file)], a_file),
+        "export_surface_is_dir": (["export-plot", str(a_dir), "--out", str(tmp_path / "plot")],
+                                  a_dir),
+        "export_out_is_file": (["export-plot", str(tmp_path / "plane.json"), "--out",
+                                str(a_file)], a_file),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert str(path) in err
 
 
 def test_cli_artifacts_deterministic(tmp_path):

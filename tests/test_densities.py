@@ -119,6 +119,67 @@ def test_mixture_quantiles_all_levels_match_per_level():
     assert np.max(np.abs(ws.cdf(mix, together) - zs)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", all_variants(), ids=["std", "wide", "mix", "tab"])
+@pytest.mark.parametrize("bad", [0.0, 1.0, math.nan], ids=["zero", "one", "nan"])
+def test_quantiles_reject_levels_outside_the_open_interval(d, bad):
+    with pytest.raises(ValueError, match="quantile level must lie in"):
+        ws.quantiles(d, np.array([0.25, bad, 0.75]))
+    with pytest.raises(ValueError, match="quantile level must lie in"):
+        ws.quantile(d, bad)
+
+
+def test_tabulated_uniform_quantiles_are_exact():
+    # uniform on [0, 2]: the quantile is 2z, exact at dyadic levels whether
+    # or not the level falls on a node of the cumulative table
+    dyadic = np.arange(1, 64) / 64.0
+    for x in (np.array([0.0, 2.0]), np.linspace(0.0, 2.0, 5)):
+        d = ws.TabulatedDensity(x, np.ones_like(x))
+        assert np.array_equal(ws.quantiles(d, dyadic), 2.0 * dyadic)
+        assert np.array_equal(ws.quantiles(d, dyadic.reshape(9, 7)), 2.0 * dyadic.reshape(9, 7))
+        assert ws.quantile(d, 0.375) == 0.75
+
+
+@pytest.mark.parametrize("d", [all_variants()[3], ws.TabulatedDensity(
+    np.array([-1.0, 0.0, 0.5, 3.0]), np.array([0.0, 2.0, 0.0, 1.0]))], ids=["smooth", "kinked"])
+def test_tabulated_quantiles_round_trip_the_cdf(d):
+    zs = ws.QuantileGrid(1024).nodes
+    qs = ws.quantiles(d, zs)
+    assert np.all(np.diff(qs) > 0.0)
+    assert np.max(np.abs(ws.cdf(d, qs) - zs)) <= 1e-12
+
+
+def _tabulated_quantile_reference(d, z):
+    """Per-level inverse of the piecewise-quadratic CDF, one scalar level at a time."""
+    xs, ps, cum = d.x, d.pdf, d._cum
+    k = int(np.clip(np.searchsorted(cum, z, side="right") - 1, 0, xs.size - 2))
+    dx = xs[k + 1] - xs[k]
+    p0 = ps[k]
+    slope = (ps[k + 1] - p0) / dx
+    target = z - cum[k]
+    if target <= 0.0:
+        return float(xs[k])
+    denom = p0 + math.sqrt(max(p0 * p0 + 2.0 * slope * target, 0.0))
+    if denom <= 0.0:
+        return float(xs[k] + dx)
+    return float(xs[k] + 2.0 * target / denom)
+
+
+def test_tabulated_quantiles_equal_the_per_level_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 30))
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        pdf = np.where(rng.uniform(size=n) < 0.25, 0.0, rng.uniform(0.0, 2.0, n))
+        pdf[n // 2] = 1.0
+        d = ws.TabulatedDensity(x, pdf)
+        # midpoint levels, random levels and the CDF's own knots
+        zs = np.concatenate([ws.QuantileGrid(int(rng.integers(1, 200))).nodes,
+                             rng.uniform(1e-12, 1.0 - 1e-12, 40), d._cum[1:-1]])
+        zs = zs[(zs > 0.0) & (zs < 1.0)]
+        reference = [_tabulated_quantile_reference(d, z) for z in zs.tolist()]
+        assert np.array_equal(ws.quantiles(d, zs), reference)
+
+
 def test_mixture_quantile_raises_when_not_converged(monkeypatch):
     mix = ws.MixtureDensity(((0.5, ws.GaussianDensity(-1.5, 0.6)), (0.5, ws.GaussianDensity(1.5, 0.6))))
     monkeypatch.setattr(ws.densities, "MIXTURE_MAX_STEPS", 2)

@@ -391,10 +391,11 @@ def test_area_change_matches_plain_difference():
     step[1:-1, 1:-1] = 1e-2 * np.random.default_rng(5).standard_normal((grid.ns - 2, grid.nt - 2))
     moved = f.values.copy()
     moved[:, :, 1] += step
-    cells = ws.area.cell_area_field(f, acfg)
-    cells_try = ws.area.cell_area_field(ws.SurfaceField(grid, moved), acfg)
+    current = ws.cell_terms(f, acfg, slice(1, 2))
+    trial = ws.cell_terms(ws.SurfaceField(grid, moved), acfg, slice(1, 2), current.pinned)
+    cells, cells_try = current.cells, trial.cells
     plain = grid.hs * grid.ht * math.fsum((cells_try - cells).ravel().tolist())
-    exact = ws.area_change(ws.area.tangent_fields(f), cells, cells_try, step[..., None], slice(1, 2), grid, acfg)
+    exact = ws.area.terms_change(current, cells_try, step[..., None], grid)
     assert abs(plain) > 1e-6
     assert exact == pytest.approx(plain, rel=1e-12)
 
@@ -479,7 +480,7 @@ def _count_evaluations(monkeypatch):
     monkeypatch.setattr(wassersurf.solver, "cell_terms", recording_terms)
     monkeypatch.setattr(wassersurf.solver, "terms_change", recording_change)
     for module in (wassersurf.area, wassersurf.solver):
-        for name in ("tangent_fields", "cell_area_field", "area_gradient"):
+        for name in ("area_gradient", "degenerate_cell_count", "total_area"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
     return calls, trials
