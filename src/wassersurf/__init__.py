@@ -33,7 +33,6 @@ from .area import (
     area_gradient,
     cell_tangents,
     cell_terms,
-    degenerate_cell_count,
     quantile_weights,
     total_area,
 )

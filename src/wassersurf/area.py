@@ -153,11 +153,6 @@ def cell_terms(f: SurfaceField, cfg: AreaConfig, moving: slice = slice(None),
     return CellTerms(ds, dt, w, pinned, a, b, c, gram, cells)
 
 
-def degenerate_cell_count(f: SurfaceField, cfg: AreaConfig) -> int:
-    """Number of cells whose Gram determinant lies below the epsilon floor."""
-    return int(np.count_nonzero(cell_terms(f, cfg).gram < cfg.epsilon))
-
-
 def hourglass_amplitude(f: SurfaceField) -> float:
     """Largest hourglass mode |v00 - v10 - v01 + v11| over cells and coordinates.
 

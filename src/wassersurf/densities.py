@@ -122,12 +122,14 @@ def parse_density(doc: dict) -> Density1D:
     if kind == "gaussian":
         return GaussianDensity(real_number(doc["mean"], "mean"), real_number(doc["std"], "std"))
     if kind == "mixture":
-        comps = [
-            (real_number(c["weight"], f"components[{n}].weight"),
-             GaussianDensity(real_number(c["mean"], f"components[{n}].mean"),
-                             real_number(c["std"], f"components[{n}].std")))
-            for n, c in enumerate(doc["components"])
-        ]
+        comps = []
+        for n, c in enumerate(doc["components"]):
+            key = f"components[{n}]."
+            weight, mean, std = (real_number(c[k], key + k) for k in ("weight", "mean", "std"))
+            try:
+                comps.append((weight, GaussianDensity(mean, std)))
+            except ValueError as exc:
+                raise ValueError(key + str(exc)) from exc
         return MixtureDensity(tuple(comps))
     if kind == "tabulated":
         return TabulatedDensity(real_vector(doc["x"], "x"), real_vector(doc["pdf"], "pdf"))

@@ -172,9 +172,6 @@ def test_degenerate_cell_count():
     parallel = (s + t) * (1.0 + k)  # ds and dt parallel everywhere
     f = ws.SurfaceField(g, parallel)
     cfg = ws.AreaConfig(epsilon=1e-12)
-    assert ws.degenerate_cell_count(f, cfg) == 16
-    assert ws.degenerate_cell_count(graph_plane(g), cfg) == 0
-    # the residual counts the same cells from its own pass
     assert ws.euler_lagrange_residual(f, cfg).degenerate_cells == 16
     assert ws.euler_lagrange_residual(graph_plane(g), cfg).degenerate_cells == 0
 

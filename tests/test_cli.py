@@ -330,6 +330,10 @@ CORNER_CONFIGS = {
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
+    _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message)
+
+
+def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message):
     if problem == "graph":
         doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
     else:
@@ -345,6 +349,27 @@ def test_non_numeric_config_values_exit_2_naming_the_key(
     assert main(["solve", cfg]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("c00.std", 0.0, "corners.c00.mean and std must be finite with std > 0, got N(0.0, 0.0)"),
+    ("c10.components",
+     [{"weight": 0.5, "mean": -1.0, "std": 0.5}, {"weight": 0.5, "mean": 1.0, "std": -0.5}],
+     "corners.c10.components[1].mean and std must be finite with std > 0, got N(1.0, -0.5)"),
+    ("c10.components",
+     [{"weight": 0.5, "mean": -1.0, "std": 0.5}, {"weight": 0.25, "mean": 1.0, "std": 0.5}],
+     "corners.c10.components: weights sum to 0.75, not 1 within 1e-12"),
+    ("c10.components",
+     [{"weight": 1.5, "mean": -1.0, "std": 0.5}, {"weight": -0.5, "mean": 1.0, "std": 0.5}],
+     "corners.c10.components: weights must be positive"),
+    ("c01.x", [0.0, 2.0, 1.0], "corners.c01.x must be strictly increasing"),
+    ("c01.pdf", [0.0, 0.0, 0.0], "corners.c01.pdf has no mass"),
+    ("c11.type", "laplace",
+     "corners.c11.type must be 'gaussian', 'mixture' or 'tabulated', got 'laplace'"),
+], ids=["zero_std", "negative_component_std", "weights_not_summing_to_1",
+        "negative_weight", "non_increasing_x", "no_mass", "unknown_type"])
+def test_invalid_corner_values_exit_2_naming_the_key(tmp_path, capsys, key, value, message):
+    _assert_solve_rejects(tmp_path, capsys, "density1d", "corners", key, value, message)
 
 
 @pytest.mark.parametrize("problem", sorted(CORNER_CONFIGS))

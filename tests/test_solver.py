@@ -480,7 +480,7 @@ def _count_evaluations(monkeypatch):
     monkeypatch.setattr(wassersurf.solver, "cell_terms", recording_terms)
     monkeypatch.setattr(wassersurf.solver, "terms_change", recording_change)
     for module in (wassersurf.area, wassersurf.solver):
-        for name in ("area_gradient", "degenerate_cell_count", "total_area"):
+        for name in ("area_gradient", "total_area"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
     return calls, trials
