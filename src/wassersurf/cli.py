@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from .grid import (
     load_json,
     real_number,
     real_vector,
+    required,
     save_csv,
     save_json,
     whole_number,
@@ -92,8 +93,7 @@ CONFIG_KEYS = {
     "": ("problem", "grid", "corners", "oracle", "oracles", "solver", "area", "perturb",
          "tolerances", "surface", "samples", "out"),
     "grid": ("ns", "nt", "m"),
-    "solver": ("method", "max_iters", "grad_tol", "armijo_c1", "backtrack", "step0",
-               "max_backtracks"),
+    "solver": ("method", "max_iters", "grad_tol", "step0", "max_backtracks"),
     "area": ("epsilon",),
     "perturb": ("amplitude", "seed"),
     "tolerances": ("minimal_surface", "euler_lagrange", "critical_point"),
@@ -120,6 +120,12 @@ def _section(doc: dict, key: str) -> dict:
     return sub
 
 
+def _settings(doc: dict, section: str, parsers: dict) -> dict:
+    """The keys of ``doc`` that ``parsers`` names, each parsed; absent keys keep their defaults."""
+    return {key: parse(doc[key], f"{section}.{key}") for key, parse in parsers.items()
+            if key in doc}
+
+
 def parse_oracle(doc: dict, name: str = "oracle"):
     """Build an analytic surface plus window/offset from its config form.
 
@@ -129,7 +135,7 @@ def parse_oracle(doc: dict, name: str = "oracle"):
         raise ConfigError("an oracle must be a JSON object")
 
     def real(key, default=None):
-        value = doc[key] if default is None else doc.get(key, default)
+        value = required(doc, key, f"{name}.{key}") if default is None else doc.get(key, default)
         return real_number(value, f"{name}.{key}")
 
     kind = doc.get("oracle")
@@ -158,7 +164,7 @@ class RunConfig:
     oracle: tuple | None
     oracles: list
     solver: SolverConfig
-    area_epsilon: float
+    area: AreaConfig
     perturb_amplitude: float
     perturb_seed: int
     out: Path
@@ -217,23 +223,19 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
     if method != "nonlinear-cg":
         raise ConfigError(f"solver.method must be 'nonlinear-cg', got {method!r}")
     try:
-        solver = SolverConfig(
-            max_iters=whole_number(sdoc.get("max_iters", 5000), "solver.max_iters"),
-            grad_tol=(None if sdoc.get("grad_tol") is None
-                      else real_number(sdoc["grad_tol"], "solver.grad_tol")),
-            armijo_c1=real_number(sdoc.get("armijo_c1", 1e-4), "solver.armijo_c1"),
-            backtrack=real_number(sdoc.get("backtrack", 0.5), "solver.backtrack"),
-            step0=real_number(sdoc.get("step0", 1.0), "solver.step0"),
-            max_backtracks=whole_number(sdoc.get("max_backtracks", 40),
-                                        "solver.max_backtracks"),
-        )
+        solver = SolverConfig(**_settings(sdoc, "solver", {
+            "max_iters": whole_number,
+            # null keeps the grid-scaled default
+            "grad_tol": lambda value, name: None if value is None else real_number(value, name),
+            "step0": real_number,
+            "max_backtracks": whole_number,
+        }))
     except ValueError as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
-    adoc = _section(doc, "area")
-    area_epsilon = real_number(adoc.get("epsilon", 1e-12), "area.epsilon")
+    area_settings = _settings(_section(doc, "area"), "area", {"epsilon": real_number})
     try:
-        AreaConfig(epsilon=area_epsilon)
+        area = AreaConfig(**area_settings)
     except ValueError as exc:
         raise ConfigError(f"area.{exc}") from exc
     pdoc = _section(doc, "perturb")
@@ -260,7 +262,7 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         oracle=oracle,
         oracles=oracles,
         solver=solver,
-        area_epsilon=area_epsilon,
+        area=area,
         perturb_amplitude=amplitude,
         perturb_seed=seed,
         out=out,
@@ -277,7 +279,7 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
 
 def _assemble(cfg: RunConfig):
     """Build (boundary, init, area config, free coords, oracle field, qgrid)."""
-    acfg = AreaConfig(epsilon=cfg.area_epsilon)
+    acfg = cfg.area
     if cfg.problem == "graph":
         if cfg.oracle is None:
             raise ConfigError("graph problems need an 'oracle' boundary")
@@ -297,7 +299,8 @@ def _assemble(cfg: RunConfig):
             if cdoc.get("type") != "gaussian_diag":
                 raise ConfigError(f"corner {key} must have type 'gaussian_diag'")
             try:
-                diag = real_vector(cdoc["diag"], f"corners.{key}.diag")
+                diag = real_vector(required(cdoc, "diag", f"corners.{key}.diag"),
+                                   f"corners.{key}.diag")
             except TypeError as exc:
                 raise ConfigError(f"corner {key} diag must be positive reals") from exc
             if np.any(diag <= 0.0):
@@ -323,7 +326,7 @@ def _assemble(cfg: RunConfig):
         boundary = boundary_from_corners(
             dens["c00"], dens["c10"], dens["c01"], dens["c11"], cfg.grid, qg
         )
-        acfg = AreaConfig(epsilon=cfg.area_epsilon, weights=quantile_weights(cfg.m))
+        acfg = replace(cfg.area, weights=quantile_weights(cfg.m))
         return boundary, coons_init(boundary), acfg, None, None, qg
 
     raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")
@@ -356,9 +359,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     boundary, init, acfg, free, oracle_field, qg = _assemble(cfg)
     if cfg.perturb_amplitude != 0.0:
         init = perturb_interior(init, cfg.perturb_amplitude, cfg.perturb_seed, free)
+    # an unusable --out fails here, before the solve; a config error earlier
+    # leaves no directory behind
+    cfg.out.mkdir(parents=True, exist_ok=True)
     report = minimize(init, boundary, cfg.solver, acfg, free_coords=free)
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
     save_csv(report.field, cfg.out / "surface.csv")
     save_json(report.field, cfg.out / "surface.json")
     _write_boundary_csv(boundary, cfg.out / "boundary.csv")
@@ -431,7 +436,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.surface_path is not None:
         field = _load_surface(cfg.surface_path)
         weights = quantile_weights(field.dim) if cfg.problem == "density1d" else None
-        acfg = AreaConfig(epsilon=cfg.area_epsilon, weights=weights)
+        acfg = replace(cfg.area, weights=weights)
         rep = euler_lagrange_residual(field, acfg)
         entry = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
         if "euler_lagrange" in cfg.tolerances:

@@ -23,6 +23,7 @@ from .grid import (
     edges_from_corner_vectors,
     real_number,
     real_vector,
+    required,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -115,24 +116,27 @@ Density1D = Union[GaussianDensity, MixtureDensity, TabulatedDensity]
 def parse_density(doc: dict) -> Density1D:
     """Build a density from its JSON configuration form.
 
-    Numbers go through ``grid.real_number``; a ValueError names its key
-    relative to ``doc`` (``std``, ``components[1].weight``, ``x[2]``).
+    Numbers go through ``grid.real_number``; a ValueError, for a bad or a
+    missing value, names its key relative to ``doc`` (``std``,
+    ``components[1].weight``, ``x[2]``).
     """
     kind = doc.get("type")
     if kind == "gaussian":
-        return GaussianDensity(real_number(doc["mean"], "mean"), real_number(doc["std"], "std"))
+        mean, std = (real_number(required(doc, k, k), k) for k in ("mean", "std"))
+        return GaussianDensity(mean, std)
     if kind == "mixture":
         comps = []
-        for n, c in enumerate(doc["components"]):
+        for n, c in enumerate(required(doc, "components", "components")):
             key = f"components[{n}]."
-            weight, mean, std = (real_number(c[k], key + k) for k in ("weight", "mean", "std"))
+            weight, mean, std = (real_number(required(c, k, key + k), key + k)
+                                 for k in ("weight", "mean", "std"))
             try:
                 comps.append((weight, GaussianDensity(mean, std)))
             except ValueError as exc:
                 raise ValueError(key + str(exc)) from exc
         return MixtureDensity(tuple(comps))
     if kind == "tabulated":
-        return TabulatedDensity(real_vector(doc["x"], "x"), real_vector(doc["pdf"], "pdf"))
+        return TabulatedDensity(*(real_vector(required(doc, k, k), k) for k in ("x", "pdf")))
     raise ValueError(f"type must be 'gaussian', 'mixture' or 'tabulated', got {kind!r}")
 
 
@@ -169,7 +173,8 @@ def standard_normal_quantile(z):
     correction never loses precision to cancellation.
     """
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr <= 0.0) or np.any(z_arr >= 1.0):
+    # written so that NaN fails it too
+    if not np.all((z_arr > 0.0) & (z_arr < 1.0)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     flip = z_arr > 0.5
     p = np.where(flip, 1.0 - z_arr, z_arr)

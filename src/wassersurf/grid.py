@@ -29,6 +29,13 @@ def whole_number(value, name: str) -> int:
     return int(value)
 
 
+def required(doc: dict, key: str, name: str):
+    """``doc[key]``; raises ValueError naming the key as ``name`` when it is absent."""
+    if key not in doc:
+        raise ValueError(f"{name} is required")
+    return doc[key]
+
+
 def real_number(value, name: str) -> float:
     """``value`` as a float; raises ValueError for a string, a boolean or any other non-number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

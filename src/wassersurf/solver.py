@@ -3,9 +3,9 @@
 The solver moves only interior node values (one coordinate, or all of
 them) with the four boundary edges held bit-exactly fixed.  Every solve
 runs one loop: take the area gradient g and the max-norms of its normal
-and tangential parts, apply the problem's metric to get z, step along
-d = -z + beta*d under a backtracking Armijo line search, and stop once
-the gradient meets ``grad_tol``.  The line search's decrease
+and tangential parts, step along d = -P M^-1 P g (the problem's metric
+M^-1 and projector P) under a backtracking Armijo line search, and stop
+once the gradient meets ``grad_tol``.  The line search's decrease
 (``area.terms_change``) is evaluated without cancellation (sum of
 dG / (A_try + A) over cells, dG expanded in the step's own tangents), so
 every accepted step strictly decreases the area and the area trace is
@@ -15,8 +15,8 @@ areas become the current terms, which feed the next decrease, the next
 gradient (the fluxes of the moving coordinates only) and, on all-free
 solves, the frozen operator below.  The Gram terms of pinned coordinates
 never change, so they are taken once per solve and each trial takes the
-tangents of the moving coordinates only.  A conjugate direction that
-fails its line search is retried once from -z before the solve reports a
+tangents of the moving coordinates only.  A failed line search, or a
+direction along which the area does not fall, stops the solve with a
 stall.  ``free_coords`` names one coordinate or all of them; a proper
 subset of several is rejected, since no problem here poses one and the
 area is not convex in it.
@@ -29,8 +29,7 @@ The two metrics differ in what the parametrization leaves free:
   initial field; the projector is the identity.  With the other
   coordinates pinned, each cell area sqrt(G_p + grad z^T M grad z)
   (M positive semidefinite) is convex in the free coordinate, so this
-  preconditioned Polak-Ribiere (PR+) descent takes a grid-independent
-  number of steps.
+  preconditioned descent takes a grid-independent number of steps.
 * Every coordinate free (density and corner-driven covariance problems):
   the area is not convex, the parametrization is a gauge, and the
   cell-centred area cannot see tangential or hourglass motion of the
@@ -43,11 +42,6 @@ The two metrics differ in what the parametrization leaves free:
   sqrt(G) per cell, is frozen at the current field, so that g_k = w_k
   S[x_k].  S is inverted by matrix-free PCG over all coordinates at once,
   preconditioned by the DST-I inverse at S's mean coefficients.
-
-beta is PR+ on the fixed DST metric and exactly 0 on the re-frozen
-Laplace-Beltrami metric: a full step there already solves the frozen
-problem, and a conjugate term measured against the previous step's
-metric only costs steps.
 
 The gradient's tangential (gauge) part belongs to the parametrization, not
 to the surface: normal steps cannot remove it, and the unprojected
@@ -67,12 +61,12 @@ of dimension at most 3, plus one direction for a seeded perturbation, so r
 is usually far below m.  The reduction is exact: with uniform weights the
 gradient at a node is a combination of its cells' tangents, the node
 tangents lie in span(U) and S acts on each coordinate alike, so iterates,
-gradients and search directions never leave span(U), and since U is
-orthonormal the reduced area, inner products and step lengths equal the
-full ones up to rounding.  The stopping test still takes the max-norms of
-the lifted full-space gradient and its parts.  Non-uniform weights, a
-full-rank field or a given ``free_coords`` keep the full space.  Either
-way the loop moves one contiguous run of coordinates, held as a slice.
+gradients and steps never leave span(U), and since U is orthonormal the
+reduced area, inner products and step lengths equal the full ones up to
+rounding.  The stopping test still takes the max-norms of the lifted
+full-space gradient and its parts.  Non-uniform weights, a full-rank
+field or a given ``free_coords`` keep the full space.  Either way the
+loop moves one contiguous run of coordinates, held as a slice.
 
 The discrete optimality residual is the flux divergence of the area
 module's one flux kernel, the same one ``area_gradient`` scales by -hs*ht,
@@ -104,6 +98,9 @@ from .errors import ShapeMismatchError, SolverNaNError
 from .grid import BoundarySpec, Grid2, SurfaceField
 
 
+# Armijo sufficient-decrease constant and backtracking factor of the line search
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
 # inner PCG of the Laplace-Beltrami step: relative residual and step budget
 _PCG_RTOL = 1e-6
 _PCG_STEPS = 200
@@ -120,8 +117,6 @@ def default_grad_tol(grid: Grid2) -> float:
 class SolverConfig:
     max_iters: int = 5000
     grad_tol: float | None = None
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
     step0: float = 1.0
     max_backtracks: int = 40
 
@@ -132,9 +127,8 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive and finite")
         if not self.max_backtracks >= 0:
             raise ValueError("max_backtracks must be >= 0")
-        if not (0.0 < self.armijo_c1 < 1.0 and 0.0 < self.backtrack < 1.0
-                and 0.0 < self.step0 < math.inf):
-            raise ValueError("invalid line-search parameters")
+        if not 0.0 < self.step0 < math.inf:
+            raise ValueError("step0 must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -412,17 +406,16 @@ def minimize(
     graph problems pin the two affine parameter coordinates and descend
     on the height alone); the rest of the field is treated as data.  It
     names one coordinate or all of them, else ValueError.  One loop serves
-    both (see the module docstring): PR+ conjugate gradients in the fixed
-    DST metric with one coordinate free, normal-projected Laplace-Beltrami
-    steps with every coordinate free.  With ``free_coords=None`` and
-    uniform weights the loop runs in the span of the initial field, and
-    ``span_rank`` reports the dimension used.
+    both (see the module docstring): steps in the fixed DST metric with one
+    coordinate free, normal-projected Laplace-Beltrami steps with every
+    coordinate free.  With ``free_coords=None`` and uniform weights the
+    loop runs in the span of the initial field, and ``span_rank`` reports
+    the dimension used.
 
     A solve that stops short returns the best field seen so far with
     ``converged=False`` and a ``stall`` that says why: a line search that
-    failed after the backtracking budget (a conjugate direction first gets
-    one retry from the preconditioned gradient), a step direction that is
-    not a descent direction, or ``max_iters`` spent.  Non-finite objective
+    failed after the backtracking budget, a step direction that is not a
+    descent direction, or ``max_iters`` spent.  Non-finite objective
     values raise SolverNaNError with the iteration.
     """
     grid = init.grid
@@ -501,9 +494,9 @@ def minimize(
             delta = terms_change(terms, trial.cells, step, grid)
             if math.isnan(delta):
                 raise SolverNaNError(it, "objective is NaN during line search")
-            if delta <= cfg.armijo_c1 * alpha * slope:
+            if delta <= _ARMIJO_C1 * alpha * slope:
                 return alpha, delta, trial
-            alpha *= cfg.backtrack
+            alpha *= _BACKTRACK
         return None, None, None
 
     def measure():
@@ -526,36 +519,20 @@ def minimize(
     g = terms_gradient(terms, grid).ravel()
     project, u, gfull, gnorm, tangential = measure()
     converged = settled()
-    d = np.zeros_like(x)
-    z = None
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
-        z, z_prev = project(precondition(u)).ravel(), z
-        # PR+ on the fixed metric; 0 on the re-frozen one, whose full step
-        # already solves the frozen problem
-        beta = 0.0
-        if not (all_free or z_prev is None):
-            beta = max(0.0, float(np.dot(z, g - g_prev)) / float(np.dot(z_prev, g_prev)))
-        d = -z + beta * d
+        d = -project(precondition(u)).ravel()
         slope = float(np.dot(g, d))
         if math.isnan(slope):
             raise SolverNaNError(it, "gradient or search direction is not finite")
-        searches, alpha = 0, None
-        for restart in (False, True):
-            if restart:
-                # once from the preconditioned gradient before declaring a stall
-                if not beta:
-                    break
-                d, slope = -z, -float(np.dot(g, z))
-            if slope < 0.0:
-                searches += 1
-                alpha, delta, accepted = line_search(d, slope)
-                if alpha is not None:
-                    break
+        alpha = None
+        if slope < 0.0:
+            alpha, delta, accepted = line_search(d, slope)
         if alpha is None:
             push(x)
-            stall = (it, searches)
+            # a failed search, or no descent direction and no search at all
+            stall = (it, slope < 0.0)
             break
         x = x + alpha * d
         push(x)
@@ -564,7 +541,7 @@ def minimize(
         terms = accepted
         f_cur = f_cur + delta
         trace.append(f_cur)
-        g_prev, g = g, terms_gradient(terms, grid).ravel()
+        g = terms_gradient(terms, grid).ravel()
         project, u, gfull, gnorm, tangential = measure()
         converged = settled()
     if not (converged or stall):
@@ -598,27 +575,27 @@ def minimize(
     )
 
 
-def _stall_message(it, searches, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str:
+def _stall_message(it, searched, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str:
     """Why the solve stopped early, with the numbers that say what to change.
 
-    ``searches`` is the number of line searches that failed at iteration
-    ``it``; 0 means none ran because the step's direction was not a descent
-    direction, and None that ``max_iters`` ran out with every step accepted.
+    ``searched`` is true when the line search of iteration ``it`` failed,
+    false when none ran because the step's direction was not a descent
+    direction, and None when ``max_iters`` ran out with every step accepted.
     ``gfull`` and ``gnorm`` are the max-norms of the gradient and of its
     normal part (equal when coordinates are pinned).
     """
     advice = "raise grad_tol if the gradient sits at its rounding floor"
-    if searches is None:
+    if searched is None:
         head = (
             f"iteration budget spent: max_iters = {cfg.max_iters} steps were all accepted "
             f"without meeting the stopping test"
         )
         advice = f"raise max_iters if the gradient is still falling, or {advice}"
-    elif searches:
-        last_alpha = cfg.step0 * cfg.backtrack**cfg.max_backtracks
+    elif searched:
+        last_alpha = cfg.step0 * _BACKTRACK**cfg.max_backtracks
         head = (
-            f"line search stalled at iteration {it}: {searches * cfg.max_backtracks} backtracks "
-            f"over {searches} search(es) down to step {last_alpha:.3e} gave no Armijo decrease"
+            f"line search stalled at iteration {it}: {cfg.max_backtracks} backtracks "
+            f"down to step {last_alpha:.3e} gave no Armijo decrease"
         )
         advice = f"raise max_backtracks or lower step0 if the step is too long, or {advice}"
     else:

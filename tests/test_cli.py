@@ -216,6 +216,9 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
         "tolerances.euler_lagrang": ("tolerances", "euler_lagrang", 1.0),
         "outdir": (None, "outdir", "x"),
         "formats": (None, "formats", ["csv"]),
+        # line-search constants, not settings
+        "solver.armijo_c1": ("solver", "armijo_c1", 1e-4),
+        "solver.backtrack": ("solver", "backtrack", 0.5),
     }
     for name, (section, key, value) in edits.items():
         doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
@@ -293,10 +296,6 @@ CORNER_CONFIGS = {
     ("graph", "area", "epsilon", "abc", "area.epsilon must be a real number, got 'abc'"),
     ("graph", "solver", "grad_tol", True,
      "invalid solver config: solver.grad_tol must be a real number, got True"),
-    ("graph", "solver", "armijo_c1", "1e-4",
-     "invalid solver config: solver.armijo_c1 must be a real number, got '1e-4'"),
-    ("graph", "solver", "backtrack", False,
-     "invalid solver config: solver.backtrack must be a real number, got False"),
     ("graph", "solver", "step0", "1",
      "invalid solver config: solver.step0 must be a real number, got '1'"),
     ("graph", "perturb", "amplitude", "1e-3",
@@ -322,11 +321,28 @@ CORNER_CONFIGS = {
      "corners.c01.pdf[1] must be a real number, got False"),
     ("gaussian-diag", "corners", "c00.diag", [1.0, True, "0.5"],
      "corners.c00.diag[1] must be a real number, got True"),
-], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
-        "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
-        "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
-        "string_corner_std", "bool_corner_mean", "string_mixture_weight",
-        "string_tabulated_x", "bool_tabulated_pdf", "bool_gaussian_diag_entry"])
+    # a required key that is missing is named the same way
+    ("graph", None, "oracle",
+     {"oracle": "plane", "a1": 1.0, "a2": 0.0, "window": [0.0, 1.0]}, "oracle.a3 is required"),
+    ("graph", None, "oracles",
+     [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
+      {"oracle": "catenoid", "r1": 1.0, "window": [0.8, 2.1]}], "oracles[1].c1 is required"),
+    ("density1d", "corners", "c00", {"type": "gaussian", "mean": 0.0},
+     "corners.c00.std is required"),
+    ("density1d", "corners", "c01",
+     {"type": "mixture", "components": [{"weight": 1.0, "mean": 0.0}]},
+     "corners.c01.components[0].std is required"),
+    ("density1d", "corners", "c01", {"type": "tabulated", "x": [0.0, 1.0]},
+     "corners.c01.pdf is required"),
+    ("gaussian-diag", "corners", "c00", {"type": "gaussian_diag"},
+     "corners.c00.diag is required"),
+], ids=["string_epsilon", "bool_grad_tol", "string_step0", "string_amplitude",
+        "string_oracle_c", "bool_oracle_k1", "string_z_offset", "string_window_entry",
+        "bool_window_entry", "long_window", "string_corner_std", "bool_corner_mean",
+        "string_mixture_weight", "string_tabulated_x", "bool_tabulated_pdf",
+        "bool_gaussian_diag_entry", "missing_plane_a3", "missing_catenoid_c1",
+        "missing_gaussian_std", "missing_component_std", "missing_tabulated_pdf",
+        "missing_gaussian_diag"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
@@ -339,8 +355,8 @@ def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, messag
     else:
         doc = json.loads(json.dumps(CORNER_CONFIGS[problem]))
         doc["out"] = str(tmp_path / "run")
-    # ``key`` may be a dotted path inside ``section``
-    target = doc.setdefault(section, {})
+    # ``key`` may be a dotted path inside ``section`` (None: the top level)
+    target = doc if section is None else doc.setdefault(section, {})
     *path, last = key.split(".")
     for part in path:
         target = target[part]
@@ -844,7 +860,11 @@ def test_export_plot_missing_file(tmp_path):
 @pytest.mark.parametrize("case", ["solve_out_is_file", "verify_surface_is_dir",
                                   "verify_out_is_file", "export_surface_is_dir",
                                   "export_out_is_file"])
-def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, case):
+def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, monkeypatch, case):
+    def never(*args, **kwargs):
+        raise AssertionError("an unusable --out must fail before the solve")
+
+    monkeypatch.setattr("wassersurf.cli.minimize", never)
     plane = ws.graph_field(ws.Plane(2.0, 3.0, 1.0), ws.Grid2(5, 5), ((0.0, 1.0), (0.0, 1.0)))
     ws.save_json(plane, tmp_path / "plane.json")
     a_file, a_dir = tmp_path / "taken", tmp_path / "folder.json"

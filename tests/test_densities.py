@@ -50,6 +50,12 @@ def test_quantile_rejects_out_of_range():
             ws.quantile(STD_GAUSSIAN, z)
 
 
+@pytest.mark.parametrize("z", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+def test_standard_normal_quantile_rejects_nan(z):
+    with pytest.raises(ValueError, match="strictly inside"):
+        ws.standard_normal_quantile(z)
+
+
 def test_gaussian_validation():
     with pytest.raises(ValueError):
         ws.GaussianDensity(0.0, 0.0)
