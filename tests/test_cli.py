@@ -216,9 +216,6 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
         "tolerances.euler_lagrang": ("tolerances", "euler_lagrang", 1.0),
         "outdir": (None, "outdir", "x"),
         "formats": (None, "formats", ["csv"]),
-        # line-search constants, not settings
-        "solver.armijo_c1": ("solver", "armijo_c1", 1e-4),
-        "solver.backtrack": ("solver", "backtrack", 0.5),
     }
     for name, (section, key, value) in edits.items():
         doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
@@ -292,10 +289,18 @@ CORNER_CONFIGS = {
 }
 
 
+SOLVER_KEYS = "method, max_iters, grad_tol, step0, max_backtracks"
+
+
 @pytest.mark.parametrize("problem, section, key, value, message", [
     ("graph", "area", "epsilon", "abc", "area.epsilon must be a real number, got 'abc'"),
     ("graph", "solver", "grad_tol", True,
      "invalid solver config: solver.grad_tol must be a real number, got True"),
+    # line-search constants, not settings: rejected by name whatever their value
+    ("graph", "solver", "armijo_c1", "1e-4",
+     "unknown key 'solver.armijo_c1'; solver takes " + SOLVER_KEYS),
+    ("graph", "solver", "backtrack", False,
+     "unknown key 'solver.backtrack'; solver takes " + SOLVER_KEYS),
     ("graph", "solver", "step0", "1",
      "invalid solver config: solver.step0 must be a real number, got '1'"),
     ("graph", "perturb", "amplitude", "1e-3",
@@ -336,12 +341,12 @@ CORNER_CONFIGS = {
      "corners.c01.pdf is required"),
     ("gaussian-diag", "corners", "c00", {"type": "gaussian_diag"},
      "corners.c00.diag is required"),
-], ids=["string_epsilon", "bool_grad_tol", "string_step0", "string_amplitude",
-        "string_oracle_c", "bool_oracle_k1", "string_z_offset", "string_window_entry",
-        "bool_window_entry", "long_window", "string_corner_std", "bool_corner_mean",
-        "string_mixture_weight", "string_tabulated_x", "bool_tabulated_pdf",
-        "bool_gaussian_diag_entry", "missing_plane_a3", "missing_catenoid_c1",
-        "missing_gaussian_std", "missing_component_std", "missing_tabulated_pdf",
+], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
+        "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
+        "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
+        "string_corner_std", "bool_corner_mean", "string_mixture_weight",
+        "string_tabulated_x", "bool_tabulated_pdf", "bool_gaussian_diag_entry",
+        "missing_plane_a3", "missing_catenoid_c1", "missing_gaussian_std", "missing_component_std", "missing_tabulated_pdf",
         "missing_gaussian_diag"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
