@@ -62,7 +62,8 @@ class MixtureDensity:
         comps = []
         for w, g in self.components:
             w = float(w)
-            if w <= 0.0:
+            # written so that a NaN weight fails too
+            if not w > 0.0:
                 raise ValueError("components: weights must be positive")
             if not isinstance(g, GaussianDensity):
                 g = GaussianDensity(*g)

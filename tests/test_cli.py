@@ -326,6 +326,8 @@ SOLVER_KEYS = "method, max_iters, grad_tol, step0, max_backtracks"
      "corners.c01.pdf[1] must be a real number, got False"),
     ("gaussian-diag", "corners", "c00.diag", [1.0, True, "0.5"],
      "corners.c00.diag[1] must be a real number, got True"),
+    ("gaussian-diag", "corners", "c00.diag", [1.0, math.nan, 0.5],
+     "corner c00 diag must be positive reals"),
     # a required key that is missing is named the same way
     ("graph", None, "oracle",
      {"oracle": "plane", "a1": 1.0, "a2": 0.0, "window": [0.0, 1.0]}, "oracle.a3 is required"),
@@ -346,6 +348,7 @@ SOLVER_KEYS = "method, max_iters, grad_tol, step0, max_backtracks"
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
         "string_corner_std", "bool_corner_mean", "string_mixture_weight",
         "string_tabulated_x", "bool_tabulated_pdf", "bool_gaussian_diag_entry",
+        "nan_gaussian_diag_entry",
         "missing_plane_a3", "missing_catenoid_c1", "missing_gaussian_std", "missing_component_std", "missing_tabulated_pdf",
         "missing_gaussian_diag"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
@@ -383,12 +386,16 @@ def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, messag
     ("c10.components",
      [{"weight": 1.5, "mean": -1.0, "std": 0.5}, {"weight": -0.5, "mean": 1.0, "std": 0.5}],
      "corners.c10.components: weights must be positive"),
+    # json reads the NaN literal; a NaN weight fails the positivity check
+    ("c10.components",
+     [{"weight": math.nan, "mean": -1.0, "std": 0.5}, {"weight": 1.0, "mean": 1.0, "std": 0.5}],
+     "corners.c10.components: weights must be positive"),
     ("c01.x", [0.0, 2.0, 1.0], "corners.c01.x must be strictly increasing"),
     ("c01.pdf", [0.0, 0.0, 0.0], "corners.c01.pdf has no mass"),
     ("c11.type", "laplace",
      "corners.c11.type must be 'gaussian', 'mixture' or 'tabulated', got 'laplace'"),
 ], ids=["zero_std", "negative_component_std", "weights_not_summing_to_1",
-        "negative_weight", "non_increasing_x", "no_mass", "unknown_type"])
+        "negative_weight", "nan_weight", "non_increasing_x", "no_mass", "unknown_type"])
 def test_invalid_corner_values_exit_2_naming_the_key(tmp_path, capsys, key, value, message):
     _assert_solve_rejects(tmp_path, capsys, "density1d", "corners", key, value, message)
 
@@ -454,6 +461,17 @@ def test_perturbed_solve_does_not_import_numpy_random(tmp_path, problem):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["converged"] is True
+
+
+def test_module_entry_solves_and_exits_0(tmp_path):
+    # ``python -m wassersurf.cli`` goes through ``run``, not a direct ``main`` call
+    cfg = scherk_graph_config(tmp_path, out="out")
+    src = str(Path(ws.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "wassersurf.cli", "solve", cfg], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "surface.csv").is_file()
 
 
 def test_catenoid_sign_is_a_whole_number(tmp_path, capsys):
