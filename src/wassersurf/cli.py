@@ -14,7 +14,7 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,9 @@ EXIT_NUMERIC = 5
 
 PROBLEMS = ("graph", "density1d", "gaussian-diag", "analytic-verify")
 
+#: points per direction on which ``verify`` samples each oracle's window
+ORACLE_SAMPLES = 21
+
 
 class ConfigError(ValueError):
     pass
@@ -92,23 +95,33 @@ def _parse_window(doc, name: str) -> tuple:
 #: other key is a config error, so a misspelt setting never falls back silently
 CONFIG_KEYS = {
     "": ("problem", "grid", "corners", "oracle", "oracles", "solver", "area", "perturb",
-         "tolerances", "surface", "samples", "out"),
+         "tolerances", "surface", "out"),
     "grid": ("ns", "nt", "m"),
-    "solver": ("method", "max_iters", "grad_tol", "step0", "max_backtracks"),
+    "corners": ("c00", "c10", "c01", "c11"),
+    "solver": ("method", "max_iters", "grad_tol"),
     "area": ("epsilon",),
     "perturb": ("amplitude", "seed"),
     "tolerances": ("minimal_surface", "euler_lagrange", "critical_point"),
 }
+#: the closed form of each oracle type; the fields of its class are its parameters
+ORACLES = {"plane": analytic.Plane, "scherk": analytic.Scherk,
+           "catenoid": analytic.Catenoid, "helicoid": analytic.Helicoid}
+#: keys of a corner by its type, besides ``type``, and of a mixture component
+CORNER_KEYS = {
+    "gaussian": ("mean", "std"),
+    "mixture": ("components",),
+    "tabulated": ("x", "pdf"),
+    "gaussian_diag": ("diag",),
+}
+COMPONENT_KEYS = ("weight", "mean", "std")
 
 
-def _check_keys(doc: dict, section: str) -> None:
-    known = CONFIG_KEYS[section]
+def _check_keys(doc: dict, known, where: str = "") -> None:
+    """Reject a key of ``doc`` that ``known`` lacks; ``where`` is the dotted prefix of its name."""
     for key in doc:
         if key not in known:
-            name = f"{section}.{key}" if section else key
-            raise ConfigError(
-                f"unknown key {name!r}; {section or 'the top level'} takes {', '.join(known)}"
-            )
+            raise ConfigError(f"unknown key {where + key!r}; "
+                              f"{where.rstrip('.') or 'the top level'} takes {', '.join(known)}")
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -117,8 +130,19 @@ def _section(doc: dict, key: str) -> dict:
     if not isinstance(sub, dict):
         raise ConfigError(f"'{key}' must be a JSON object")
     if key in CONFIG_KEYS:
-        _check_keys(sub, key)
+        _check_keys(sub, CONFIG_KEYS[key], key + ".")
     return sub
+
+
+def _check_corner_keys(doc: dict, where: str) -> None:
+    """Key-check a corner of a known type and its mixture components; a bad type fails later."""
+    kind = doc.get("type")
+    if isinstance(kind, str) and kind in CORNER_KEYS:
+        _check_keys(doc, ("type",) + CORNER_KEYS[kind], where)
+    components = doc.get("components") if kind == "mixture" else None
+    for n, comp in enumerate(components if isinstance(components, list) else ()):
+        if isinstance(comp, dict):
+            _check_keys(comp, COMPONENT_KEYS, f"{where}components[{n}].")
 
 
 def _settings(doc: dict, section: str, parsers: dict) -> dict:
@@ -130,30 +154,24 @@ def _settings(doc: dict, section: str, parsers: dict) -> dict:
 def parse_oracle(doc: dict, name: str = "oracle"):
     """Build an analytic surface plus window/offset from its config form.
 
-    ``name`` is where ``doc`` sits in the config; error messages name keys by it.
+    A parameter of the oracle's class without a default is required, and an
+    int one (the catenoid's ``sign``) must be a whole number.  ``name`` is
+    where ``doc`` sits in the config; error messages name keys by it.
     """
     if not isinstance(doc, dict):
         raise ConfigError("an oracle must be a JSON object")
-
-    def real(key, default=None):
-        value = required(doc, key, f"{name}.{key}") if default is None else doc.get(key, default)
-        return real_number(value, f"{name}.{key}")
-
     kind = doc.get("oracle")
-    if kind == "plane":
-        surf = analytic.Plane(real("a1"), real("a2"), real("a3"))
-    elif kind == "scherk":
-        surf = analytic.Scherk(real("c"), real("k1", 0.0), real("k2", 0.0), real("offset", 0.0))
-    elif kind == "catenoid":
-        surf = analytic.Catenoid(
-            real("c1"), real("r1"), whole_number(doc.get("sign", 1), f"{name}.sign")
-        )
-    elif kind == "helicoid":
-        surf = analytic.Helicoid(real("c1"), real("c2"))
-    else:
+    if not (isinstance(kind, str) and kind in ORACLES):
         raise ConfigError(f"unknown oracle {kind!r}")
+    params = fields(ORACLES[kind])
+    _check_keys(doc, ("oracle", "window", "z_offset", *(p.name for p in params)), name + ".")
+    surf = ORACLES[kind](**{
+        p.name: (whole_number if p.type is int else real_number)(
+            required(doc, p.name, f"{name}.{p.name}"), f"{name}.{p.name}")
+        for p in params if p.name in doc or p.default is MISSING
+    })
     window = _parse_window(doc.get("window"), f"{name}.window")
-    return surf, window, real("z_offset", 0.0)
+    return surf, window, real_number(doc.get("z_offset", 0.0), f"{name}.z_offset")
 
 
 @dataclass
@@ -171,7 +189,6 @@ class RunConfig:
     out: Path
     tolerances: dict
     surface_path: str | None
-    samples: int
 
 
 def load_config(path, out_override=None) -> RunConfig:
@@ -189,7 +206,7 @@ def load_config(path, out_override=None) -> RunConfig:
 
 
 def _parse_config(doc: dict, out_override) -> RunConfig:
-    _check_keys(doc, "")
+    _check_keys(doc, CONFIG_KEYS[""])
     problem = doc.get("problem")
     if problem not in PROBLEMS:
         raise ConfigError(f"problem must be one of {PROBLEMS}, got {problem!r}")
@@ -199,15 +216,18 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
                  for key, default in (("ns", 17), ("nt", 17), ("m", 64)))
     if problem != "analytic-verify" and min(ns, nt) < 3:
         raise ConfigError("grids must have ns, nt >= 3 for solving")
+    if m < 1:
+        raise ConfigError(f"grid.m must be at least 1, got {m}")
 
     corners = None
     if "corners" in doc:
         cdoc = _section(doc, "corners")
         corners = {}
-        for key in ("c00", "c10", "c01", "c11"):
+        for key in CONFIG_KEYS["corners"]:
             corners[key] = _section(cdoc, key)
             if not corners[key]:
                 raise ConfigError(f"corners must define {key}")
+            _check_corner_keys(corners[key], f"corners.{key}.")
 
     oracle = None
     oracles = []
@@ -228,8 +248,6 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
             "max_iters": whole_number,
             # null keeps the grid-scaled default
             "grad_tol": lambda value, name: None if value is None else real_number(value, name),
-            "step0": real_number,
-            "max_backtracks": whole_number,
         }))
     except ValueError as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
@@ -251,10 +269,10 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         tol = tolerances[key] = real_number(value, f"tolerances.{key}")
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ConfigError(f"tolerances.{key} must be nonnegative and finite, got {tol!r}")
-    samples = whole_number(doc.get("samples", 21), "samples")
-    if samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {samples}")
-    out = Path(out_override if out_override is not None else doc.get("out", "."))
+    surface, out = doc.get("surface"), doc.get("out", ".")
+    for key, value in (("surface", surface), ("out", out)):
+        if not (isinstance(value, str) or key == "surface" and value is None):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
     return RunConfig(
         problem=problem,
         grid=Grid2(ns, nt),
@@ -266,10 +284,9 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         area=area,
         perturb_amplitude=amplitude,
         perturb_seed=seed,
-        out=out,
+        out=Path(out_override if out_override is not None else out),
         tolerances=tolerances,
-        surface_path=doc.get("surface"),
-        samples=samples,
+        surface_path=surface,
     )
 
 
@@ -304,6 +321,8 @@ def _assemble(cfg: RunConfig):
                                    f"corners.{key}.diag")
             except TypeError as exc:
                 raise ConfigError(f"corner {key} diag must be positive reals") from exc
+            if diag.size == 0:
+                raise ConfigError(f"corners.{key}.diag must not be empty")
             # written so that a NaN entry fails too
             if not np.all(diag > 0.0):
                 raise ConfigError(f"corner {key} diag must be positive reals")
@@ -373,15 +392,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     if oracle_field is not None:
         gap = np.abs(report.field.values - oracle_field.values)
-        _dump_json(
-            {
-                "max_abs_interior": float(np.max(gap[1:-1, 1:-1])) if cfg.grid.ns > 2 else 0.0,
-                "max_abs": float(np.max(gap)),
-                "ns": cfg.grid.ns,
-                "nt": cfg.grid.nt,
-            },
-            cfg.out / "oracle_gap.json",
-        )
+        # solve grids have ns, nt >= 3, so the interior is never empty
+        _dump_json({"max_abs_interior": float(np.max(gap[1:-1, 1:-1])),
+                    "max_abs": float(np.max(gap)), "ns": cfg.grid.ns, "nt": cfg.grid.nt},
+                   cfg.out / "oracle_gap.json")
     if qg is not None:
         mono = monotonicity_report(QuantileSurface(report.field, qg))
         _dump_json(
@@ -416,10 +430,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         tol = cfg.tolerances.get("minimal_surface", 1e-10)
         entries = []
         for surf, window, _ in cfg.oracles:
-            (u0, u1), (v0, v1) = window
-            u = np.linspace(u0, u1, cfg.samples)
-            v = np.linspace(v0, v1, cfg.samples)
-            uu, vv = np.meshgrid(u, v, indexing="ij")
+            uu, vv = np.meshgrid(*(np.linspace(lo, hi, ORACLE_SAMPLES) for lo, hi in window),
+                                 indexing="ij")
             res = analytic.minimal_surface_residual(surf, uu, vv)
             max_abs = float(np.max(np.abs(res)))
             ok = max_abs <= tol
@@ -428,7 +440,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 {
                     "variant": type(surf).__name__.lower(),
                     "max_abs": max_abs,
-                    "samples": cfg.samples,
+                    "samples": ORACLE_SAMPLES,
                     "tol": tol,
                     "pass": ok,
                 }
@@ -438,24 +450,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.surface_path is not None:
         field = _load_surface(cfg.surface_path)
         weights = quantile_weights(field.dim) if cfg.problem == "density1d" else None
-        acfg = replace(cfg.area, weights=weights)
-        rep = euler_lagrange_residual(field, acfg)
-        entry = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
-        if "euler_lagrange" in cfg.tolerances:
-            entry["tol"] = cfg.tolerances["euler_lagrange"]
-            entry["pass"] = rep.max_norm <= entry["tol"]
-            passed &= entry["pass"]
-        results["euler_lagrange"] = entry
-
+        rep = euler_lagrange_residual(field, replace(cfg.area, weights=weights))
+        results["euler_lagrange"] = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
         if cfg.problem == "gaussian-diag":
-            cov = DiagonalCovSurface(field)
-            mw = critical_point_residual(cov)
-            centry = {"max_norm": mw.max_norm, "border": mw.border}
-            if "critical_point" in cfg.tolerances:
-                centry["tol"] = cfg.tolerances["critical_point"]
-                centry["pass"] = mw.max_norm <= centry["tol"]
-                passed &= centry["pass"]
-            results["critical_point"] = centry
+            mw = critical_point_residual(DiagonalCovSurface(field))
+            results["critical_point"] = {"max_norm": mw.max_norm, "border": mw.border}
+        # a residual is judged only against a tolerance the config sets
+        for key in ("euler_lagrange", "critical_point"):
+            if key in results and key in cfg.tolerances:
+                entry = results[key]
+                entry["tol"] = cfg.tolerances[key]
+                entry["pass"] = entry["max_norm"] <= entry["tol"]
+                passed &= entry["pass"]
 
     if not results:
         raise ConfigError("verify needs an oracle list or a surface file")

@@ -120,12 +120,12 @@ class CriticalFields:
     j: np.ndarray
 
 
-def critical_fields(surf: DiagonalCovSurface, j_floor: float = J_FLOOR) -> CriticalFields:
+def critical_fields(surf: DiagonalCovSurface) -> CriticalFields:
     """Solve the multiplier equations pointwise for S_s, S_t.
 
     S_s = (A_s * qt - A_t * p) / (2 J) entrywise, with qt, qs the velocity
     energies and p their cross term; S_t symmetrically.  A node where J
-    falls below ``j_floor`` raises DegenerateSurfaceError with its location.
+    falls below ``J_FLOOR`` raises DegenerateSurfaceError with its location.
     """
     sigma = np.square(surf.field.values)
     a_s = lyapunov_velocity(surf, "s")
@@ -134,10 +134,10 @@ def critical_fields(surf: DiagonalCovSurface, j_floor: float = J_FLOOR) -> Criti
     qt = np.einsum("ijk,ijk->ij", sigma, a_t * a_t)
     p = np.einsum("ijk,ijk->ij", sigma, a_s * a_t)
     j = np.sqrt(np.maximum(qs * qt - p * p, 0.0))
-    if np.any(j < j_floor):
+    if np.any(j < J_FLOOR):
         i, k = np.unravel_index(int(np.argmin(j)), j.shape)
         raise DegenerateSurfaceError(
-            f"area density J = {j[i, k]:.3e} below floor {j_floor:.1e} at node ({i}, {k}): "
+            f"area density J = {j[i, k]:.3e} below floor {J_FLOOR:.1e} at node ({i}, {k}): "
             "the s- and t-velocities are (near-)parallel"
         )
     twoj = 2.0 * j[..., None]
@@ -155,16 +155,14 @@ class CriticalResidualReport:
     border: int
 
 
-def critical_point_residual(
-    surf: DiagonalCovSurface, border: int = 1, j_floor: float = J_FLOOR
-) -> CriticalResidualReport:
+def critical_point_residual(surf: DiagonalCovSurface, border: int = 1) -> CriticalResidualReport:
     """Entrywise residual of the first-order optimality system.
 
     Evaluates d_s S_s + d_t S_t plus the quadratic velocity term on every
     node at least ``border`` nodes away from the edges (multiplier
     derivatives need interior stencils).  For a family sampled from an
     exact critical point the max-norm decreases as O(h^2) under grid
-    refinement.  A node where J falls below ``j_floor`` raises
+    refinement.  A node where J falls below ``J_FLOOR`` raises
     DegenerateSurfaceError with its location.
     """
     grid = surf.field.grid
@@ -173,7 +171,7 @@ def critical_point_residual(
         raise ValueError("border must be at least 1")
     if ns - 2 * border < 1 or nt - 2 * border < 1:
         raise ValueError(f"grid {ns}x{nt} too small for border {border}")
-    cf = critical_fields(surf, j_floor)
+    cf = critical_fields(surf)
     div = _fd_axis(cf.s_s, grid.hs, 0) + _fd_axis(cf.s_t, grid.ht, 1)
     # A_s S_s + A_t S_t = (A_s^2 qt + A_t^2 qs - 2 A_s A_t p) / 2J
     full = div + (cf.a_s * cf.s_s + cf.a_t * cf.s_t)

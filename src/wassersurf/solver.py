@@ -104,9 +104,12 @@ from .errors import ShapeMismatchError, SolverNaNError
 from .grid import BoundarySpec, Grid2, SurfaceField
 
 
-# Armijo sufficient-decrease constant and backtracking factor of the line search
+# the line search: first trial step (the natural length of a Newton or Laplace-
+# Beltrami step), Armijo constant, backtracking factor and backtracks before a stall
+_STEP0 = 1.0
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
+_MAX_BACKTRACKS = 40
 # inner PCG of every step: relative residual and step budget
 _PCG_RTOL = 1e-2
 _PCG_STEPS = 200
@@ -123,18 +126,12 @@ def default_grad_tol(grid: Grid2) -> float:
 class SolverConfig:
     max_iters: int = 5000
     grad_tol: float | None = None
-    step0: float = 1.0
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol is not None and not (0.0 < self.grad_tol < math.inf):
             raise ValueError("grad_tol must be positive and finite")
-        if not self.max_backtracks >= 0:
-            raise ValueError("max_backtracks must be >= 0")
-        if not 0.0 < self.step0 < math.inf:
-            raise ValueError("step0 must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -520,8 +517,8 @@ def minimize(
                     _flat_hessian_inverse(terms, grid, scale, loop_acfg), u, w[moving])
 
     def line_search(direction, slope):
-        alpha = cfg.step0
-        for _ in range(cfg.max_backtracks + 1):
+        alpha = _STEP0
+        for _ in range(_MAX_BACKTRACKS + 1):
             x_try = x + alpha * direction
             push(x_try)
             trial = cell_terms(fld, loop_acfg, moving, terms.pinned)
@@ -628,12 +625,10 @@ def _stall_message(it, searched, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str
         )
         advice = f"raise max_iters if the gradient is still falling, or {advice}"
     elif searched:
-        last_alpha = cfg.step0 * _BACKTRACK**cfg.max_backtracks
         head = (
-            f"line search stalled at iteration {it}: {cfg.max_backtracks} backtracks "
-            f"down to step {last_alpha:.3e} gave no Armijo decrease"
+            f"line search stalled at iteration {it}: {_MAX_BACKTRACKS} backtracks "
+            f"down to step {_STEP0 * _BACKTRACK**_MAX_BACKTRACKS:.3e} gave no Armijo decrease"
         )
-        advice = f"raise max_backtracks or lower step0 if the step is too long, or {advice}"
     else:
         head = (
             f"no descent direction at iteration {it}: the preconditioned gradient gave a "

@@ -5,14 +5,22 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wassersurf as ws
-from wassersurf.cli import _write_boundary_csv, load_config, main
+from wassersurf.cli import (
+    COMPONENT_KEYS,
+    CONFIG_KEYS,
+    CORNER_KEYS,
+    ORACLES,
+    _write_boundary_csv,
+    load_config,
+    main,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -208,18 +216,33 @@ def test_solver_method_other_than_nonlinear_cg_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_keys_exit_2(tmp_path, capsys):
+    scherk = {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}
     edits = {
-        "solver.grad_tl": ("solver", "grad_tl", 1e-3),
-        "area.compensated": ("area", "compensated", True),
-        "grid.nss": ("grid", "nss", 9),
-        "perturb.sead": ("perturb", "sead", 3),
-        "tolerances.euler_lagrang": ("tolerances", "euler_lagrang", 1.0),
-        "outdir": (None, "outdir", "x"),
-        "formats": (None, "formats", ["csv"]),
+        "solver.grad_tl": ("graph", "solver", "grad_tl", 1e-3),
+        "area.compensated": ("graph", "area", "compensated", True),
+        "grid.nss": ("graph", "grid", "nss", 9),
+        "perturb.sead": ("graph", "perturb", "sead", 3),
+        "tolerances.euler_lagrang": ("graph", "tolerances", "euler_lagrang", 1.0),
+        "outdir": ("graph", None, "outdir", "x"),
+        "formats": ("graph", None, "formats", ["csv"]),
+        # each oracle type takes its own parameters besides oracle, window, z_offset
+        "oracle.ofset": ("graph", "oracle", "ofset", 0.5),
+        "oracle.a4": ("graph", None, "oracle",
+                      {"oracle": "plane", "a1": 1, "a2": 1, "a3": 0, "a4": 7, "window": [0, 1]}),
+        "oracles[1].sgn": ("graph", None, "oracles", [scherk, {
+            "oracle": "catenoid", "c1": 0.0, "r1": 1.0, "sgn": -1, "window": [0.8, 2.1]}]),
+        "oracle.c3": ("graph", None, "oracle",
+                      {"oracle": "helicoid", "c1": 1, "c2": 2, "c3": 0, "window": [0.5, 1.0]}),
+        # and so does each corner type
+        "corners.c12": ("density1d", "corners", "c12", {}),
+        "corners.c00.men": ("density1d", "corners", "c00.men", 0.0),
+        "corners.c10.components[1].wieght": ("density1d", "corners", "c10.components.1.wieght",
+                                             0.5),
+        "corners.c01.y": ("density1d", "corners", "c01.y", [0.0, 1.0, 0.0]),
+        "corners.c11.variance": ("gaussian-diag", "corners", "c11.variance", [1.0, 1.0, 1.0]),
     }
-    for name, (section, key, value) in edits.items():
-        doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
-        (doc if section is None else doc.setdefault(section, {}))[key] = value
+    for name, (problem, section, key, value) in edits.items():
+        doc = _edited_config(tmp_path, problem, section, key, value)
         cfg = write_config(tmp_path, doc, name=f"unknown_{name}.json")
         assert main(["solve", cfg]) == 2, name
         err = capsys.readouterr().err
@@ -235,6 +258,19 @@ def test_readme_json_configs_load(tmp_path):
         path = tmp_path / f"readme_{n}.json"
         path.write_text(block)
         load_config(path)
+
+
+def test_readme_documents_every_config_key():
+    # each key appears in backticks, dotted in backticks as in `area.epsilon`,
+    # or quoted as a JSON key as in "seed"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    oracle_keys = [[p.name for p in fields(cls)] for cls in ORACLES.values()]
+    keys = {key for known in (*CONFIG_KEYS.values(), *oracle_keys, *CORNER_KEYS.values(),
+                              COMPONENT_KEYS) for key in known}
+    keys |= {"oracle", "window", "z_offset", "type"}
+    undocumented = sorted(key for key in keys
+                          if not re.search(rf'`(?:[\w\[\]]+\.)*{key}`|"{key}":', readme))
+    assert undocumented == []
 
 
 @pytest.mark.parametrize("key", ["ns", "nt", "m"])
@@ -289,7 +325,7 @@ CORNER_CONFIGS = {
 }
 
 
-SOLVER_KEYS = "method, max_iters, grad_tol, step0, max_backtracks"
+SOLVER_KEYS = "method, max_iters, grad_tol"
 
 
 @pytest.mark.parametrize("problem, section, key, value, message", [
@@ -302,7 +338,7 @@ SOLVER_KEYS = "method, max_iters, grad_tol, step0, max_backtracks"
     ("graph", "solver", "backtrack", False,
      "unknown key 'solver.backtrack'; solver takes " + SOLVER_KEYS),
     ("graph", "solver", "step0", "1",
-     "invalid solver config: solver.step0 must be a real number, got '1'"),
+     "unknown key 'solver.step0'; solver takes " + SOLVER_KEYS),
     ("graph", "perturb", "amplitude", "1e-3",
      "perturb.amplitude must be a real number, got '1e-3'"),
     ("graph", "oracle", "c", "1.0", "oracle.c must be a real number, got '1.0'"),
@@ -343,6 +379,10 @@ SOLVER_KEYS = "method, max_iters, grad_tol, step0, max_backtracks"
      "corners.c01.pdf is required"),
     ("gaussian-diag", "corners", "c00", {"type": "gaussian_diag"},
      "corners.c00.diag is required"),
+    # paths must be strings
+    ("graph", None, "out", 5, "out must be a path string, got 5"),
+    ("density1d", "grid", "m", 0, "grid.m must be at least 1, got 0"),
+    ("density1d", "grid", "m", -3, "grid.m must be at least 1, got -3"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
@@ -350,54 +390,68 @@ SOLVER_KEYS = "method, max_iters, grad_tol, step0, max_backtracks"
         "string_tabulated_x", "bool_tabulated_pdf", "bool_gaussian_diag_entry",
         "nan_gaussian_diag_entry",
         "missing_plane_a3", "missing_catenoid_c1", "missing_gaussian_std", "missing_component_std", "missing_tabulated_pdf",
-        "missing_gaussian_diag"])
+        "missing_gaussian_diag", "int_out", "zero_grid_m", "negative_grid_m"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
     _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message)
 
 
-def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message):
+def _edited_config(tmp_path, problem, section, key, value):
+    """The base config of ``problem`` with ``value`` set at ``key``, writing to ``run``.
+
+    ``key`` may be a dotted path inside ``section`` (None: the top level); a
+    numeric part indexes a list.
+    """
     if problem == "graph":
         doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
     else:
         doc = json.loads(json.dumps(CORNER_CONFIGS[problem]))
         doc["out"] = str(tmp_path / "run")
-    # ``key`` may be a dotted path inside ``section`` (None: the top level)
     target = doc if section is None else doc.setdefault(section, {})
     *path, last = key.split(".")
     for part in path:
-        target = target[part]
+        target = target[int(part) if isinstance(target, list) else part]
     target[last] = value
+    return doc
+
+
+def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message):
+    doc = _edited_config(tmp_path, problem, section, key, value)
     cfg = write_config(tmp_path, doc, name=f"{section}_{key}.json")
     assert main(["solve", cfg]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("c00.std", 0.0, "corners.c00.mean and std must be finite with std > 0, got N(0.0, 0.0)"),
-    ("c10.components",
+@pytest.mark.parametrize("problem, key, value, message", [
+    ("density1d", "c00.std", 0.0,
+     "corners.c00.mean and std must be finite with std > 0, got N(0.0, 0.0)"),
+    ("density1d", "c10.components",
      [{"weight": 0.5, "mean": -1.0, "std": 0.5}, {"weight": 0.5, "mean": 1.0, "std": -0.5}],
      "corners.c10.components[1].mean and std must be finite with std > 0, got N(1.0, -0.5)"),
-    ("c10.components",
+    ("density1d", "c10.components",
      [{"weight": 0.5, "mean": -1.0, "std": 0.5}, {"weight": 0.25, "mean": 1.0, "std": 0.5}],
      "corners.c10.components: weights sum to 0.75, not 1 within 1e-12"),
-    ("c10.components",
+    ("density1d", "c10.components",
      [{"weight": 1.5, "mean": -1.0, "std": 0.5}, {"weight": -0.5, "mean": 1.0, "std": 0.5}],
      "corners.c10.components: weights must be positive"),
     # json reads the NaN literal; a NaN weight fails the positivity check
-    ("c10.components",
+    ("density1d", "c10.components",
      [{"weight": math.nan, "mean": -1.0, "std": 0.5}, {"weight": 1.0, "mean": 1.0, "std": 0.5}],
      "corners.c10.components: weights must be positive"),
-    ("c01.x", [0.0, 2.0, 1.0], "corners.c01.x must be strictly increasing"),
-    ("c01.pdf", [0.0, 0.0, 0.0], "corners.c01.pdf has no mass"),
-    ("c11.type", "laplace",
+    ("density1d", "c01.x", [0.0, 2.0, 1.0], "corners.c01.x must be strictly increasing"),
+    ("density1d", "c01.pdf", [0.0, 0.0, 0.0], "corners.c01.pdf has no mass"),
+    ("density1d", "c11.type", "laplace",
      "corners.c11.type must be 'gaussian', 'mixture' or 'tabulated', got 'laplace'"),
+    ("gaussian-diag", "c00.diag", [], "corners.c00.diag must not be empty"),
 ], ids=["zero_std", "negative_component_std", "weights_not_summing_to_1",
-        "negative_weight", "nan_weight", "non_increasing_x", "no_mass", "unknown_type"])
-def test_invalid_corner_values_exit_2_naming_the_key(tmp_path, capsys, key, value, message):
-    _assert_solve_rejects(tmp_path, capsys, "density1d", "corners", key, value, message)
+        "negative_weight", "nan_weight", "non_increasing_x", "no_mass", "unknown_type",
+        "empty_gaussian_diag"])
+def test_invalid_corner_values_exit_2_naming_the_key(
+    tmp_path, capsys, problem, key, value, message
+):
+    _assert_solve_rejects(tmp_path, capsys, problem, "corners", key, value, message)
 
 
 @pytest.mark.parametrize("problem", sorted(CORNER_CONFIGS))
@@ -522,6 +576,7 @@ def test_bad_tolerances_exit_2_before_the_surface_is_read(
 
 
 def plane_verify_config(tmp_path, samples):
+    # ``samples`` is no setting: verify samples each window on a fixed grid
     return write_config(tmp_path, {
         "problem": "analytic-verify",
         "samples": samples,
@@ -530,21 +585,30 @@ def plane_verify_config(tmp_path, samples):
     }, name=f"samples_{samples}.json")
 
 
-@pytest.mark.parametrize("samples, message", [
-    (5.7, "samples must be a whole number, got 5.7"),
-    (0, "samples must be at least 1, got 0"),
-    (-3, "samples must be at least 1, got -3"),
+# the ids name the messages of the time when ``samples`` was a setting
+@pytest.mark.parametrize("samples", [
+    pytest.param(5.7, id="5.7-samples must be a whole number, got 5.7"),
+    pytest.param(0, id="0-samples must be at least 1, got 0"),
+    pytest.param(-3, id="-3-samples must be at least 1, got -3"),
 ])
-def test_bad_samples_exit_2(tmp_path, capsys, samples, message):
+def test_bad_samples_exit_2(tmp_path, capsys, samples):
     assert main(["verify", plane_verify_config(tmp_path, samples)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == (
+        "config error: unknown key 'samples'; the top level takes "
+        + ", ".join(CONFIG_KEYS[""]) + "\n"
+    )
     assert not (tmp_path / "verify").exists()
 
 
-def test_whole_float_samples_are_read_as_that_count(tmp_path):
-    assert main(["verify", plane_verify_config(tmp_path, 5.0)]) == 0
-    doc = json.loads((tmp_path / "verify" / "residuals.json").read_text())
-    assert doc["minimal_surface"][0]["samples"] == 5
+@pytest.mark.parametrize("surface", [5, ["a.csv"]], ids=["int", "list"])
+def test_non_string_surface_path_exits_2_naming_the_key(tmp_path, capsys, surface):
+    cfg = write_config(tmp_path, {
+        "problem": "density1d", "surface": surface, "out": str(tmp_path / "verify"),
+    })
+    assert main(["verify", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: surface must be a path string, got {surface!r}\n"
+    assert not (tmp_path / "verify").exists()
 
 
 def test_readme_solve_configs_exit_0(tmp_path):
@@ -567,7 +631,10 @@ def test_threads_flag_removed(tmp_path):
         main(["--threads", "2", "solve", scherk_graph_config(tmp_path)])
 
 
-def test_solver_stall_exit_code_with_artifacts(tmp_path):
+def test_solver_stall_exit_code_with_artifacts(tmp_path, monkeypatch):
+    # a first trial step far too long and no backtracking force a stall
+    monkeypatch.setattr(ws.solver, "_STEP0", 1e8)
+    monkeypatch.setattr(ws.solver, "_MAX_BACKTRACKS", 0)
     cfg = write_config(tmp_path, {
         "problem": "density1d",
         "grid": {"ns": 9, "nt": 9, "m": 16},
@@ -580,7 +647,7 @@ def test_solver_stall_exit_code_with_artifacts(tmp_path):
             "c01": {"type": "gaussian", "mean": -0.5, "std": 2},
             "c11": {"type": "gaussian", "mean": 1.5, "std": 2.5},
         },
-        "solver": {"step0": 1e8, "max_backtracks": 0, "max_iters": 20, "grad_tol": 1e-14},
+        "solver": {"max_iters": 20, "grad_tol": 1e-14},
         "out": str(tmp_path / "stall"),
     })
     assert main(["solve", cfg]) == 3
@@ -664,7 +731,6 @@ def test_degenerate_positivity_exit_code(tmp_path):
 def test_verify_all_four_oracles(tmp_path):
     cfg = write_config(tmp_path, {
         "problem": "analytic-verify",
-        "samples": 21,
         "oracles": [
             {"oracle": "plane", "a1": 2, "a2": 3, "a3": 1, "window": [0, 1]},
             {"oracle": "scherk", "c": 1.0, "window": [0.05, 0.45]},
@@ -677,7 +743,7 @@ def test_verify_all_four_oracles(tmp_path):
     doc = json.loads((tmp_path / "verify" / "residuals.json").read_text())
     entries = doc["minimal_surface"]
     assert len(entries) == 4
-    assert all(e["pass"] and e["max_abs"] <= 1e-10 for e in entries)
+    assert all(e["pass"] and e["max_abs"] <= 1e-10 and e["samples"] == 21 for e in entries)
 
 
 def test_verify_perturbed_scherk_fails_tolerance(tmp_path):
