@@ -35,18 +35,19 @@ from .errors import (
     QuantileConvergenceError,
     SolverNaNError,
 )
-from .gaussian import DiagonalCovSurface, critical_point_residual
+from .gaussian import DiagonalCovSurface, critical_point_residual, diag_corner_roots
 from .grid import (
     BoundarySpec,
     Grid2,
     SurfaceField,
     _fill_g17,
+    check_keys,
     coons_init,
     edges_from_corner_vectors,
+    json_typed,
     load_csv,
     load_json,
     real_number,
-    real_vector,
     required,
     save_csv,
     save_json,
@@ -77,8 +78,6 @@ class ConfigError(ValueError):
 
 
 def _parse_window(doc, name: str) -> tuple:
-    if doc is None:
-        raise ConfigError("oracle needs a 'window'")
     if isinstance(doc, list) and len(doc) == 2:
         if all(isinstance(part, list) and len(part) == 2 for part in doc):
             return tuple(
@@ -106,43 +105,11 @@ CONFIG_KEYS = {
 #: the closed form of each oracle type; the fields of its class are its parameters
 ORACLES = {"plane": analytic.Plane, "scherk": analytic.Scherk,
            "catenoid": analytic.Catenoid, "helicoid": analytic.Helicoid}
-#: keys of a corner by its type, besides ``type``, and of a mixture component
-CORNER_KEYS = {
-    "gaussian": ("mean", "std"),
-    "mixture": ("components",),
-    "tabulated": ("x", "pdf"),
-    "gaussian_diag": ("diag",),
-}
-COMPONENT_KEYS = ("weight", "mean", "std")
-
-
-def _check_keys(doc: dict, known, where: str = "") -> None:
-    """Reject a key of ``doc`` that ``known`` lacks; ``where`` is the dotted prefix of its name."""
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown key {where + key!r}; "
-                              f"{where.rstrip('.') or 'the top level'} takes {', '.join(known)}")
 
 
 def _section(doc: dict, key: str) -> dict:
-    """The object under ``key`` (empty if absent), key-checked if its schema is fixed."""
-    sub = doc.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"'{key}' must be a JSON object")
-    if key in CONFIG_KEYS:
-        _check_keys(sub, CONFIG_KEYS[key], key + ".")
-    return sub
-
-
-def _check_corner_keys(doc: dict, where: str) -> None:
-    """Key-check a corner of a known type and its mixture components; a bad type fails later."""
-    kind = doc.get("type")
-    if isinstance(kind, str) and kind in CORNER_KEYS:
-        _check_keys(doc, ("type",) + CORNER_KEYS[kind], where)
-    components = doc.get("components") if kind == "mixture" else None
-    for n, comp in enumerate(components if isinstance(components, list) else ()):
-        if isinstance(comp, dict):
-            _check_keys(comp, COMPONENT_KEYS, f"{where}components[{n}].")
+    """The object under ``key`` (empty if absent), key-checked."""
+    return check_keys(json_typed(doc.get(key, {}), dict, key), CONFIG_KEYS[key], key + ".")
 
 
 def _settings(doc: dict, section: str, parsers: dict) -> dict:
@@ -158,19 +125,17 @@ def parse_oracle(doc: dict, name: str = "oracle"):
     int one (the catenoid's ``sign``) must be a whole number.  ``name`` is
     where ``doc`` sits in the config; error messages name keys by it.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("an oracle must be a JSON object")
-    kind = doc.get("oracle")
+    kind = json_typed(doc, dict, name).get("oracle")
     if not (isinstance(kind, str) and kind in ORACLES):
         raise ConfigError(f"unknown oracle {kind!r}")
     params = fields(ORACLES[kind])
-    _check_keys(doc, ("oracle", "window", "z_offset", *(p.name for p in params)), name + ".")
+    check_keys(doc, ("oracle", "window", "z_offset", *(p.name for p in params)), name + ".")
     surf = ORACLES[kind](**{
         p.name: (whole_number if p.type is int else real_number)(
             required(doc, p.name, f"{name}.{p.name}"), f"{name}.{p.name}")
         for p in params if p.name in doc or p.default is MISSING
     })
-    window = _parse_window(doc.get("window"), f"{name}.window")
+    window = _parse_window(required(doc, "window", f"{name}.window"), f"{name}.window")
     return surf, window, real_number(doc.get("z_offset", 0.0), f"{name}.z_offset")
 
 
@@ -179,7 +144,7 @@ class RunConfig:
     problem: str
     grid: Grid2
     m: int
-    corners: dict | None
+    corners: tuple | None  # c00, c10, c01, c11 as their problem's reader returns them
     oracle: tuple | None
     oracles: list
     solver: SolverConfig
@@ -196,17 +161,11 @@ def load_config(path, out_override=None) -> RunConfig:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    try:
-        return _parse_config(doc, out_override)
-    except TypeError as exc:
-        # e.g. null or a list where a number is expected
-        raise ConfigError(f"malformed value in config {path}: {exc}") from exc
+    return _parse_config(json_typed(doc, dict, f"config {path}"), out_override)
 
 
 def _parse_config(doc: dict, out_override) -> RunConfig:
-    _check_keys(doc, CONFIG_KEYS[""])
+    check_keys(doc, CONFIG_KEYS[""])
     problem = doc.get("problem")
     if problem not in PROBLEMS:
         raise ConfigError(f"problem must be one of {PROBLEMS}, got {problem!r}")
@@ -221,13 +180,13 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
 
     corners = None
     if "corners" in doc:
+        if problem not in ("density1d", "gaussian-diag"):
+            raise ConfigError(f"{problem} takes no 'corners'")
         cdoc = _section(doc, "corners")
-        corners = {}
-        for key in CONFIG_KEYS["corners"]:
-            corners[key] = _section(cdoc, key)
-            if not corners[key]:
-                raise ConfigError(f"corners must define {key}")
-            _check_corner_keys(corners[key], f"corners.{key}.")
+        docs = {key: json_typed(required(cdoc, key, f"corners.{key}"), dict, f"corners.{key}")
+                for key in CONFIG_KEYS["corners"]}
+        corners = (diag_corner_roots(docs) if problem == "gaussian-diag" else
+                   tuple(parse_density(corner, f"corners.{key}.") for key, corner in docs.items()))
 
     oracle = None
     oracles = []
@@ -235,7 +194,8 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         oracle = parse_oracle(doc["oracle"])
         oracles = [oracle]
     if "oracles" in doc:
-        oracles = [parse_oracle(o, f"oracles[{n}]") for n, o in enumerate(doc["oracles"])]
+        oracles = [parse_oracle(o, f"oracles[{n}]")
+                   for n, o in enumerate(json_typed(doc["oracles"], list, "oracles"))]
         if oracle is None and oracles:
             oracle = oracles[0]
 
@@ -312,41 +272,14 @@ def _assemble(cfg: RunConfig):
             return boundary, coons_init(boundary), acfg, (2,), cov.field, None
         if cfg.corners is None:
             raise ConfigError("gaussian-diag needs 'corners' or an 'oracle'")
-        roots = {}
-        for key, cdoc in cfg.corners.items():
-            if cdoc.get("type") != "gaussian_diag":
-                raise ConfigError(f"corner {key} must have type 'gaussian_diag'")
-            try:
-                diag = real_vector(required(cdoc, "diag", f"corners.{key}.diag"),
-                                   f"corners.{key}.diag")
-            except TypeError as exc:
-                raise ConfigError(f"corner {key} diag must be positive reals") from exc
-            if diag.size == 0:
-                raise ConfigError(f"corners.{key}.diag must not be empty")
-            # written so that a NaN entry fails too
-            if not np.all(diag > 0.0):
-                raise ConfigError(f"corner {key} diag must be positive reals")
-            roots[key] = np.sqrt(diag)
-        boundary = edges_from_corner_vectors(
-            roots["c00"], roots["c10"], roots["c01"], roots["c11"], cfg.grid
-        )
+        boundary = edges_from_corner_vectors(*cfg.corners, cfg.grid)
         return boundary, coons_init(boundary), acfg, None, None, None
 
     if cfg.problem == "density1d":
         if cfg.corners is None:
             raise ConfigError("density1d needs 'corners'")
-        dens = {}
-        for key, cdoc in cfg.corners.items():
-            try:
-                dens[key] = parse_density(cdoc)
-            except TypeError as exc:
-                raise ConfigError(f"malformed density corner: {exc}") from exc
-            except ValueError as exc:
-                raise ConfigError(f"corners.{key}.{exc}") from exc
         qg = QuantileGrid(cfg.m)
-        boundary = boundary_from_corners(
-            dens["c00"], dens["c10"], dens["c01"], dens["c11"], cfg.grid, qg
-        )
+        boundary = boundary_from_corners(*cfg.corners, cfg.grid, qg)
         acfg = replace(cfg.area, weights=quantile_weights(cfg.m))
         return boundary, coons_init(boundary), acfg, None, None, qg
 
@@ -422,11 +355,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if not cfg.oracles and cfg.surface_path is None:
+        raise ConfigError("verify needs an oracle list or a surface file")
     cfg.out.mkdir(parents=True, exist_ok=True)
     results = {}
     passed = True
 
-    if cfg.problem == "analytic-verify" or cfg.oracles:
+    if cfg.oracles:
         tol = cfg.tolerances.get("minimal_surface", 1e-10)
         entries = []
         for surf, window, _ in cfg.oracles:
@@ -463,8 +398,6 @@ def cmd_verify(cfg: RunConfig) -> int:
                 entry["pass"] = entry["max_norm"] <= entry["tol"]
                 passed &= entry["pass"]
 
-    if not results:
-        raise ConfigError("verify needs an oracle list or a surface file")
     _dump_json(results, cfg.out / "residuals.json")
     print(f"verify: {'pass' if passed else 'FAIL'} ({cfg.out / 'residuals.json'})")
     return EXIT_OK if passed else EXIT_TOLERANCE

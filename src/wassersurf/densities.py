@@ -20,7 +20,9 @@ from .grid import (
     BoundarySpec,
     Grid2,
     SurfaceField,
+    check_keys,
     edges_from_corner_vectors,
+    json_typed,
     real_number,
     real_vector,
     required,
@@ -114,31 +116,50 @@ class TabulatedDensity:
 Density1D = Union[GaussianDensity, MixtureDensity, TabulatedDensity]
 
 
-def parse_density(doc: dict) -> Density1D:
+def _build(cls, doc: dict, schema: dict, where: str, also: tuple = ()):
+    """``cls`` of the values ``schema`` reads from ``doc``; ``where`` prefixes every error."""
+    check_keys(doc, (*also, *schema), where)
+    args = [read(required(doc, key, where + key), where + key) for key, read in schema.items()]
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ValueError(where + str(exc)) from exc
+
+
+def _component(weight: float, mean: float, std: float) -> tuple:
+    return weight, GaussianDensity(mean, std)
+
+
+#: the keys of a mixture component, each with the reader of its value
+COMPONENT_KEYS = {"weight": real_number, "mean": real_number, "std": real_number}
+
+
+def _components(value, name: str) -> tuple:
+    """The ``(weight, GaussianDensity)`` of each object of the JSON array ``components``."""
+    return tuple(_build(_component, json_typed(c, dict, f"{name}[{n}]"), COMPONENT_KEYS,
+                        f"{name}[{n}].") for n, c in enumerate(json_typed(value, list, name)))
+
+
+#: each density type's class and the readers of its keys besides ``type``
+DENSITY_TYPES = {
+    "gaussian": (GaussianDensity, {"mean": real_number, "std": real_number}),
+    "mixture": (MixtureDensity, {"components": _components}),
+    "tabulated": (TabulatedDensity, {"x": real_vector, "pdf": real_vector}),
+}
+
+
+def parse_density(doc: dict, where: str = "") -> Density1D:
     """Build a density from its JSON configuration form.
 
-    Numbers go through ``grid.real_number``; a ValueError, for a bad or a
-    missing value, names its key relative to ``doc`` (``std``,
-    ``components[1].weight``, ``x[2]``).
+    A ValueError names the key at fault with ``where``, the dotted prefix of
+    ``doc`` in the config (``corners.c00.``), in front: an unknown or missing
+    key, a value of the wrong JSON type, or one the density's class rejects.
     """
     kind = doc.get("type")
-    if kind == "gaussian":
-        mean, std = (real_number(required(doc, k, k), k) for k in ("mean", "std"))
-        return GaussianDensity(mean, std)
-    if kind == "mixture":
-        comps = []
-        for n, c in enumerate(required(doc, "components", "components")):
-            key = f"components[{n}]."
-            weight, mean, std = (real_number(required(c, k, key + k), key + k)
-                                 for k in ("weight", "mean", "std"))
-            try:
-                comps.append((weight, GaussianDensity(mean, std)))
-            except ValueError as exc:
-                raise ValueError(key + str(exc)) from exc
-        return MixtureDensity(tuple(comps))
-    if kind == "tabulated":
-        return TabulatedDensity(*(real_vector(required(doc, k, k), k) for k in ("x", "pdf")))
-    raise ValueError(f"type must be 'gaussian', 'mixture' or 'tabulated', got {kind!r}")
+    if not (isinstance(kind, str) and kind in DENSITY_TYPES):
+        raise ValueError(f"{where}type must be 'gaussian', 'mixture' or 'tabulated', got {kind!r}")
+    cls, schema = DENSITY_TYPES[kind]
+    return _build(cls, doc, schema, where, also=("type",))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSurfaceError, PositivityError
-from .grid import SurfaceField
+from .grid import SurfaceField, check_keys, real_vector, required
 
 J_FLOOR = 1e-12
+#: the keys of a ``gaussian_diag`` corner
+GAUSSIAN_DIAG_KEYS = ("type", "diag")
 
 
 @dataclass(eq=False)
@@ -36,6 +38,31 @@ class DiagonalCovSurface:
     @property
     def n(self) -> int:
         return self.field.dim
+
+
+def diag_corner_roots(corners: dict) -> tuple:
+    """The square root of each corner's ``diag``, in the order of ``corners``.
+
+    ``corners`` maps a corner's name in the config's ``corners`` section to its
+    ``{"type": "gaussian_diag", "diag": [...]}``: positive reals, as many in each.
+    """
+    roots = []
+    for key, doc in corners.items():
+        if doc.get("type") != "gaussian_diag":
+            raise ValueError(f"corner {key} must have type 'gaussian_diag'")
+        check_keys(doc, GAUSSIAN_DIAG_KEYS, f"corners.{key}.")
+        name = f"corners.{key}.diag"
+        diag = real_vector(required(doc, "diag", name), name)
+        if diag.size == 0:
+            raise ValueError(f"{name} must not be empty")
+        # written so that a NaN entry fails too
+        if not np.all(diag > 0.0):
+            raise ValueError(f"corner {key} diag must be positive reals")
+        if roots and diag.size != roots[0].size:
+            raise ValueError(f"{name} has {diag.size} entries, not {roots[0].size} like "
+                             f"corners.{next(iter(corners))}.diag")
+        roots.append(np.sqrt(diag))
+    return tuple(roots)
 
 
 def sqrt_coords(sigma: SurfaceField) -> DiagonalCovSurface:

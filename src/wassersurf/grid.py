@@ -36,6 +36,22 @@ def required(doc: dict, key: str, name: str):
     return doc[key]
 
 
+def check_keys(doc: dict, known, where: str = "") -> dict:
+    """``doc`` if ``known`` has all its keys; ``where`` is the dotted prefix of their names."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {where + key!r}; "
+                             f"{where.rstrip('.') or 'the top level'} takes {', '.join(known)}")
+    return doc
+
+
+def json_typed(value, kind: type, name: str):
+    """``value`` if it is a ``kind``: list (a JSON array) or dict (an object); else ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def real_number(value, name: str) -> float:
     """``value`` as a float; raises ValueError for a string, a boolean or any other non-number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -44,7 +60,8 @@ def real_number(value, name: str) -> float:
 
 
 def real_vector(values, name: str) -> np.ndarray:
-    """``values`` as a 1-D float array; each entry through ``real_number`` as ``name[n]``."""
+    """The JSON array ``values`` as 1-D floats; entry n through ``real_number`` as ``name[n]``."""
+    values = json_typed(values, list, name)
     return np.array([real_number(v, f"{name}[{n}]") for n, v in enumerate(values)], dtype=float)
 
 

@@ -13,14 +13,15 @@ import pytest
 
 import wassersurf as ws
 from wassersurf.cli import (
-    COMPONENT_KEYS,
     CONFIG_KEYS,
-    CORNER_KEYS,
     ORACLES,
+    PROBLEMS,
     _write_boundary_csv,
     load_config,
     main,
 )
+from wassersurf.densities import COMPONENT_KEYS, DENSITY_TYPES
+from wassersurf.gaussian import GAUSSIAN_DIAG_KEYS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -265,11 +266,14 @@ def test_readme_documents_every_config_key():
     # or quoted as a JSON key as in "seed"
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     oracle_keys = [[p.name for p in fields(cls)] for cls in ORACLES.values()]
-    keys = {key for known in (*CONFIG_KEYS.values(), *oracle_keys, *CORNER_KEYS.values(),
-                              COMPONENT_KEYS) for key in known}
+    density_keys = [schema for _, schema in DENSITY_TYPES.values()]
+    keys = {key for known in (*CONFIG_KEYS.values(), *oracle_keys, *density_keys,
+                              COMPONENT_KEYS, GAUSSIAN_DIAG_KEYS) for key in known}
     keys |= {"oracle", "window", "z_offset", "type"}
     undocumented = sorted(key for key in keys
                           if not re.search(rf'`(?:[\w\[\]]+\.)*{key}`|"{key}":', readme))
+    # and each problem's value in backticks, as in `density1d`
+    undocumented += [problem for problem in PROBLEMS if f"`{problem}`" not in readme]
     assert undocumented == []
 
 
@@ -383,6 +387,23 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
     ("graph", None, "out", 5, "out must be a path string, got 5"),
     ("density1d", "grid", "m", 0, "grid.m must be at least 1, got 0"),
     ("density1d", "grid", "m", -3, "grid.m must be at least 1, got -3"),
+    # a corner or oracle value of the wrong JSON type is named the same way
+    ("density1d", "corners", "c10.components", 5, "corners.c10.components must be a JSON array"),
+    ("density1d", "corners", "c10.components", [5],
+     "corners.c10.components[0] must be a JSON object"),
+    ("density1d", "corners", "c01.x", 5, "corners.c01.x must be a JSON array"),
+    ("gaussian-diag", "corners", "c00.diag", 5, "corners.c00.diag must be a JSON array"),
+    ("graph", None, "oracles", 5, "oracles must be a JSON array"),
+    ("graph", None, "oracles", {"a": 1}, "oracles must be a JSON array"),
+    ("graph", None, "oracles", [5], "oracles[0] must be a JSON object"),
+    ("graph", None, "oracle", 5, "oracle must be a JSON object"),
+    ("graph", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
+                                {"oracle": "catenoid", "c1": 0.0, "r1": 1.0}],
+     "oracles[1].window is required"),
+    # a problem without corners rejects a corners section, read or not
+    ("graph", None, "corners", {key: {"type": "gaussian_diag", "diag": 5}
+                                for key in ("c00", "c10", "c01", "c11")},
+     "graph takes no 'corners'"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
@@ -390,7 +411,10 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
         "string_tabulated_x", "bool_tabulated_pdf", "bool_gaussian_diag_entry",
         "nan_gaussian_diag_entry",
         "missing_plane_a3", "missing_catenoid_c1", "missing_gaussian_std", "missing_component_std", "missing_tabulated_pdf",
-        "missing_gaussian_diag", "int_out", "zero_grid_m", "negative_grid_m"])
+        "missing_gaussian_diag", "int_out", "zero_grid_m", "negative_grid_m",
+        "int_components", "int_component", "int_tabulated_x", "int_gaussian_diag",
+        "int_oracles", "object_oracles", "int_oracles_entry", "int_oracle",
+        "missing_oracles_window", "graph_corners"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
@@ -445,9 +469,11 @@ def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, messag
     ("density1d", "c11.type", "laplace",
      "corners.c11.type must be 'gaussian', 'mixture' or 'tabulated', got 'laplace'"),
     ("gaussian-diag", "c00.diag", [], "corners.c00.diag must not be empty"),
+    ("gaussian-diag", "c11.diag", [1.0, 2.0],
+     "corners.c11.diag has 2 entries, not 3 like corners.c00.diag"),
 ], ids=["zero_std", "negative_component_std", "weights_not_summing_to_1",
         "negative_weight", "nan_weight", "non_increasing_x", "no_mass", "unknown_type",
-        "empty_gaussian_diag"])
+        "empty_gaussian_diag", "unequal_gaussian_diag_lengths"])
 def test_invalid_corner_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, key, value, message
 ):
@@ -744,6 +770,18 @@ def test_verify_all_four_oracles(tmp_path):
     entries = doc["minimal_surface"]
     assert len(entries) == 4
     assert all(e["pass"] and e["max_abs"] <= 1e-10 and e["samples"] == 21 for e in entries)
+
+
+@pytest.mark.parametrize("oracles", [None, []], ids=["no_oracles", "empty_oracles"])
+def test_verify_with_nothing_to_check_exits_2(tmp_path, capsys, oracles):
+    doc = {"problem": "analytic-verify", "out": str(tmp_path / "verify")}
+    if oracles is not None:
+        doc["oracles"] = oracles
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: verify needs an oracle list or a surface file\n"
+    )
+    assert not (tmp_path / "verify").exists()
 
 
 def test_verify_perturbed_scherk_fails_tolerance(tmp_path):
