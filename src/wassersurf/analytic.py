@@ -132,10 +132,8 @@ def evaluate(surf: AnalyticSurface, s, t) -> Jet:
         r = np.hypot(s, t)
         x = r / surf.r1
         _check(x >= 1.0 + ARCCOSH_GUARD, "sqrt(s^2 + t^2) >= r1 (away from the waist)", surf)
-        # arccosh(x) = log(x + sqrt(x^2 - 1)) for x >= 1
-        acosh = np.log(x + np.sqrt(x * x - 1.0))
         sg = float(surf.sign)
-        z = surf.c1 + sg * surf.r1 * acosh
+        z = surf.c1 + sg * surf.r1 * np.arccosh(x)
         root = np.sqrt(r * r - surf.r1**2)
         fp = sg * surf.r1 / root
         fpp = -sg * surf.r1 * r / root**3

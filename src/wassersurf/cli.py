@@ -198,6 +198,9 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
                    for n, o in enumerate(json_typed(doc["oracles"], list, "oracles"))]
         if oracle is None and oracles:
             oracle = oracles[0]
+    if problem == "gaussian-diag" and corners is not None and oracle is not None:
+        key = "oracle" if "oracle" in doc else "oracles"
+        raise ConfigError(f"gaussian-diag takes 'corners' or '{key}', not both")
 
     sdoc = _section(doc, "solver")
     method = sdoc.get("method", "nonlinear-cg")
@@ -451,7 +454,7 @@ def cmd_export_plot(surface_path, out_dir, density_nodes=None) -> int:
         # reconstruct densities from the quantile surface: at level z_k the
         # density at x = Z(z_k) is 1 / dZ/dz, with dZ/dz by central
         # differences over the midpoint grid spacing 1/m.
-        zs = (np.arange(m) + 0.5) / m
+        zs = QuantileGrid(m).nodes
         snaps = []
         for i, j in nodes:
             Z = field.values[i, j, :]

@@ -97,29 +97,12 @@ def gaussian_geodesic_diag(sig0, sig1, tau: float) -> np.ndarray:
     return ((1.0 - tau) * np.sqrt(sig0) + tau * np.sqrt(sig1)) ** 2
 
 
-def _fd_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order first derivative on a uniform grid axis.
-
-    Central differences inside, one-sided three-point stencils at the two
-    ends; both are exact on quadratics, so identities built from them
-    cancel cleanly wherever the data is polynomial of degree <= 2.
-    """
-    if values.shape[axis] < 3:
-        raise ValueError("need at least 3 nodes along the differentiation axis")
-    v = np.moveaxis(values, axis, 0)
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(d, 0, axis)
-
-
 def lyapunov_velocity(surf: DiagonalCovSurface, direction: str) -> np.ndarray:
     """Velocity coefficients A_ii = d Sigma_ii / (2 Sigma_ii) on every node.
 
     ``direction`` selects the parameter ('s' or 't'); the derivative of
-    Sigma uses central differences inside and one-sided second-order
-    stencils on the edges.
+    Sigma is ``np.gradient(..., edge_order=2)``: central differences inside,
+    one-sided three-point stencils on the edges, both exact on quadratics.
     """
     grid = surf.field.grid
     if direction == "s":
@@ -129,7 +112,7 @@ def lyapunov_velocity(surf: DiagonalCovSurface, direction: str) -> np.ndarray:
     else:
         raise ValueError(f"direction must be 's' or 't', got {direction!r}")
     sigma = np.square(surf.field.values)
-    return _fd_axis(sigma, h, axis) / (2.0 * sigma)
+    return np.gradient(sigma, h, axis=axis, edge_order=2) / (2.0 * sigma)
 
 
 @dataclass(eq=False)
@@ -199,7 +182,8 @@ def critical_point_residual(surf: DiagonalCovSurface, border: int = 1) -> Critic
     if ns - 2 * border < 1 or nt - 2 * border < 1:
         raise ValueError(f"grid {ns}x{nt} too small for border {border}")
     cf = critical_fields(surf)
-    div = _fd_axis(cf.s_s, grid.hs, 0) + _fd_axis(cf.s_t, grid.ht, 1)
+    div = (np.gradient(cf.s_s, grid.hs, axis=0, edge_order=2)
+           + np.gradient(cf.s_t, grid.ht, axis=1, edge_order=2))
     # A_s S_s + A_t S_t = (A_s^2 qt + A_t^2 qs - 2 A_s A_t p) / 2J
     full = div + (cf.a_s * cf.s_s + cf.a_t * cf.s_t)
     window = (slice(border, ns - border), slice(border, nt - border))

@@ -404,6 +404,9 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
     ("graph", None, "corners", {key: {"type": "gaussian_diag", "diag": 5}
                                 for key in ("c00", "c10", "c01", "c11")},
      "graph takes no 'corners'"),
+    # gaussian-diag takes its boundary from one of the two, never both
+    ("gaussian-diag", None, "oracle", {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
+     "gaussian-diag takes 'corners' or 'oracle', not both"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
@@ -414,7 +417,7 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
         "missing_gaussian_diag", "int_out", "zero_grid_m", "negative_grid_m",
         "int_components", "int_component", "int_tabulated_x", "int_gaussian_diag",
         "int_oracles", "object_oracles", "int_oracles_entry", "int_oracle",
-        "missing_oracles_window", "graph_corners"])
+        "missing_oracles_window", "graph_corners", "gaussian_diag_corners_and_oracle"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
@@ -534,12 +537,17 @@ def test_perturbed_solve_does_not_import_numpy_random(tmp_path, problem):
         "from wassersurf import cli\n"
         f"code = cli.main(['solve', {cfg!r}])\n"
         "print(code, 'numpy.random' in sys.modules)\n"
+        "print('statistics' in sys.modules)\n"
     )
     src = str(Path(ws.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 False"
+    *_, random_line, statistics_line = run.stdout.splitlines()
+    assert random_line == "0 False"
+    if problem == "graph":
+        # only a quantile-building solve loads the standard library's inverse normal
+        assert statistics_line == "False"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["converged"] is True
 
 
@@ -752,6 +760,21 @@ def test_degenerate_positivity_exit_code(tmp_path):
         "out": str(tmp_path / "bad"),
     })
     assert main(["solve", cfg]) == 4
+
+
+def test_solve_that_leaves_the_positive_cone_warns(tmp_path, capsys):
+    # a perturbation far larger than the 0.5 offset pushes interior
+    # sqrt-covariances below zero, and one step does not bring them back
+    cfg = write_config(tmp_path, {
+        "problem": "gaussian-diag",
+        "grid": {"ns": 9, "nt": 9},
+        "oracle": {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4], "z_offset": 0.5},
+        "perturb": {"amplitude": 3.0, "seed": 0},
+        "solver": {"max_iters": 1},
+        "out": str(tmp_path / "cone"),
+    })
+    assert main(["solve", cfg]) == 3
+    assert "warning: solved surface left the positive cone" in capsys.readouterr().err
 
 
 def test_verify_all_four_oracles(tmp_path):
