@@ -196,9 +196,11 @@ def test_mixture_quantile_raises_when_not_converged(monkeypatch):
 def test_standard_normal_quantile_tail_accuracy():
     scipy_stats = pytest.importorskip("scipy.stats")
     zs = np.concatenate([
-        np.geomspace(1e-300, 0.4, 80),
+        np.geomspace(1e-300, 1e-8, 40),
+        np.geomspace(1e-8, 0.4, 40),
         [0.5],
-        1.0 - np.geomspace(1e-16, 0.4, 40),
+        1.0 - np.geomspace(1e-8, 0.4, 40),
+        1.0 - np.geomspace(1e-16, 1e-8, 20),
     ])
     ours = ws.standard_normal_quantile(zs)
     ref = scipy_stats.norm.ppf(zs)
