@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,13 @@ def test_standard_normal_quantile_tail_accuracy():
     ref = scipy_stats.norm.ppf(zs)
     assert np.max(np.abs(ours - ref)) <= 1e-12
 
+
+def test_standard_normal_quantile_without_the_c_accelerator(monkeypatch):
+    # an interpreter without ``_statistics`` takes the public NormalDist route
+    zs = np.concatenate([np.geomspace(1e-300, 0.4, 30), [0.5], 1.0 - np.geomspace(1e-16, 0.4, 30)])
+    fast = ws.standard_normal_quantile(zs)
+    monkeypatch.setitem(sys.modules, "_statistics", None)
+    assert np.array_equal(ws.standard_normal_quantile(zs), fast)
 
 def test_geodesic_midpoint_variance():
     # N(0,1) -> N(0,4): the midpoint of the displacement path is N(0, 2.25)
