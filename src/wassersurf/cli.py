@@ -62,7 +62,11 @@ EXIT_STALL = 3
 EXIT_DEGENERATE = 4
 EXIT_NUMERIC = 5
 
-PROBLEMS = ("graph", "density1d", "gaussian-diag", "analytic-verify")
+#: the sections each problem may take its surface from ("oracle" also stands for
+#: its list form "oracles"); a problem with two takes one of them, not both
+SOURCES = {"graph": ("oracle",), "density1d": ("corners",),
+           "gaussian-diag": ("corners", "oracle"), "analytic-verify": ("oracle",)}
+PROBLEMS = tuple(SOURCES)
 
 #: points per direction on which ``verify`` samples each oracle's window
 ORACLE_SAMPLES = 21
@@ -77,17 +81,30 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _finite_real(value, name: str) -> float:
+    """``value`` through ``real_number``; a NaN or an infinity is a config error too."""
+    number = real_number(value, name)
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number!r}")
+    return number
+
+
 def _parse_window(doc, name: str) -> tuple:
+    window = None
     if isinstance(doc, list) and len(doc) == 2:
         if all(isinstance(part, list) and len(part) == 2 for part in doc):
-            return tuple(
-                tuple(real_number(x, f"{name}[{a}][{b}]") for b, x in enumerate(part))
+            window = tuple(
+                tuple(_finite_real(x, f"{name}[{a}][{b}]") for b, x in enumerate(part))
                 for a, part in enumerate(doc)
             )
-        if not any(isinstance(part, list) for part in doc):
-            lo, hi = (real_number(x, f"{name}[{a}]") for a, x in enumerate(doc))
-            return ((lo, hi), (lo, hi))
-    raise ConfigError(f"{name} must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]")
+        elif not any(isinstance(part, list) for part in doc):
+            lo, hi = (_finite_real(x, f"{name}[{a}]") for a, x in enumerate(doc))
+            window = ((lo, hi), (lo, hi))
+    if window is None:
+        raise ConfigError(f"{name} must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]")
+    if any(lo >= hi for lo, hi in window):
+        raise ConfigError(f"{name} intervals must have lo < hi, got {doc!r}")
+    return window
 
 
 #: keys accepted at the top level ("") and in each fixed-schema section; any
@@ -131,12 +148,12 @@ def parse_oracle(doc: dict, name: str = "oracle"):
     params = fields(ORACLES[kind])
     check_keys(doc, ("oracle", "window", "z_offset", *(p.name for p in params)), name + ".")
     surf = ORACLES[kind](**{
-        p.name: (whole_number if p.type is int else real_number)(
+        p.name: (whole_number if p.type is int else _finite_real)(
             required(doc, p.name, f"{name}.{p.name}"), f"{name}.{p.name}")
         for p in params if p.name in doc or p.default is MISSING
     })
     window = _parse_window(required(doc, "window", f"{name}.window"), f"{name}.window")
-    return surf, window, real_number(doc.get("z_offset", 0.0), f"{name}.z_offset")
+    return surf, window, _finite_real(doc.get("z_offset", 0.0), f"{name}.z_offset")
 
 
 @dataclass
@@ -154,6 +171,11 @@ class RunConfig:
     out: Path
     tolerances: dict
     surface_path: str | None
+
+    def area_for(self, m: int) -> AreaConfig:
+        """``area`` for a surface of ``m`` coordinates; density1d weighs each quantile 1/m."""
+        weights = quantile_weights(m) if self.problem == "density1d" else None
+        return replace(self.area, weights=weights)
 
 
 def load_config(path, out_override=None) -> RunConfig:
@@ -178,10 +200,17 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
     if m < 1:
         raise ConfigError(f"grid.m must be at least 1, got {m}")
 
+    # each source the config gives, by the key it is given under ("oracle" over "oracles")
+    given = {("oracle" if key == "oracles" else key): key
+             for key in ("corners", "oracles", "oracle") if key in doc}
+    for source, key in given.items():
+        if source not in SOURCES[problem]:
+            raise ConfigError(f"{problem} takes no '{key}'")
+    if len(given) > 1:
+        raise ConfigError(f"{problem} takes {' or '.join(map(repr, given.values()))}, not both")
+
     corners = None
     if "corners" in doc:
-        if problem not in ("density1d", "gaussian-diag"):
-            raise ConfigError(f"{problem} takes no 'corners'")
         cdoc = _section(doc, "corners")
         docs = {key: json_typed(required(cdoc, key, f"corners.{key}"), dict, f"corners.{key}")
                 for key in CONFIG_KEYS["corners"]}
@@ -198,9 +227,6 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
                    for n, o in enumerate(json_typed(doc["oracles"], list, "oracles"))]
         if oracle is None and oracles:
             oracle = oracles[0]
-    if problem == "gaussian-diag" and corners is not None and oracle is not None:
-        key = "oracle" if "oracle" in doc else "oracles"
-        raise ConfigError(f"gaussian-diag takes 'corners' or '{key}', not both")
 
     sdoc = _section(doc, "solver")
     method = sdoc.get("method", "nonlinear-cg")
@@ -221,9 +247,7 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"area.{exc}") from exc
     pdoc = _section(doc, "perturb")
-    amplitude = real_number(pdoc.get("amplitude", 0.0), "perturb.amplitude")
-    if not math.isfinite(amplitude):
-        raise ConfigError(f"perturb.amplitude must be finite, got {amplitude!r}")
+    amplitude = _finite_real(pdoc.get("amplitude", 0.0), "perturb.amplitude")
     seed = whole_number(pdoc.get("seed", 0), "perturb.seed")
     if seed < 0:
         raise ConfigError(f"perturb.seed must be non-negative, got {seed}")
@@ -259,34 +283,22 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
 
 
 def _assemble(cfg: RunConfig):
-    """Build (boundary, init, area config, free coords, oracle field, qgrid)."""
-    acfg = cfg.area
-    if cfg.problem == "graph":
-        if cfg.oracle is None:
-            raise ConfigError("graph problems need an 'oracle' boundary")
+    """Build (boundary, free coords, oracle field) from the config's source in ``SOURCES``."""
+    if cfg.problem == "analytic-verify":
+        raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")
+    if cfg.oracle is not None:
         surf, window, z_offset = cfg.oracle
-        boundary, full = analytic.graph_boundary(surf, cfg.grid, window, z_offset)
-        return boundary, coons_init(boundary), acfg, (2,), full, None
-
-    if cfg.problem == "gaussian-diag":
-        if cfg.oracle is not None:
-            surf, window, z_offset = cfg.oracle
+        if cfg.problem == "graph":
+            boundary, full = analytic.graph_boundary(surf, cfg.grid, window, z_offset)
+        else:  # the same edges in sqrt-covariance coordinates
             boundary, cov = analytic.to_cov_boundary(surf, cfg.grid, window, z_offset)
-            return boundary, coons_init(boundary), acfg, (2,), cov.field, None
-        if cfg.corners is None:
-            raise ConfigError("gaussian-diag needs 'corners' or an 'oracle'")
-        boundary = edges_from_corner_vectors(*cfg.corners, cfg.grid)
-        return boundary, coons_init(boundary), acfg, None, None, None
-
+            full = cov.field
+        return boundary, (2,), full
+    if cfg.corners is None:
+        raise ConfigError(f"{cfg.problem} needs {' or '.join(map(repr, SOURCES[cfg.problem]))}")
     if cfg.problem == "density1d":
-        if cfg.corners is None:
-            raise ConfigError("density1d needs 'corners'")
-        qg = QuantileGrid(cfg.m)
-        boundary = boundary_from_corners(*cfg.corners, cfg.grid, qg)
-        acfg = replace(cfg.area, weights=quantile_weights(cfg.m))
-        return boundary, coons_init(boundary), acfg, None, None, qg
-
-    raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")
+        return boundary_from_corners(*cfg.corners, cfg.grid, QuantileGrid(cfg.m)), None, None
+    return edges_from_corner_vectors(*cfg.corners, cfg.grid), None, None
 
 
 def _write_boundary_csv(b: BoundarySpec, path: Path) -> None:
@@ -313,13 +325,14 @@ def _dump_json(obj, path: Path) -> None:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    boundary, init, acfg, free, oracle_field, qg = _assemble(cfg)
+    boundary, free, oracle_field = _assemble(cfg)
+    init = coons_init(boundary)
     if cfg.perturb_amplitude != 0.0:
         init = perturb_interior(init, cfg.perturb_amplitude, cfg.perturb_seed, free)
     # an unusable --out fails here, before the solve; a config error earlier
     # leaves no directory behind
     cfg.out.mkdir(parents=True, exist_ok=True)
-    report = minimize(init, boundary, cfg.solver, acfg, free_coords=free)
+    report = minimize(init, boundary, cfg.solver, cfg.area_for(cfg.m), free_coords=free)
 
     save_csv(report.field, cfg.out / "surface.csv")
     save_json(report.field, cfg.out / "surface.json")
@@ -332,12 +345,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         _dump_json({"max_abs_interior": float(np.max(gap[1:-1, 1:-1])),
                     "max_abs": float(np.max(gap)), "ns": cfg.grid.ns, "nt": cfg.grid.nt},
                    cfg.out / "oracle_gap.json")
-    if qg is not None:
-        mono = monotonicity_report(QuantileSurface(report.field, qg))
-        _dump_json(
-            {"violations": mono.violations, "worst_gap": mono.worst_gap},
-            cfg.out / "monotonicity.json",
-        )
+    if cfg.problem == "density1d":
+        mono = monotonicity_report(QuantileSurface(report.field, QuantileGrid(cfg.m)))
+        _dump_json({"violations": mono.violations, "worst_gap": mono.worst_gap},
+                   cfg.out / "monotonicity.json")
 
     if cfg.problem == "gaussian-diag" and float(report.field.values.min()) <= 0.0:
         print(
@@ -387,8 +398,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     if cfg.surface_path is not None:
         field = _load_surface(cfg.surface_path)
-        weights = quantile_weights(field.dim) if cfg.problem == "density1d" else None
-        rep = euler_lagrange_residual(field, replace(cfg.area, weights=weights))
+        rep = euler_lagrange_residual(field, cfg.area_for(field.dim))
         results["euler_lagrange"] = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
         if cfg.problem == "gaussian-diag":
             mw = critical_point_residual(DiagonalCovSurface(field))

@@ -354,6 +354,12 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
      "oracle.window[1][1] must be a real number, got True"),
     ("graph", "oracle", "window", [0.1, 0.2, 0.4],
      "oracle.window must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]"),
+    # json reads the NaN and Infinity literals; an oracle takes finite numbers only
+    ("graph", "oracle", "c", math.inf, "oracle.c must be finite, got inf"),
+    ("graph", "oracle", "z_offset", math.nan, "oracle.z_offset must be finite, got nan"),
+    ("graph", "oracle", "window", [0.1, -math.inf], "oracle.window[1] must be finite, got -inf"),
+    ("graph", "oracle", "window", [[0.1, 0.4], [0.4, 0.1]],
+     "oracle.window intervals must have lo < hi, got [[0.1, 0.4], [0.4, 0.1]]"),
     ("density1d", "corners", "c00.std", "2", "corners.c00.std must be a real number, got '2'"),
     ("density1d", "corners", "c11.mean", True,
      "corners.c11.mean must be a real number, got True"),
@@ -407,9 +413,17 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
     # gaussian-diag takes its boundary from one of the two, never both
     ("gaussian-diag", None, "oracle", {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
      "gaussian-diag takes 'corners' or 'oracle', not both"),
+    ("gaussian-diag", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
+     "gaussian-diag takes 'corners' or 'oracles', not both"),
+    # density1d takes its boundary from corners only
+    ("density1d", None, "oracle", {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
+     "density1d takes no 'oracle'"),
+    ("density1d", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
+     "density1d takes no 'oracles'"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
+        "inf_oracle_c", "nan_z_offset", "inf_window_entry", "reversed_window",
         "string_corner_std", "bool_corner_mean", "string_mixture_weight",
         "string_tabulated_x", "bool_tabulated_pdf", "bool_gaussian_diag_entry",
         "nan_gaussian_diag_entry",
@@ -417,11 +431,40 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
         "missing_gaussian_diag", "int_out", "zero_grid_m", "negative_grid_m",
         "int_components", "int_component", "int_tabulated_x", "int_gaussian_diag",
         "int_oracles", "object_oracles", "int_oracles_entry", "int_oracle",
-        "missing_oracles_window", "graph_corners", "gaussian_diag_corners_and_oracle"])
+        "missing_oracles_window", "graph_corners", "gaussian_diag_corners_and_oracle",
+        "gaussian_diag_corners_and_oracles", "density1d_oracle", "density1d_oracles"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
     _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message)
+
+
+@pytest.mark.parametrize("problem, sources, message", [
+    ("graph", {}, "graph needs 'oracle'"),
+    ("density1d", {}, "density1d needs 'corners'"),
+    ("gaussian-diag", {}, "gaussian-diag needs 'corners' or 'oracle'"),
+    ("analytic-verify", {"oracles": [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}]},
+     "problem 'analytic-verify' cannot be solved directly"),
+], ids=["graph", "density1d", "gaussian_diag", "analytic_verify"])
+def test_solve_without_a_source_exits_2_naming_it(tmp_path, capsys, problem, sources, message):
+    doc = {"problem": problem, "grid": {"ns": 5, "nt": 5}, **sources, "out": str(tmp_path / "run")}
+    assert main(["solve", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("problem, oracles, message", [
+    # a problem's table of sources holds for verify too
+    ("density1d", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
+     "density1d takes no 'oracles'"),
+    ("analytic-verify", [{"oracle": "scherk", "c": 1.0, "window": [0.1, math.inf]}],
+     "oracles[0].window[1] must be finite, got inf"),
+], ids=["density1d_oracles", "inf_window_entry"])
+def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem, oracles, message):
+    doc = {"problem": problem, "oracles": oracles, "out": str(tmp_path / "verify")}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "verify").exists()
 
 
 def _edited_config(tmp_path, problem, section, key, value):
