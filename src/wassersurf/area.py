@@ -29,6 +29,10 @@ import numpy as np
 
 from .grid import SurfaceField
 
+#: coordinates per block of the flux divergence (``flux_divergence``): its
+#: temporaries scale with this, not with the width of the field
+FLUX_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class AreaConfig:
@@ -109,10 +113,11 @@ class CellTerms:
 
     ``ds`` and ``dt`` are the cell tangents of the coordinates the terms were
     taken over, shape ``(ns-1, nt-1, width)``, and ``w`` their weights.
-    ``pinned`` is the Gram triple of every other coordinate, and ``a``, ``b``,
-    ``c`` are <ds,ds>_w, <dt,dt>_w, <ds,dt>_w over all coordinates: the
-    pinned part plus that of the taken ones.  ``gram`` is a*b - c*c,
-    unclamped, and ``cells`` the area density sqrt(max(gram, 0) + epsilon).
+    ``pinned`` is the Gram triple of every other coordinate (three float
+    zeros when there are none), and ``a``, ``b``, ``c`` are <ds,ds>_w,
+    <dt,dt>_w, <ds,dt>_w over all coordinates: the pinned part plus that of
+    the taken ones.  ``gram`` is a*b - c*c, unclamped, and ``cells`` the
+    area density sqrt(max(gram, 0) + epsilon).
     """
 
     ds: np.ndarray
@@ -142,7 +147,7 @@ def cell_terms(f: SurfaceField, cfg: AreaConfig, moving: slice = slice(None),
         ds, dt = _tangents(f.values, hs, ht)
         rest = np.ones(w.size, dtype=bool)
         rest[moving] = False
-        pinned = _gram_terms(ds[..., rest], dt[..., rest], w[rest])
+        pinned = _gram_terms(ds[..., rest], dt[..., rest], w[rest]) if rest.any() else (0.0,) * 3
         ds, dt = ds[..., moving], dt[..., moving]
     else:
         ds, dt = _tangents(f.values[..., moving], hs, ht)
@@ -202,34 +207,68 @@ def terms_change(current: CellTerms, cells_try, step, grid) -> float:
     return grid.hs * grid.ht * math.fsum(per_cell.ravel().tolist())
 
 
-def _fluxes(terms: CellTerms):
-    """Per-cell fluxes (fs, ft) of the coordinates ``terms`` was taken over.
+def _inverse_areas(terms: CellTerms) -> np.ndarray:
+    """1/sqrt(G) per cell, zero where the clamped determinant sits at zero; shape ``(ns-1, nt-1, 1)``.
+
+    With ``epsilon=0`` such a cell has zero area, so it is never divided by.
+    """
+    live = terms.gram > 0.0
+    return np.divide(1.0, terms.cells, out=np.zeros_like(terms.cells), where=live)[..., None]
+
+
+def _fluxes(terms: CellTerms, inv: np.ndarray, cols: slice = slice(None)):
+    """Per-cell fluxes (fs, ft) of the coordinates ``cols`` of those ``terms`` was taken over.
 
     fs = w (b ds - c dt) / sqrt(G) and ft = w (a dt - c ds) / sqrt(G), the
     derivatives of a cell's area density in its s- and t-tangents, shapes
     ``(ns-1, nt-1, width)``, are zero where the clamped determinant sits at
-    zero (the flat side of the clamp).
+    zero (the flat side of the clamp); ``inv`` is ``_inverse_areas(terms)``.
+    Each is computed in place beside one scratch array of its size.
     """
-    ds, dt, w = terms.ds, terms.dt, terms.w
-    inv = np.where(terms.gram > 0.0, 1.0 / terms.cells, 0.0)[..., None]
-    fs = inv * w * (terms.b[..., None] * ds - terms.c[..., None] * dt)
-    ft = inv * w * (terms.a[..., None] * dt - terms.c[..., None] * ds)
+    ds, dt, w = terms.ds[..., cols], terms.dt[..., cols], terms.w[cols]
+    a, b, c = (x[..., None] for x in (terms.a, terms.b, terms.c))
+    fs = b * ds
+    scratch = c * dt
+    fs -= scratch
+    ft = a * dt
+    ft -= np.multiply(c, ds, out=scratch)
+    np.multiply(inv, w, out=scratch)
+    fs *= scratch
+    ft *= scratch
     return fs, ft
 
 
-def _divergence(fs, ft, hs: float, ht: float) -> np.ndarray:
+def _divergence(fs, ft, hs: float, ht: float, out=None) -> np.ndarray:
     """Divergence of the cell fluxes on interior nodes, shape ``(ns-2, nt-2, m)``.
 
     A node's (+s, +t) and (-s, -t) cells enter through u = fs/2hs + ft/2ht,
-    its (+s, -t) and (-s, +t) cells through v = fs/2hs - ft/2ht.
+    its (+s, -t) and (-s, +t) cells through v = fs/2hs - ft/2ht.  Overwrites
+    ``fs`` and ``ft``, and writes into ``out`` when given.
     """
-    ps = fs / (2.0 * hs)
-    pt = ft / (2.0 * ht)
+    ps = np.divide(fs, 2.0 * hs, out=fs)
+    pt = np.divide(ft, 2.0 * ht, out=ft)
     u = ps + pt
     v = np.subtract(ps, pt, out=ps)
-    div = u[1:, 1:] - u[:-1, :-1]
+    div = np.subtract(u[1:, 1:], u[:-1, :-1], out=out)
     div += v[1:, :-1]
     div -= v[:-1, 1:]
+    return div
+
+
+def flux_divergence(terms: CellTerms, grid) -> np.ndarray:
+    """Flux divergence on interior nodes in the coordinates ``terms`` was taken over.
+
+    Shape ``(ns-2, nt-2, width)``, taken ``FLUX_BLOCK`` coordinates at a
+    time, so its temporaries are three blocks whatever the width.  Fluxes
+    and divergence are elementwise in the coordinate, so the result is the
+    same bit for bit as that of one pass over all of them.
+    """
+    inv = _inverse_areas(terms)
+    width = terms.w.size
+    div = np.empty((grid.ns - 2, grid.nt - 2, width))
+    for start in range(0, width, FLUX_BLOCK):
+        cols = slice(start, start + FLUX_BLOCK)
+        _divergence(*_fluxes(terms, inv, cols), grid.hs, grid.ht, out=div[..., cols])
     return div
 
 
@@ -238,7 +277,7 @@ def terms_gradient(terms: CellTerms, grid) -> np.ndarray:
 
     -hs*ht times the flux divergence, shape ``(ns-2, nt-2, width)``.
     """
-    grad = _divergence(*_fluxes(terms), grid.hs, grid.ht)
+    grad = flux_divergence(terms, grid)
     grad *= -(grid.hs * grid.ht)
     return grad
 
@@ -250,6 +289,8 @@ def area_gradient(f: SurfaceField, cfg: AreaConfig) -> np.ndarray:
     ``euler_lagrange_residual`` reports.  Boundary nodes are fixed data, so
     their entries are returned as zero.
     """
+    inner = terms_gradient(cell_terms(f, cfg), f.grid)
+    # the terms and their tangents are freed before the full-size array is made
     grad = np.zeros_like(f.values)
-    grad[1:-1, 1:-1] = terms_gradient(cell_terms(f, cfg), f.grid)
+    grad[1:-1, 1:-1] = inner
     return grad

@@ -143,6 +143,7 @@ def critical_fields(surf: DiagonalCovSurface) -> CriticalFields:
     qs = np.einsum("ijk,ijk->ij", sigma, a_s * a_s)
     qt = np.einsum("ijk,ijk->ij", sigma, a_t * a_t)
     p = np.einsum("ijk,ijk->ij", sigma, a_s * a_t)
+    del sigma  # not needed past the energies; S_s and S_t are built without it
     j = np.sqrt(np.maximum(qs * qt - p * p, 0.0))
     if np.any(j < J_FLOOR):
         i, k = np.unravel_index(int(np.argmin(j)), j.shape)
@@ -185,9 +186,11 @@ def critical_point_residual(surf: DiagonalCovSurface, border: int = 1) -> Critic
     div = (np.gradient(cf.s_s, grid.hs, axis=0, edge_order=2)
            + np.gradient(cf.s_t, grid.ht, axis=1, edge_order=2))
     # A_s S_s + A_t S_t = (A_s^2 qt + A_t^2 qs - 2 A_s A_t p) / 2J
-    full = div + (cf.a_s * cf.s_s + cf.a_t * cf.s_t)
-    window = (slice(border, ns - border), slice(border, nt - border))
-    values = np.zeros_like(full)
-    values[window] = full[window]
-    max_norm = float(np.max(np.abs(full[window])))
+    values = np.add(div, cf.a_s * cf.s_s + cf.a_t * cf.s_t, out=div)
+    # the largest |value| in the window from its largest and smallest value,
+    # then zeros outside it, all in place
+    window = values[border:ns - border, border:nt - border]
+    max_norm = float(np.maximum(abs(window.max()), abs(window.min())))
+    values[:border] = values[ns - border:] = 0.0
+    values[:, :border] = values[:, nt - border:] = 0.0
     return CriticalResidualReport(values=values, max_norm=max_norm, border=border)

@@ -53,10 +53,16 @@ def json_typed(value, kind: type, name: str):
 
 
 def real_number(value, name: str) -> float:
-    """``value`` as a float; raises ValueError for a string, a boolean or any other non-number."""
+    """``value`` as a float; raises ValueError for a string, a boolean or any other non-number.
+
+    So does an integer beyond the float range, which JSON reads exactly.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
 
 
 def real_vector(values, name: str) -> np.ndarray:
@@ -277,15 +283,21 @@ def coons_init(b: BoundarySpec) -> SurfaceField:
 # header is ``i,j,s,t,k,value``, every row has six numeric fields, the i/j/k
 # columns are non-negative integers, no (i, j, k) appears twice, and every
 # node of the ns x nt x m box the largest indices span has a row.  The s and
-# t columns are parsed, so a non-numeric one is rejected, but not used: they
-# follow from ns and nt.  The index columns are checked one at a time as
-# views of the parsed array, and the per-row diagnostics behind an error
-# message are built only once a check has failed.  ``save_json`` writes the
-# bytes ``json.dumps`` gives for the whole document, ``JSON_CHUNK`` values
-# at a time, so its memory does not grow with the field.
+# t columns are parsed (as float32, see ``CSV_ROW``), so a non-numeric one is
+# rejected, but not used: they follow from ns and nt.  The index columns are
+# checked one at a time as views of the parsed rows, and the per-row
+# diagnostics behind an error message are built only once a check has
+# failed.  ``save_json`` writes the bytes ``json.dumps`` gives for the whole
+# document, ``JSON_CHUNK`` values at a time, so its memory does not grow with
+# the field.
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "i,j,s,t,k,value"
+#: the row type ``load_csv`` parses into: float64 indices (numpy versions
+#: disagree on whether an integer column takes text like ``1.0``) and value,
+#: float32 for the s and t columns, which are parsed but never used
+CSV_ROW = np.dtype([("i", "f8"), ("j", "f8"), ("s", "f4"), ("t", "f4"), ("k", "f8"), ("value", "f8")])
+INDEX_COLUMNS = ("i", "j", "k")
 #: values per ``json.dumps`` call in ``save_json``; bounds its memory whatever the field size
 JSON_CHUNK = 2048
 
@@ -324,7 +336,7 @@ def _field_count_error(path) -> ValueError | None:
 
 def _index_error(path, rows) -> ValueError:
     """Why the i, j, k columns of ``rows`` are not the indices of a complete box."""
-    idx = rows[:, (0, 1, 4)]
+    idx = np.stack([rows[name] for name in INDEX_COLUMNS], axis=1)
     bad = ~(np.isfinite(idx) & (idx >= 0) & (idx == np.trunc(idx))).all(axis=1)
     if bad.any():
         r = int(np.argmax(bad))
@@ -344,17 +356,16 @@ def load_csv(path) -> SurfaceField:
     if not first.strip():
         raise _field_count_error(path) or ValueError(f"{path}: no data rows after the header")
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        rows = np.loadtxt(path, dtype=CSV_ROW, delimiter=",", skiprows=1, ndmin=1, comments=None)
     except ValueError as exc:
         raise _field_count_error(path) or ValueError(f"{path}: {exc}") from exc
-    if rows.shape[1] != 6:
-        raise _field_count_error(path) or ValueError(f"{path}: expected 6 fields per row")
 
     # Each index column is checked as a view: a NaN fails both comparisons,
     # and an index at or past the row count means a box with missing nodes.
     n = len(rows)
     sizes = []
-    for col in (rows[:, 0], rows[:, 1], rows[:, 4]):
+    for name in INDEX_COLUMNS:
+        col = rows[name]
         lo, hi = col.min(), col.max()
         if not (lo >= 0 and hi < n) or (np.trunc(col) != col).any():
             raise _index_error(path, rows)
@@ -362,25 +373,26 @@ def load_csv(path) -> SurfaceField:
     ns, nt, m = sizes
     if ns * nt * m > n:
         raise ValueError(f"{path}: incomplete surface (missing grid entries)")
-    # every partial sum is a whole number below ns*nt*m <= n < 2**53: exact in float64
-    flat = rows[:, 0] * nt
-    flat += rows[:, 1]
+    # built in place as int64: every partial sum is a whole number below
+    # ns*nt*m <= n < 2**53, so adding a float64 column to it is exact
+    flat = rows["i"].astype(np.int64)
+    flat *= nt
+    np.add(flat, rows["j"], out=flat, casting="unsafe")
     flat *= m
-    flat += rows[:, 4]
-    flat = flat.astype(np.int64)
+    np.add(flat, rows["k"], out=flat, casting="unsafe")
     seen = np.zeros(ns * nt * m, dtype=bool)
     seen[flat] = True
     if np.count_nonzero(seen) < n:
         counts = np.bincount(flat, minlength=ns * nt * m)
         r1, r2 = np.flatnonzero(flat == np.argmax(counts > 1))[:2]
-        i, j, k = (int(x) for x in rows[r1, (0, 1, 4)])
+        i, j, k = (int(rows[name][r1]) for name in INDEX_COLUMNS)
         raise ValueError(
             f"{path}: duplicate entry for (i, j, k) = ({i}, {j}, {k}) "
             f"at data rows {r1 + 1} and {r2 + 1}"
         )
     # n distinct flat indices in a box of at most n nodes: each node has one row
     vals = np.empty(ns * nt * m)
-    vals[flat] = rows[:, 5]
+    vals[flat] = rows["value"]
     try:
         return SurfaceField(Grid2(ns, nt), vals.reshape(ns, nt, m))
     except ValueError as exc:  # a one-node direction or a non-finite value
@@ -396,7 +408,7 @@ def from_json_dict(doc: dict) -> SurfaceField:
     try:
         ns, nt, dim = (whole_number(doc[key], key) for key in ("ns", "nt", "dim"))
         vals = np.asarray(doc["values"], dtype=float)
-    except TypeError as exc:  # e.g. null where a number belongs
+    except (TypeError, OverflowError) as exc:  # null where a number belongs, or a huge integer
         raise ValueError(f"malformed JSON surface: {exc}") from exc
     if vals.size != ns * nt * dim:
         raise ValueError(

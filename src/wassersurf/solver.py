@@ -92,9 +92,11 @@ from .area import (
     _divergence,
     _fluxes,
     _gram_terms,
+    _inverse_areas,
     _tangents,
     area_gradient,
     cell_terms,
+    flux_divergence,
     hourglass_amplitude,
     summed_area,
     terms_change,
@@ -189,23 +191,28 @@ def euler_lagrange_residual(f: SurfaceField, acfg: AreaConfig) -> ResidualReport
     critical point this is O(h^2); it is exactly -area_gradient / (hs*ht)
     under the same config, since both come from one flux kernel.
     """
-    grid = f.grid
     terms = cell_terms(f, acfg)
-    fs, ft = _fluxes(terms)
     deg = terms.gram < acfg.epsilon
-    # the tangents the terms hold are as large as the fluxes on wide fields;
-    # dropping them first keeps the divergence's temporaries in reused memory
+    inner = flux_divergence(terms, f.grid)
+    # as in area_gradient, the terms and their tangents are freed before the
+    # full-size array is made
     del terms
     values = np.zeros_like(f.values)
-    values[1:-1, 1:-1] = _divergence(fs, ft, grid.hs, grid.ht)
-
+    values[1:-1, 1:-1] = inner
     excluded = deg[:-1, :-1] & deg[:-1, 1:] & deg[1:, :-1] & deg[1:, 1:]
-    kept = values[1:-1, 1:-1][~excluded]
-    max_norm = float(np.max(np.abs(kept))) if kept.size else 0.0
+    n_excluded = int(np.count_nonzero(excluded))
+    max_norm = 0.0
+    if n_excluded < excluded.size:
+        # the largest |value| on kept nodes is that of their largest or their
+        # smallest value: two reductions and no field-sized copy
+        kept = ~excluded[..., None] if n_excluded else True
+        hi = inner.max(initial=-np.inf, where=kept)
+        lo = inner.min(initial=np.inf, where=kept)
+        max_norm = float(np.maximum(abs(hi), abs(lo)))
     return ResidualReport(
         values=values,
         max_norm=max_norm,
-        excluded_nodes=int(np.count_nonzero(excluded)),
+        excluded_nodes=n_excluded,
         excluded_mask=excluded,
         degenerate_cells=int(np.count_nonzero(deg)),
     )
@@ -309,8 +316,8 @@ def _laplace_beltrami_kernel(terms):
     on interior nodes for the operator S that ``_frozen_operator`` builds
     from it.  Returns the (ss, st, tt) entries, each ``(ns-1, nt-1, 1)``.
     """
-    inv = np.where(terms.gram > 0.0, 1.0 / terms.cells, 0.0)
-    return (terms.b * inv)[..., None], (-terms.c * inv)[..., None], (terms.a * inv)[..., None]
+    inv = _inverse_areas(terms)
+    return terms.b[..., None] * inv, -terms.c[..., None] * inv, terms.a[..., None] * inv
 
 
 def _newton_kernel(terms):
@@ -326,8 +333,8 @@ def _newton_kernel(terms):
     ``(ns-1, nt-1, 1)``.
     """
     big_a, big_b, big_c = terms.pinned
-    fs, ft = _fluxes(terms)
-    inv = np.where(terms.gram > 0.0, 1.0 / terms.cells, 0.0)[..., None]
+    inv = _inverse_areas(terms)
+    fs, ft = _fluxes(terms, inv)
     w = terms.w
     return (inv * (w * big_b[..., None] - fs * fs),
             inv * (-w * big_c[..., None] - fs * ft),

@@ -258,6 +258,24 @@ def test_cell_terms_of_a_trailing_slice_equal_one_pass_bit_for_bit():
     assert ws.total_area(f, acfg) == ws.area.summed_area(first.cells, grid)
 
 
+def test_flux_divergence_in_blocks_equals_one_pass_bit_for_bit(rng):
+    # two full blocks and a remainder, against the textbook one-pass formula
+    m = 2 * ws.area.FLUX_BLOCK + 5
+    grid = ws.Grid2(9, 7)
+    vals = rng.standard_normal((9, 7, m))
+    vals[:4, :4] = vals[0, 0]  # flat cells: the clamp's zero flux
+    terms = ws.cell_terms(ws.SurfaceField(grid, vals), ws.AreaConfig(weights=ws.quantile_weights(m)))
+    assert np.any(terms.gram <= 0.0)
+    inv = np.where(terms.gram > 0.0, 1.0 / terms.cells, 0.0)[..., None]
+    a, b, c = (x[..., None] for x in (terms.a, terms.b, terms.c))
+    fs = inv * terms.w * (b * terms.ds - c * terms.dt)
+    ft = inv * terms.w * (a * terms.dt - c * terms.ds)
+    u = fs / (2.0 * grid.hs) + ft / (2.0 * grid.ht)
+    v = fs / (2.0 * grid.hs) - ft / (2.0 * grid.ht)
+    one_pass = u[1:, 1:] - u[:-1, :-1] + v[1:, :-1] - v[:-1, 1:]
+    assert np.array_equal(ws.area.flux_divergence(terms, grid), one_pass)
+
+
 def test_hourglass_amplitude():
     # an affine field has no hourglass mode, a twisted one has hs*ht times its
     # twist, and a checkerboard of amplitude d adds 4d in every cell

@@ -420,6 +420,11 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
      "density1d takes no 'oracle'"),
     ("density1d", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
      "density1d takes no 'oracles'"),
+    # json reads an integer literal exactly, however far beyond the float range
+    ("graph", "oracle", "c", 10 ** 400,
+     "oracle.c must be finite, got an integer too large for a float"),
+    ("graph", "area", "epsilon", 10 ** 400,
+     "area.epsilon must be finite, got an integer too large for a float"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
@@ -432,7 +437,8 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
         "int_components", "int_component", "int_tabulated_x", "int_gaussian_diag",
         "int_oracles", "object_oracles", "int_oracles_entry", "int_oracle",
         "missing_oracles_window", "graph_corners", "gaussian_diag_corners_and_oracle",
-        "gaussian_diag_corners_and_oracles", "density1d_oracle", "density1d_oracles"])
+        "gaussian_diag_corners_and_oracles", "density1d_oracle", "density1d_oracles",
+        "huge_int_oracle_c", "huge_int_area_epsilon"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):

@@ -309,11 +309,22 @@ def test_big_field_io_runs_in_bounded_memory(tmp_path, rng):
     field = ws.SurfaceField(ws.Grid2(33, 33), rng.standard_normal((33, 33, 64)))
     ws.save_csv(field, tmp_path / "surface.csv")
     nbytes = field.values.nbytes
-    # the six parsed columns are 6x the field and the result 1x; no full-size
-    # copies of the index columns on top of them
-    assert traced_peak(ws.load_csv, tmp_path / "surface.csv") <= 10 * nbytes
+    # the parsed rows are 5x the field (s and t as float32), the int64 flat
+    # index and the result 1x each; no full-size copies of the index columns
+    assert traced_peak(ws.load_csv, tmp_path / "surface.csv") <= 8 * nbytes
     # the writer holds one chunk of text, never the whole document
     assert traced_peak(ws.save_json, field, tmp_path / "surface.json") <= nbytes
+    # the flux divergence holds the cell tangents (2x) and its result (1x),
+    # plus a few blocks of coordinates, however wide the field
+    acfg = ws.AreaConfig(weights=ws.quantile_weights(64))
+    assert traced_peak(ws.euler_lagrange_residual, field, acfg) <= 5 * nbytes
+    assert traced_peak(ws.area_gradient, field, acfg) <= 5 * nbytes
+    # a narrow field is one block, and the tangents are let go before the
+    # full-size result is made; 9.7x is the peak of the one-pass residual
+    narrow = ws.SurfaceField(ws.Grid2(65, 65), rng.standard_normal((65, 65, 3)))
+    acfg = ws.AreaConfig(weights=ws.quantile_weights(3))
+    assert traced_peak(ws.euler_lagrange_residual, narrow, acfg) <= 9.7 * narrow.values.nbytes
+    assert traced_peak(ws.area_gradient, narrow, acfg) <= 9.7 * narrow.values.nbytes
 
 
 def test_from_json_dict_rejects_non_object(tmp_path, capsys):
@@ -341,6 +352,18 @@ def test_json_surface_fractional_size_exits_2(tmp_path, capsys, key):
     path.write_text(json.dumps(fractional))
     assert main(["export-plot", str(path), "--out", str(tmp_path / "plot")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_json_surface_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    # json reads 1 followed by 400 zeros as an exact int, which no float holds
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ns": 2, "nt": 2, "dim": 1, "values": [10 ** 400, 1, 1, 1]}))
+    with pytest.raises(ValueError, match="malformed JSON surface"):
+        ws.load_json(path)
+    assert main(["export-plot", str(path), "--out", str(tmp_path / "plot")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path}: malformed JSON surface: ")
+    assert not (tmp_path / "plot").exists()
 
 
 def test_edges_from_corner_vectors_linear_and_consistent():

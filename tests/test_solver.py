@@ -192,13 +192,31 @@ def test_el_residual_is_scaled_gradient(rng):
 
 
 def test_el_residual_is_gradient_bit_for_bit():
-    # one flux kernel serves both: grad = -hs*ht*EL holds exactly
+    # one flux kernel serves both: grad = -hs*ht*EL holds exactly, also on a
+    # width of several coordinate blocks and a remainder
     grid = ws.Grid2(9, 8)
-    f = smooth_test_field(grid, m=4)
-    acfg = ws.AreaConfig(epsilon=1e-12, weights=ws.quantile_weights(4))
-    el = ws.euler_lagrange_residual(f, acfg).values[1:-1, 1:-1]
-    grad = ws.area_gradient(f, acfg)[1:-1, 1:-1]
-    assert np.array_equal(grad, -(grid.hs * grid.ht) * el)
+    for m in (4, 37):
+        f = smooth_test_field(grid, m=m)
+        acfg = ws.AreaConfig(epsilon=1e-12, weights=ws.quantile_weights(m))
+        el = ws.euler_lagrange_residual(f, acfg).values[1:-1, 1:-1]
+        grad = ws.area_gradient(f, acfg)[1:-1, 1:-1]
+        assert np.array_equal(grad, -(grid.hs * grid.ht) * el)
+
+
+def test_el_residual_of_collapsed_cells_at_epsilon_zero_divides_by_no_zero_area():
+    # zero tangents give G = 0 and, with epsilon = 0, a zero cell area; the
+    # clamp's flat side has zero flux, taken without a division by zero
+    # (which pytest turns into an error)
+    grid = ws.Grid2(6, 6)
+    vals = smooth_test_field(grid, m=3).values
+    vals[:3, :3] = vals[0, 0]
+    f = ws.SurfaceField(grid, vals)
+    acfg = ws.AreaConfig(epsilon=0.0)
+    assert np.count_nonzero(ws.cell_terms(f, acfg).cells == 0.0) == 4
+    rep = ws.euler_lagrange_residual(f, acfg)
+    assert np.all(np.isfinite(rep.values)) and rep.values[1, 1].tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(ws.area_gradient(f, acfg)[1:-1, 1:-1],
+                          -(grid.hs * grid.ht) * rep.values[1:-1, 1:-1])
 
 
 def test_el_residual_symmetric_under_swap(rng):
