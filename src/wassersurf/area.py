@@ -208,9 +208,10 @@ def terms_change(current: CellTerms, cells_try, step, grid) -> float:
 
 
 def _inverse_areas(terms: CellTerms) -> np.ndarray:
-    """1/sqrt(G) per cell, zero where the clamped determinant sits at zero; shape ``(ns-1, nt-1, 1)``.
+    """1/sqrt(G) per cell, shape ``(ns-1, nt-1, 1)``.
 
-    With ``epsilon=0`` such a cell has zero area, so it is never divided by.
+    Zero where the clamped determinant sits at zero: with ``epsilon=0`` such
+    a cell has zero area, so it is never divided by.
     """
     live = terms.gram > 0.0
     return np.divide(1.0, terms.cells, out=np.zeros_like(terms.cells), where=live)[..., None]

@@ -296,7 +296,8 @@ CSV_HEADER = "i,j,s,t,k,value"
 #: the row type ``load_csv`` parses into: float64 indices (numpy versions
 #: disagree on whether an integer column takes text like ``1.0``) and value,
 #: float32 for the s and t columns, which are parsed but never used
-CSV_ROW = np.dtype([("i", "f8"), ("j", "f8"), ("s", "f4"), ("t", "f4"), ("k", "f8"), ("value", "f8")])
+CSV_ROW = np.dtype([("i", "f8"), ("j", "f8"), ("s", "f4"), ("t", "f4"),
+                    ("k", "f8"), ("value", "f8")])
 INDEX_COLUMNS = ("i", "j", "k")
 #: values per ``json.dumps`` call in ``save_json``; bounds its memory whatever the field size
 JSON_CHUNK = 2048

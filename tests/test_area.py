@@ -264,7 +264,8 @@ def test_flux_divergence_in_blocks_equals_one_pass_bit_for_bit(rng):
     grid = ws.Grid2(9, 7)
     vals = rng.standard_normal((9, 7, m))
     vals[:4, :4] = vals[0, 0]  # flat cells: the clamp's zero flux
-    terms = ws.cell_terms(ws.SurfaceField(grid, vals), ws.AreaConfig(weights=ws.quantile_weights(m)))
+    acfg = ws.AreaConfig(weights=ws.quantile_weights(m))
+    terms = ws.cell_terms(ws.SurfaceField(grid, vals), acfg)
     assert np.any(terms.gram <= 0.0)
     inv = np.where(terms.gram > 0.0, 1.0 / terms.cells, 0.0)[..., None]
     a, b, c = (x[..., None] for x in (terms.a, terms.b, terms.c))
