@@ -22,6 +22,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import DomainValidityError, PositivityError
+from .gaussian import DiagonalCovSurface
 from .grid import BoundarySpec, Grid2, SurfaceField
 
 ARCCOSH_GUARD = 1e-14
@@ -213,8 +214,6 @@ def to_cov_boundary(surf: AnalyticSurface, grid: Grid2, window, z_offset: float 
     entries form positive-definite diagonal covariances; choose the window
     and ``z_offset`` accordingly.
     """
-    from .gaussian import DiagonalCovSurface
-
     boundary, full = graph_boundary(surf, grid, window, z_offset)
     low = float(full.values.min())
     if low <= 0.0:

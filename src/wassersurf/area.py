@@ -144,13 +144,11 @@ def cell_terms(f: SurfaceField, cfg: AreaConfig, moving: slice = slice(None),
     w = cfg.weight_vector(f.dim)
     hs, ht = f.grid.hs, f.grid.ht
     if pinned is None:
-        ds, dt = _tangents(f.values, hs, ht)
         rest = np.ones(w.size, dtype=bool)
         rest[moving] = False
-        pinned = _gram_terms(ds[..., rest], dt[..., rest], w[rest]) if rest.any() else (0.0,) * 3
-        ds, dt = ds[..., moving], dt[..., moving]
-    else:
-        ds, dt = _tangents(f.values[..., moving], hs, ht)
+        pinned = (_gram_terms(*_tangents(f.values[..., rest], hs, ht), w[rest]) if rest.any()
+                  else (0.0,) * 3)
+    ds, dt = _tangents(f.values[..., moving], hs, ht)
     w = w[moving]
     a, b, c = (p + q for p, q in zip(pinned, _gram_terms(ds, dt, w)))
     gram = a * b - c * c

@@ -144,14 +144,18 @@ def parse_oracle(doc: dict, name: str = "oracle"):
     """
     kind = json_typed(doc, dict, name).get("oracle")
     if not (isinstance(kind, str) and kind in ORACLES):
-        raise ConfigError(f"unknown oracle {kind!r}")
+        raise ConfigError(f"{name}: unknown oracle {kind!r}")
     params = fields(ORACLES[kind])
     check_keys(doc, ("oracle", "window", "z_offset", *(p.name for p in params)), name + ".")
-    surf = ORACLES[kind](**{
+    values = {
         p.name: (whole_number if p.type is int else _finite_real)(
             required(doc, p.name, f"{name}.{p.name}"), f"{name}.{p.name}")
         for p in params if p.name in doc or p.default is MISSING
-    })
+    }
+    try:
+        surf = ORACLES[kind](**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
     window = _parse_window(required(doc, "window", f"{name}.window"), f"{name}.window")
     return surf, window, _finite_real(doc.get("z_offset", 0.0), f"{name}.z_offset")
 

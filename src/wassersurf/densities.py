@@ -33,7 +33,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 WEIGHT_TOL = 1e-12
 MASS_TOL = 1e-8
-CDF_TOL = 1e-10
 MIXTURE_MAX_STEPS = 200
 
 

@@ -35,10 +35,6 @@ class DiagonalCovSurface:
                 f"sqrt-covariance entries must be strictly positive, minimum is {low:.6g}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.field.dim
-
 
 def diag_corner_roots(corners: dict) -> tuple:
     """The square root of each corner's ``diag``, in the order of ``corners``.
@@ -58,6 +54,9 @@ def diag_corner_roots(corners: dict) -> tuple:
         # written so that a NaN entry fails too
         if not np.all(diag > 0.0):
             raise ValueError(f"corner {key} diag must be positive reals")
+        if not np.all(np.isfinite(diag)):
+            n = int(np.argmin(np.isfinite(diag)))
+            raise ValueError(f"{name}[{n}] must be finite, got {float(diag[n])!r}")
         if roots and diag.size != roots[0].size:
             raise ValueError(f"{name} has {diag.size} entries, not {roots[0].size} like "
                              f"corners.{next(iter(corners))}.diag")

@@ -200,31 +200,35 @@ def euler_lagrange_residual(f: SurfaceField, acfg: AreaConfig) -> ResidualReport
     values = np.zeros_like(f.values)
     values[1:-1, 1:-1] = inner
     excluded = deg[:-1, :-1] & deg[:-1, 1:] & deg[1:, :-1] & deg[1:, 1:]
-    n_excluded = int(np.count_nonzero(excluded))
-    max_norm = 0.0
-    if n_excluded < excluded.size:
-        # the largest |value| on kept nodes is that of their largest or their
-        # smallest value: two reductions and no field-sized copy
-        kept = ~excluded[..., None] if n_excluded else True
-        hi = inner.max(initial=-np.inf, where=kept)
-        lo = inner.min(initial=np.inf, where=kept)
-        max_norm = float(np.maximum(abs(hi), abs(lo)))
     return ResidualReport(
         values=values,
-        max_norm=max_norm,
-        excluded_nodes=n_excluded,
+        max_norm=_kept_max_norm(inner, excluded),
+        excluded_nodes=int(np.count_nonzero(excluded)),
         excluded_mask=excluded,
         degenerate_cells=int(np.count_nonzero(deg)),
     )
 
 
-def _normalize_free(free_coords, m: int) -> list:
+def _kept_max_norm(inner: np.ndarray, excluded: np.ndarray) -> float:
+    """Max-norm of ``inner`` on the nodes not ``excluded`` (0 if none), by a masked max and min."""
+    if excluded.all():
+        return 0.0
+    kept = ~excluded[..., None] if excluded.any() else True
+    hi = inner.max(initial=-np.inf, where=kept)
+    lo = inner.min(initial=np.inf, where=kept)
+    return float(np.maximum(abs(hi), abs(lo)))
+
+
+def _free_slice(free_coords, m: int) -> slice:
+    """``free_coords`` as a slice, all ``m`` when None; one coordinate or all, else ValueError."""
     if free_coords is None:
-        return list(range(m))
+        return slice(0, m)
     free = sorted(set(int(k) for k in free_coords))
     if not free or free[0] < 0 or free[-1] >= m:
         raise ValueError(f"free_coords must be a nonempty subset of 0..{m - 1}")
-    return free
+    if len(free) not in (1, m):
+        raise ValueError("free_coords must name one coordinate or all of them")
+    return slice(free[0], free[-1] + 1)
 
 
 def _span_basis(init: SurfaceField, acfg: AreaConfig):
@@ -245,18 +249,29 @@ def _span_basis(init: SurfaceField, acfg: AreaConfig):
     return (centre, vt[:rank].T) if 0 < rank < m else None
 
 
+def _dst_matrix(n: int) -> np.ndarray:
+    """The DST-I matrix sin(pi j k/(n+1)), j, k = 1..n, looked up in one period of the sine.
+
+    Taking j*k mod 2(n+1) keeps S @ S = (n+1)/2 I to rounding at any n.
+    """
+    j = np.arange(1, n + 1)
+    return np.sin(np.pi * np.arange(2 * n + 2) / (n + 1))[np.outer(j, j) % (2 * n + 2)]
+
+
 def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
     """Inverse of hs*ht*(c_s D_s(x)A_t/hs^2 + c_t A_s(x)D_t/ht^2) on the interior.
 
     D is the 1-D Dirichlet second difference tridiag(-1, 2, -1) and A the
     average tridiag(1, 2, 1)/4: the operator is the Hessian of the cell
     stencil's area with frozen coefficients and no cross term.  Both 1-D
-    factors share the DST-I eigenvectors, so the solve is exact.  Returns a
-    function on interior arrays that flatten to ``(ns-2, nt-2, r)``, applied
-    to each of the r columns.
+    factors share the eigenvectors of the DST-I (``_dst_matrix``), so the
+    solve of each column X, S1 @ (S1 @ X @ S2 * scale) @ S2, is exact.
+    Returns a function on interior arrays that reshape to ``(ns-2, nt-2, r)``,
+    applied to each of the r columns.
     """
     hs, ht = grid.hs, grid.ht
     n1, n2 = grid.ns - 2, grid.nt - 2
+    s1, s2 = _dst_matrix(n1), _dst_matrix(n2)
     half1 = 0.5 * np.pi * np.arange(1, n1 + 1) / (n1 + 1)
     half2 = 0.5 * np.pi * np.arange(1, n2 + 1) / (n2 + 1)
     d1, a1 = 4.0 * np.sin(half1) ** 2, np.cos(half1) ** 2
@@ -265,26 +280,13 @@ def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
         c_s * np.outer(d1, a2) / (hs * hs) + c_t * np.outer(a1, d2) / (ht * ht)
     )
     scale = 4.0 / ((n1 + 1) * (n2 + 1) * symbol)
-    # odd extensions [0, x, 0, -x reversed] along axis 0 and 1, by (axis, r);
-    # their zero entries are never written
-    odd = {}
-
-    def dst1(x, axis):
-        # unnormalised DST-I along axis 0 or 1: one rfft of the odd extension
-        n, key = x.shape[axis], (axis, x.shape[2])
-        if key not in odd:
-            shape = list(x.shape)
-            shape[axis] = 2 * n + 2
-            odd[key] = np.zeros(shape)
-        ext = odd[key]
-        lead = (slice(None),) * axis
-        ext[lead + (slice(1, n + 1),)] = x
-        np.negative(np.flip(x, axis), out=ext[lead + (slice(n + 2, None),)])
-        return -0.5 * np.fft.rfft(ext, axis=axis).imag[lead + (slice(1, n + 1),)]
 
     def solve(g):
-        spec = dst1(dst1(g.reshape(n1, n2, -1), 0), 1) * scale[..., None]
-        return dst1(dst1(spec, 0), 1).reshape(g.shape)
+        x = g.reshape(n1, n2, -1)
+        out = np.empty_like(x)
+        for k in range(x.shape[2]):
+            out[..., k] = s1 @ (s1 @ x[..., k] @ s2 * scale) @ s2
+        return out.reshape(g.shape)
 
     return solve
 
@@ -470,11 +472,8 @@ def minimize(
     ):
         raise ValueError("initial field does not satisfy the boundary on its edges")
 
-    free = _normalize_free(free_coords, init.dim)
-    all_free = len(free) == init.dim
-    if not (all_free or len(free) == 1):
-        raise ValueError("free_coords must name one coordinate or all of them")
-    free = slice(free[0], free[-1] + 1)
+    free = _free_slice(free_coords, init.dim)
+    all_free = free.stop - free.start == init.dim
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
 
     # The loop moves coordinates ``moving`` of ``work`` under ``loop_acfg``:
@@ -494,11 +493,9 @@ def minimize(
         start = work.copy()
     fld = SurfaceField(grid, work)
     w = loop_acfg.weight_vector(work.shape[-1])
-    inner_shape = work[1:-1, 1:-1, moving].shape
-    step = np.zeros(work.shape[:2] + inner_shape[-1:])
-
-    def push(x):
-        work[1:-1, 1:-1, moving] = x.reshape(inner_shape)
+    # the loop's state (x, g, d, u) is interior-shaped, (ns-2, nt-2, width)
+    x = work[1:-1, 1:-1, moving].copy()
+    step = np.zeros(work.shape[:2] + x.shape[-1:])
 
     def max_norm(g):
         # the stopping test is on the full-space gradient
@@ -506,7 +503,6 @@ def minimize(
             g = g.reshape(-1, span_rank) @ basis.T
         return float(np.max(np.abs(g), initial=0.0))
 
-    x = work[1:-1, 1:-1, moving].reshape(-1).copy()
     # the terms of the current field: taken once here, then handed over from
     # the accepted trial; the Gram part of the coordinates outside
     # ``moving`` (none on all-free solves) is frozen for the whole solve
@@ -520,24 +516,23 @@ def minimize(
 
     def precondition(u):
         # S^-1 at the current field, by PCG preconditioned with the DST solve
-        return _pcg(_frozen_operator(kernel(terms), grid, inner_shape[-1]),
+        return _pcg(_frozen_operator(kernel(terms), grid, x.shape[-1]),
                     _flat_hessian_inverse(terms, grid, scale, loop_acfg), u, w[moving])
 
     def line_search(direction, slope):
         alpha = _STEP0
         for _ in range(_MAX_BACKTRACKS + 1):
-            x_try = x + alpha * direction
-            push(x_try)
+            work[1:-1, 1:-1, moving] = x + alpha * direction
             trial = cell_terms(fld, loop_acfg, moving, terms.pinned)
             # the step as rounded into the trial field, not alpha * direction
-            step[1:-1, 1:-1] = (x_try - x).reshape(inner_shape)
+            np.subtract(work[1:-1, 1:-1, moving], x, out=step[1:-1, 1:-1])
             delta = terms_change(terms, trial.cells, step, grid)
             if math.isnan(delta):
                 raise SolverNaNError(it, "objective is NaN during line search")
             if delta <= _ARMIJO_C1 * alpha * slope:
-                return alpha, delta, trial
+                return delta, trial
             alpha *= _BACKTRACK
-        return None, None, None
+        return None, None
 
     def measure():
         # the projector, the vector the operator inverts and the max-norms of
@@ -546,42 +541,40 @@ def minimize(
         # ones take the identity and g itself
         gfull = max_norm(g)
         if not all_free:
-            return (lambda v: v), g.reshape(inner_shape), gfull, gfull, 0.0
+            return (lambda v: v), g, gfull, gfull, 0.0
         project = _normal_projector(work, grid, w)
-        u = project(g.reshape(inner_shape) / w)
-        return project, u, gfull, max_norm(w * u), max_norm(g - (w * u).ravel())
+        u = project(g / w)
+        return project, u, gfull, max_norm(w * u), max_norm(g - w * u)
 
     def settled():
         # the stopping test (module docstring); with pinned coordinates the
         # tangential part is 0 and the normal part is the gradient
         return gnorm <= tol and (tangential > tol or gfull <= tol)
 
-    g = terms_gradient(terms, grid).ravel()
+    g = terms_gradient(terms, grid)
     project, u, gfull, gnorm, tangential = measure()
     converged = settled()
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
-        d = -project(precondition(u)).ravel()
-        slope = float(np.dot(g, d))
+        d = -project(precondition(u))
+        slope = float(np.vdot(g, d))
         if math.isnan(slope):
             raise SolverNaNError(it, "gradient or search direction is not finite")
-        alpha = None
-        if slope < 0.0:
-            alpha, delta, accepted = line_search(d, slope)
-        if alpha is None:
-            push(x)
+        delta, accepted = line_search(d, slope) if slope < 0.0 else (None, None)
+        if accepted is None:
+            work[1:-1, 1:-1, moving] = x
             # a failed search, or no descent direction and no search at all
             stall = (it, slope < 0.0)
             break
-        x = x + alpha * d
-        push(x)
+        # the accepted trial is the field
+        x = work[1:-1, 1:-1, moving].copy()
         if not np.all(np.isfinite(x)):
             raise SolverNaNError(it, "field values are not finite")
         terms = accepted
         f_cur = f_cur + delta
         trace.append(f_cur)
-        g = terms_gradient(terms, grid).ravel()
+        g = terms_gradient(terms, grid)
         project, u, gfull, gnorm, tangential = measure()
         converged = settled()
     if not (converged or stall):
@@ -595,9 +588,7 @@ def minimize(
         values[1:-1, 1:-1] += (work - start)[1:-1, 1:-1] @ basis.T
     final = SurfaceField(grid, values)
     rep = euler_lagrange_residual(final, acfg)
-    inner = rep.values[1:-1, 1:-1][:, :, free]
-    kept = inner[~rep.excluded_mask] if inner.size else inner
-    el_norm = float(np.max(np.abs(kept))) if kept.size else 0.0
+    el_norm = _kept_max_norm(rep.values[1:-1, 1:-1, free], rep.excluded_mask)
     if stall is not None:
         stall = _stall_message(*stall, cfg, gfull, gnorm, tol, el_norm, tol / (grid.hs * grid.ht))
     return SolveReport(
@@ -664,8 +655,9 @@ def perturb_interior(
     Python and numpy.  Fields seeded when this drew from numpy's
     ``default_rng`` differ from today's.  ``seed`` must be a non-negative
     integer (numpy integers included); a negative one, a bool, a float or
-    a string raises ValueError.  Used by the CLI to explore alternative
-    basins.
+    a string raises ValueError.  ``free_coords`` names one coordinate or
+    all of them, as in ``minimize``, else ValueError.  Used by the CLI to
+    explore alternative basins.
     """
     try:
         index = operator.index(seed)
@@ -673,10 +665,10 @@ def perturb_interior(
         index = None
     if index is None or index < 0 or isinstance(seed, bool):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    free = _free_slice(free_coords, f.dim)
     if amplitude == 0.0:
         return f.copy()
     grid = f.grid
-    free = _normalize_free(free_coords, f.dim)
     rng = random.Random(index)
     s = grid.s_nodes[:, None]
     t = grid.t_nodes[None, :]
@@ -688,6 +680,5 @@ def perturb_interior(
     if peak > 0.0:
         bump *= amplitude / peak
     vals = f.values.copy()
-    for k in free:
-        vals[1:-1, 1:-1, k] += bump[1:-1, 1:-1]
+    vals[1:-1, 1:-1, free] += bump[1:-1, 1:-1, None]
     return SurfaceField(grid, vals)

@@ -425,6 +425,8 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
      "oracle.c must be finite, got an integer too large for a float"),
     ("graph", "area", "epsilon", 10 ** 400,
      "area.epsilon must be finite, got an integer too large for a float"),
+    # the oracle's own check of a value that reads as a number
+    ("graph", "oracle", "c", 0.0, "oracle: Scherk parameter c must be nonzero (c=0 is a plane)"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
@@ -438,7 +440,7 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
         "int_oracles", "object_oracles", "int_oracles_entry", "int_oracle",
         "missing_oracles_window", "graph_corners", "gaussian_diag_corners_and_oracle",
         "gaussian_diag_corners_and_oracles", "density1d_oracle", "density1d_oracles",
-        "huge_int_oracle_c", "huge_int_area_epsilon"])
+        "huge_int_oracle_c", "huge_int_area_epsilon", "zero_oracle_c"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
@@ -459,13 +461,27 @@ def test_solve_without_a_source_exits_2_naming_it(tmp_path, capsys, problem, sou
     assert not (tmp_path / "run").exists()
 
 
+SCHERK_ORACLE = {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}
+CATENOID_ORACLE = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1]}
+
+
 @pytest.mark.parametrize("problem, oracles, message", [
     # a problem's table of sources holds for verify too
     ("density1d", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
      "density1d takes no 'oracles'"),
     ("analytic-verify", [{"oracle": "scherk", "c": 1.0, "window": [0.1, math.inf]}],
      "oracles[0].window[1] must be finite, got inf"),
-], ids=["density1d_oracles", "inf_window_entry"])
+    # an oracle's own checks name the entry too
+    ("analytic-verify", [SCHERK_ORACLE, dict(CATENOID_ORACLE, r1=-1.0)],
+     "oracles[1]: Catenoid waist r1 must be positive"),
+    ("analytic-verify", [dict(SCHERK_ORACLE, c=0.0)],
+     "oracles[0]: Scherk parameter c must be nonzero (c=0 is a plane)"),
+    ("analytic-verify", [SCHERK_ORACLE, dict(CATENOID_ORACLE, sign=2)],
+     "oracles[1]: Catenoid sign must be +1 or -1"),
+    ("analytic-verify", [SCHERK_ORACLE, {"oracle": "enneper", "window": [0.1, 0.4]}],
+     "oracles[1]: unknown oracle 'enneper'"),
+], ids=["density1d_oracles", "inf_window_entry", "negative_catenoid_r1", "zero_scherk_c",
+        "catenoid_sign_2", "unknown_oracle"])
 def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem, oracles, message):
     doc = {"problem": problem, "oracles": oracles, "out": str(tmp_path / "verify")}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
@@ -523,9 +539,14 @@ def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, messag
     ("gaussian-diag", "c00.diag", [], "corners.c00.diag must not be empty"),
     ("gaussian-diag", "c11.diag", [1.0, 2.0],
      "corners.c11.diag has 2 entries, not 3 like corners.c00.diag"),
+    # json reads 1e400 and the Infinity literal as inf, which is positive
+    ("gaussian-diag", "c10.diag", [1.0, math.inf, 0.5],
+     "corners.c10.diag[1] must be finite, got inf"),
+    ("gaussian-diag", "c01.type", "gaussian", "corner c01 must have type 'gaussian_diag'"),
 ], ids=["zero_std", "negative_component_std", "weights_not_summing_to_1",
         "negative_weight", "nan_weight", "non_increasing_x", "no_mass", "unknown_type",
-        "empty_gaussian_diag", "unequal_gaussian_diag_lengths"])
+        "empty_gaussian_diag", "unequal_gaussian_diag_lengths", "inf_gaussian_diag_entry",
+        "gaussian_diag_corner_of_another_type"])
 def test_invalid_corner_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, key, value, message
 ):

@@ -71,6 +71,24 @@ def test_mixture_weight_validation():
         ws.MixtureDensity(((-0.5, STD_GAUSSIAN), (1.5, STD_GAUSSIAN)))
 
 
+def test_mixture_accepts_raw_mean_std_pairs():
+    raw = ws.MixtureDensity(((0.3, (-2.0, 0.7)), (0.7, (1.5, 1.2))))
+    built = ws.MixtureDensity(
+        ((0.3, ws.GaussianDensity(-2.0, 0.7)), (0.7, ws.GaussianDensity(1.5, 1.2)))
+    )
+    assert raw.components == built.components
+    with pytest.raises(ValueError, match="std > 0"):
+        ws.MixtureDensity(((0.5, (0.0, 1.0)), (0.5, (1.0, -1.0))))
+
+
+def test_tabulated_pdf_interpolates_the_normalized_samples():
+    # trapezoid mass 1 + 2 = 3, so the samples are divided by 3
+    d = ws.TabulatedDensity(np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 0.0]))
+    assert ws.pdf(d, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    got = ws.pdf(d, np.array([-1.0, 0.5, 2.0, 3.0, 4.0]))
+    np.testing.assert_allclose(got, [0.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0], rtol=1e-15, atol=0.0)
+
+
 def test_tabulated_validation():
     with pytest.raises(ValueError):
         ws.TabulatedDensity(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0]))

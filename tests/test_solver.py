@@ -79,6 +79,11 @@ def test_free_coords_validation():
     # one coordinate or all of them; no problem poses a proper subset of several
     with pytest.raises(ValueError, match="one coordinate or all"):
         ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(), free_coords=(1, 2))
+    # perturb_interior reads free_coords as minimize does
+    with pytest.raises(ValueError, match="one coordinate or all"):
+        ws.perturb_interior(init, 1e-2, 1, free_coords=(0, 2))
+    with pytest.raises(ValueError, match="nonempty subset"):
+        ws.perturb_interior(init, 1e-2, 1, free_coords=(3,))
 
 
 def test_solver_config_validation():
@@ -478,6 +483,22 @@ def test_dst_preconditioner_inverts_its_operator():
     x = np.random.default_rng(9).standard_normal(n1 * n2)
     solve = wassersurf.solver._dst_inverse(grid, c_s, c_t)
     assert np.max(np.abs(solve(op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+    # r = 3 columns of the solver's (ns-2, nt-2, r) layout at once, each solved
+    # alone; n1 != n2, so a swap of the s and t factors would show
+    cols = np.random.default_rng(10).standard_normal((n1 * n2, 3))
+    got = solve((op @ cols).reshape(n1, n2, 3))
+    assert np.max(np.abs(got - cols.reshape(n1, n2, 3))) <= 1e-12 * np.max(np.abs(cols))
+
+
+def test_flat_hessian_inverse_without_live_cells_takes_unit_coefficients():
+    # every cell of a constant field sits below the degeneracy floor
+    grid = ws.Grid2(7, 9)
+    acfg = ws.AreaConfig()
+    terms = ws.cell_terms(ws.SurfaceField(grid, np.ones((7, 9, 3))), acfg)
+    assert not np.any(terms.gram > acfg.epsilon)
+    x = np.random.default_rng(4).standard_normal((5, 7, 2))
+    got = wassersurf.solver._flat_hessian_inverse(terms, grid, 2.5, acfg)(x)
+    assert np.array_equal(got, wassersurf.solver._dst_inverse(grid, 1.0, 1.0)(x))
 
 
 def test_nan_objective_raises_on_preconditioned_path(monkeypatch):
