@@ -184,8 +184,9 @@ class RunConfig:
 
 def load_config(path, out_override=None) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        # bytes, so json decodes them as UTF-8 in any locale
+        doc = json.loads(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not Unicode
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return _parse_config(json_typed(doc, dict, f"config {path}"), out_override)
 
@@ -424,7 +425,7 @@ def _load_surface(path) -> SurfaceField:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"surface file {p} does not exist")
-    if p.suffix == ".csv":
+    if p.suffix.lower() == ".csv":
         return load_csv(p)
     return load_json(p)
 

@@ -285,11 +285,17 @@ def coons_init(b: BoundarySpec) -> SurfaceField:
 # node of the ns x nt x m box the largest indices span has a row.  The s and
 # t columns are parsed (as float32, see ``CSV_ROW``), so a non-numeric one is
 # rejected, but not used: they follow from ns and nt.  The index columns are
-# checked one at a time as views of the parsed rows, and the per-row
+# checked one at a time as views of the parsed rows, the int64 flat index is
+# built and scattered ``CSV_BLOCK`` rows at a time, and the per-row
 # diagnostics behind an error message are built only once a check has
-# failed.  ``save_json`` writes the bytes ``json.dumps`` gives for the whole
-# document, ``JSON_CHUNK`` values at a time, so its memory does not grow with
-# the field.
+# failed: 6.3x the field at 65^2 x 128, the rows being 5x.  ``save_json``
+# writes the bytes ``json.dumps`` gives for the whole document,
+# ``JSON_CHUNK`` values at a time, so its memory does not grow with the
+# field.  ``load_json`` reads the file's bytes once and parses the
+# ``values`` array ``JSON_BLOCK`` bytes at a time straight into the result,
+# so no Python float per value is ever held: 3.7x the field (the bytes are
+# about 2.6x); a document it cannot read that way goes through one
+# ``json.loads``, with the same result or message.
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "i,j,s,t,k,value"
@@ -301,6 +307,12 @@ CSV_ROW = np.dtype([("i", "f8"), ("j", "f8"), ("s", "f4"), ("t", "f4"),
 INDEX_COLUMNS = ("i", "j", "k")
 #: values per ``json.dumps`` call in ``save_json``; bounds its memory whatever the field size
 JSON_CHUNK = 2048
+#: bytes of the ``values`` array per ``json.loads`` call in ``load_json``
+JSON_BLOCK = 1 << 16
+#: rows per block of the flat index in ``load_csv``
+CSV_BLOCK = 1 << 14
+#: the types ``json.loads`` gives a JSON number
+JSON_NUMBER_TYPES = frozenset((int, float))
 
 
 def _fill_g17(template: str, values) -> str:
@@ -348,6 +360,20 @@ def _index_error(path, rows) -> ValueError:
     return ValueError(f"{path}: incomplete surface (missing grid entries)")
 
 
+def _flat_index(rows, nt: int, m: int) -> np.ndarray:
+    """The row-major node index ``(i*nt + j)*m + k`` of each of ``rows``, as int64.
+
+    Built in place: every partial sum is a whole number below
+    ns*nt*m <= n < 2**53, so adding a float64 column to it is exact.
+    """
+    flat = rows["i"].astype(np.int64)
+    flat *= nt
+    np.add(flat, rows["j"], out=flat, casting="unsafe")
+    flat *= m
+    np.add(flat, rows["k"], out=flat, casting="unsafe")
+    return flat
+
+
 def load_csv(path) -> SurfaceField:
     """Read a field from the long-form CSV format written by ``save_csv``."""
     with open(path) as fh:
@@ -374,16 +400,16 @@ def load_csv(path) -> SurfaceField:
     ns, nt, m = sizes
     if ns * nt * m > n:
         raise ValueError(f"{path}: incomplete surface (missing grid entries)")
-    # built in place as int64: every partial sum is a whole number below
-    # ns*nt*m <= n < 2**53, so adding a float64 column to it is exact
-    flat = rows["i"].astype(np.int64)
-    flat *= nt
-    np.add(flat, rows["j"], out=flat, casting="unsafe")
-    flat *= m
-    np.add(flat, rows["k"], out=flat, casting="unsafe")
+    # a block of rows at a time, so no full-length index is held beside the rows
     seen = np.zeros(ns * nt * m, dtype=bool)
-    seen[flat] = True
+    vals = np.empty(ns * nt * m)
+    for start in range(0, n, CSV_BLOCK):
+        block = rows[start:start + CSV_BLOCK]
+        flat = _flat_index(block, nt, m)
+        seen[flat] = True
+        vals[flat] = block["value"]
     if np.count_nonzero(seen) < n:
+        flat = _flat_index(rows, nt, m)
         counts = np.bincount(flat, minlength=ns * nt * m)
         r1, r2 = np.flatnonzero(flat == np.argmax(counts > 1))[:2]
         i, j, k = (int(rows[name][r1]) for name in INDEX_COLUMNS)
@@ -392,30 +418,43 @@ def load_csv(path) -> SurfaceField:
             f"at data rows {r1 + 1} and {r2 + 1}"
         )
     # n distinct flat indices in a box of at most n nodes: each node has one row
-    vals = np.empty(ns * nt * m)
-    vals[flat] = rows["value"]
     try:
         return SurfaceField(Grid2(ns, nt), vals.reshape(ns, nt, m))
     except ValueError as exc:  # a one-node direction or a non-finite value
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def from_json_dict(doc: dict) -> SurfaceField:
+def _json_sizes(doc) -> tuple:
+    """``ns``, ``nt`` and ``dim`` of the JSON surface ``doc``; ValueError if it has none."""
     if not isinstance(doc, dict):
         raise ValueError(f"a JSON surface must be an object, got {type(doc).__name__}")
     missing = [key for key in ("ns", "nt", "dim", "values") if key not in doc]
     if missing:
         raise ValueError(f"a JSON surface needs keys ns, nt, dim and values; missing {missing}")
-    try:
-        ns, nt, dim = (whole_number(doc[key], key) for key in ("ns", "nt", "dim"))
-        vals = np.asarray(doc["values"], dtype=float)
-    except (TypeError, OverflowError) as exc:  # null where a number belongs, or a huge integer
-        raise ValueError(f"malformed JSON surface: {exc}") from exc
+    return tuple(whole_number(doc[key], key) for key in ("ns", "nt", "dim"))
+
+
+def _json_surface(ns: int, nt: int, dim: int, vals: np.ndarray) -> SurfaceField:
     if vals.size != ns * nt * dim:
         raise ValueError(
             f"values length {vals.size} does not match ns*nt*dim = {ns * nt * dim}"
         )
     return SurfaceField(Grid2(ns, nt), vals.reshape(ns, nt, dim))
+
+
+def from_json_dict(doc: dict) -> SurfaceField:
+    """The surface a parsed JSON document holds; ValueError says what is wrong with it."""
+    ns, nt, dim = _json_sizes(doc)
+    values = json_typed(doc["values"], list, "values")
+    if not set(map(type, values)) <= JSON_NUMBER_TYPES:
+        for n, value in enumerate(values):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"values[{n}] must be a real number, got {value!r}")
+    try:
+        vals = np.asarray(values, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"malformed JSON surface: {exc}") from exc
+    return _json_surface(ns, nt, dim, vals)
 
 
 def save_json(f: SurfaceField, path) -> None:
@@ -431,8 +470,70 @@ def save_json(f: SurfaceField, path) -> None:
         fh.write("]}\n")
 
 
-def load_json(path) -> SurfaceField:
+def _read_json_numbers(data: bytes, start: int, stop: int, out: np.ndarray) -> bool:
+    """Fill ``out`` with the JSON numbers in ``data[start:stop]``, parsed block by block.
+
+    Each block is about ``JSON_BLOCK`` bytes, cut at a comma.  False, with
+    ``out`` partly written, unless the bytes are exactly ``out.size`` JSON
+    numbers within the float range, separated by commas.
+    """
+    view, filled = memoryview(data), 0
+    while True:
+        cut = data.find(b",", start + JSON_BLOCK, stop)
+        end = stop if cut < 0 else cut
+        try:
+            part = json.loads(b"".join((b"[", view[start:end], b"]")))
+            if not part or not set(map(type, part)) <= JSON_NUMBER_TYPES:
+                return False
+            out[filled:filled + len(part)] = part
+        except (ValueError, OverflowError):  # not JSON, more values than out holds, a huge int
+            return False
+        filled += len(part)
+        if cut < 0:
+            return filled == out.size
+        start = cut + 1
+
+
+def _load_json_blocks(data: bytes) -> SurfaceField | None:
+    """The surface ``data`` holds, read with no Python float per value; None if it cannot be.
+
+    Everything but the numbers comes from one ``json.loads`` of ``data`` with
+    the bytes between its first ``[`` and last ``]`` replaced by ``[]``, which
+    must give an object whose ``values`` is ``[]``; the bytes between are then
+    the ``values`` array.  A field this returns, or an error it raises, is the
+    one ``from_json_dict(json.loads(data))`` gives.
+    """
+    first, last = data.find(b"["), data.rfind(b"]")
+    if not 0 <= first < last:
+        return None
     try:
-        return from_json_dict(json.loads(Path(path).read_text()))
+        doc = json.loads(data[:first] + b"[]" + data[last + 1:])
+        ns, nt, dim = _json_sizes(doc)
+    except ValueError:
+        return None
+    size = ns * nt * dim
+    # each number takes a byte, and a comma parts each from the next
+    if doc["values"] != [] or not 0 < 2 * size - 1 <= last - first - 1:
+        return None
+    vals = np.empty(size)
+    if not _read_json_numbers(data, first + 1, last, vals):
+        return None
+    return _json_surface(ns, nt, dim, vals)
+
+
+def load_json(path) -> SurfaceField:
+    data = Path(path).read_bytes()
+    try:
+        field = _load_json_blocks(data)
+        if field is None:
+            # one json.loads of the whole text, decoded as json.loads decodes
+            # bytes; the bytes are let go once decoded and the text once
+            # parsed, so this holds no more than a json.loads of the text
+            text = data.decode(json.detect_encoding(data), "surrogatepass")
+            del data
+            doc = json.loads(text)
+            del text
+            field = from_json_dict(doc)
+        return field
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -632,6 +632,40 @@ def test_module_entry_solves_and_exits_0(tmp_path):
     assert (tmp_path / "out" / "surface.csv").is_file()
 
 
+def test_config_is_read_as_utf8_in_any_locale(tmp_path):
+    # JSON is UTF-8 whatever the locale; under C with UTF-8 mode off, Python's
+    # text default is ASCII, and a config must not be decoded with it
+    doc = {"problem": "analytic-verify", "out": "o/caf\u00e9",
+           "oracles": [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}]}
+    (tmp_path / "utf8.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    latin1 = json.dumps(doc, ensure_ascii=False).encode("latin-1")
+    (tmp_path / "latin1.json").write_bytes(latin1)
+    src = str(Path(ws.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+    def verify(*args):
+        return subprocess.run([sys.executable, "-m", "wassersurf.cli", "verify", *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    # an ASCII file-system encoding cannot name o/café, so --out stands in for it
+    run = verify("utf8.json", "--out", "o")
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "o" / "residuals.json").is_file()
+    run = verify("latin1.json", "--out", "o2")
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
+        "config error: cannot read config latin1.json: 'utf-8' codec can't decode byte 0xe9 "
+        f"in position {latin1.index(0xE9)}: invalid continuation byte"
+    ]
+    assert not (tmp_path / "o2").exists()
+    # in UTF-8 mode the config's own out names the directory
+    env["PYTHONUTF8"] = "1"
+    run = verify("utf8.json")
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "o" / "caf\u00e9" / "residuals.json").is_file()
+
+
 def test_catenoid_sign_is_a_whole_number(tmp_path, capsys):
     catenoid = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1]}
     assert main(["verify", write_config(tmp_path, {
@@ -962,6 +996,19 @@ def test_export_import_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(back.values, field.values)
     ws.save_json(back, tmp_path / "again.json")
     assert (tmp_path / "surface.json").read_text() == (tmp_path / "again.json").read_text()
+
+
+def test_csv_surface_suffix_in_any_case(tmp_path, rng):
+    # a copy of surface.csv renamed UP.CSV is still read as CSV
+    field = ws.SurfaceField(ws.Grid2(5, 4), rng.standard_normal((5, 4, 2)))
+    ws.save_csv(field, tmp_path / "UP.CSV")
+    assert main(["export-plot", str(tmp_path / "UP.CSV"), "--out", str(tmp_path / "plot")]) == 0
+    for k in range(2):
+        got = np.loadtxt(tmp_path / "plot" / f"coord_{k + 1}.csv", delimiter=",")
+        assert got.tobytes() == field.values[:, :, k].tobytes()
+    cfg = write_config(tmp_path, {"problem": "density1d", "surface": str(tmp_path / "UP.CSV"),
+                                  "out": str(tmp_path / "v")})
+    assert main(["verify", cfg]) == 0
 
 
 def _g17_reference_texts(f, b):

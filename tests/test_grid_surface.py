@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wassersurf as ws
+from wassersurf import grid
 from wassersurf.cli import main
 from wassersurf.errors import CornerMismatchError, ShapeMismatchError
 from wassersurf.grid import CSV_HEADER, from_json_dict
@@ -240,6 +241,23 @@ def test_load_csv_rejects_bad_index_rows(tmp_path, capsys, rows, match):
     assert err.startswith(f"config error: {path}") and err.count("\n") == 1
 
 
+def test_load_csv_fills_the_field_block_by_block(tmp_path, monkeypatch, rng):
+    # rows in any order, over many blocks; a repeat in a later block is still found
+    monkeypatch.setattr(grid, "CSV_BLOCK", 5)
+    field = ws.SurfaceField(ws.Grid2(4, 3), rng.standard_normal((4, 3, 2)))
+    ws.save_csv(field, tmp_path / "surface.csv")
+    header, *rows = (tmp_path / "surface.csv").read_text().splitlines()
+    rows = [rows[r] for r in rng.permutation(len(rows))]
+    path = tmp_path / "shuffled.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    assert ws.load_csv(path).values.tobytes() == field.values.tobytes()
+    path.write_text("\n".join([header] + rows + [rows[2]]) + "\n")
+    i, j, _, _, k, _ = rows[2].split(",")
+    with pytest.raises(ValueError, match=rf"duplicate entry for \(i, j, k\) = \({i}, {j}, {k}\) "
+                                         rf"at data rows 3 and {len(rows) + 1}"):
+        ws.load_csv(path)
+
+
 def test_load_csv_header_and_field_count_messages(tmp_path):
     bad_header = tmp_path / "header.csv"
     bad_header.write_text("i,j,k,value\n0,0,0,1.0\n")
@@ -314,6 +332,13 @@ def test_big_field_io_runs_in_bounded_memory(tmp_path, rng):
     assert traced_peak(ws.load_csv, tmp_path / "surface.csv") <= 8 * nbytes
     # the writer holds one chunk of text, never the whole document
     assert traced_peak(ws.save_json, field, tmp_path / "surface.json") <= nbytes
+    # the reader holds the file's bytes (about 2.5x), the result (1x) and one block
+    assert traced_peak(ws.load_json, tmp_path / "surface.json") <= 4.5 * nbytes
+    # a second array leaves the document to one json.loads, which holds the
+    # text (2.5x) and a Python float per value (4x), but never the bytes too
+    text = (tmp_path / "surface.json").read_text()
+    (tmp_path / "tagged.json").write_text(text.rstrip()[:-1] + ', "tags": ["copy"]}')
+    assert traced_peak(ws.load_json, tmp_path / "tagged.json") <= 7 * nbytes
     # the flux divergence holds the cell tangents (2x) and its result (1x),
     # plus a few blocks of coordinates, however wide the field
     acfg = ws.AreaConfig(weights=ws.quantile_weights(64))
@@ -325,6 +350,109 @@ def test_big_field_io_runs_in_bounded_memory(tmp_path, rng):
     acfg = ws.AreaConfig(weights=ws.quantile_weights(3))
     assert traced_peak(ws.euler_lagrange_residual, narrow, acfg) <= 9.7 * narrow.values.nbytes
     assert traced_peak(ws.area_gradient, narrow, acfg) <= 9.7 * narrow.values.nbytes
+
+
+def _json_document(values: str, ns=2, nt=2, dim=1, **extra) -> str:
+    """A JSON surface whose ``values`` array is the text ``values``, keys in save_json's order."""
+    head = json.dumps(dict({"ns": ns, "nt": nt, "dim": dim}, **extra))
+    return head[:-1] + f', "values": [{values}]}}'
+
+
+FOUR = "1.5, 2.5, -0.0, 4e-300"
+MANY = ", ".join(map(repr, np.random.default_rng(7).standard_normal(4 * 4 * 600).tolist()))
+# whitespace, newlines included, around every token of a valid document
+SPACED = ('\n {\n\t"ns" :\r\n 2 ,\n "nt"\n:\n2\n,"dim" : 1 , '
+          '"values"\n:\n[\n1.5\n,\n 2 \n, 3e0\t,\n4 ]\n}\n')
+
+# each loads as one json.loads of it does: to the same field, or the same message
+JSON_DOCUMENTS = {
+    "saved-order": _json_document(FOUR),
+    "keys-reordered": '{"values": [%s], "dim": 1, "nt": 2, "ns": 2}' % FOUR,
+    "extra-keys": _json_document(FOUR, note="x", scale=2.0),
+    "array-before-values": _json_document(FOUR, before=[7.0, 8.0]),
+    "array-after-values": _json_document(FOUR)[:-1] + ', "after": [7, 8]}',
+    "values-nested": '{"ns": 2, "nt": 2, "dim": 1, "inner": {"values": [%s]}}' % FOUR,
+    "values-also-nested": _json_document(FOUR)[:-1] + ', "inner": {"values": [1, 2, 3, 4]}}',
+    "duplicate-values-arrays": _json_document("9, 9, 9, 9")[:-1] + ', "values": [%s]}' % FOUR,
+    "duplicate-values-number-first": '{"ns": 2, "nt": 2, "dim": 1, "values": 5, "values": [%s]}'
+                                     % FOUR,
+    "duplicate-values-array-first": _json_document(FOUR)[:-1] + ', "values": 5}',
+    "whitespace-everywhere": SPACED,
+    "nan": _json_document("1.5, NaN, 3.5, 4.5"),
+    "infinity": _json_document("1.5, 2.5, -Infinity, Infinity"),
+    "overflowing-decimal": _json_document("1.5, 2.5, 3.5, 1e400"),
+    "null": _json_document("1.5, 2.5, null, 4.5"),
+    "nested-list": _json_document("[1.5, 2.5], [3.5, 4.5]"),
+    "strings-and-booleans": _json_document('"1.5", true, false, "2e0"'),
+    "boolean-later": _json_document("1.5, 2.5, true, 4.5"),
+    "bracket-in-string-after": _json_document(FOUR, note="a]b"),
+    "bracket-in-string-before": _json_document(FOUR, note="a[b"),
+    "comma-in-string": _json_document('1.5, 2.5, "3,5", 4.5'),
+    "empty-values": _json_document(""),
+    "too-few-values": _json_document("1.5, 2.5, 3.5"),
+    "too-many-values": _json_document(FOUR + ", 5.5"),
+    "trailing-comma": _json_document(FOUR + ","),
+    "empty-entry": _json_document("1.5, , 3.5, 4.5"),
+    "integer-beyond-float-range": _json_document("1" + "0" * 400 + ", 1, 1, 1"),
+    "large-integers": _json_document(f"{2 ** 64 + 1}, {-(2 ** 63) - 12345}, 3, {10 ** 300}"),
+    "whole-float-size": _json_document(FOUR, ns=2.0),
+    "fractional-size": _json_document(FOUR, ns=2.5),
+    "one-node-direction": _json_document(FOUR, ns=1, nt=4),
+    "negative-sizes": _json_document(FOUR, ns=-2, nt=-2),
+    "sizes-beyond-any-array": _json_document(FOUR, ns=10 ** 9, nt=10 ** 9, dim=10 ** 9),
+    "not-an-object": f"[{FOUR}]",
+    "not-json": _json_document(FOUR)[:-1],
+    "more-than-one-block": _json_document(MANY, ns=4, nt=4, dim=600),
+}
+
+
+@pytest.mark.parametrize("block", [1, grid.JSON_BLOCK], ids=["block=1", "block=default"])
+@pytest.mark.parametrize("name", sorted(JSON_DOCUMENTS))
+def test_load_json_matches_one_json_loads(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(grid, "JSON_BLOCK", block)
+    path = tmp_path / "surface.json"
+    path.write_text(JSON_DOCUMENTS[name])
+    try:
+        want = from_json_dict(json.loads(path.read_bytes()))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            ws.load_json(path)
+        assert str(info.value) == f"{path}: {exc}"
+    else:
+        got = ws.load_json(path)
+        assert got.grid == want.grid and got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["saved-order", "keys-reordered", "whitespace-everywhere",
+                                  "extra-keys", "duplicate-values-number-first",
+                                  "more-than-one-block"])
+def test_load_json_reads_plain_documents_block_by_block(tmp_path, monkeypatch, name):
+    # these never reach the single json.loads of the whole document
+    def whole_document(doc):
+        raise AssertionError("load_json fell back to one json.loads")
+
+    want = from_json_dict(json.loads(JSON_DOCUMENTS[name]))
+    monkeypatch.setattr(grid, "from_json_dict", whole_document)
+    path = tmp_path / "surface.json"
+    path.write_text(JSON_DOCUMENTS[name])
+    assert ws.load_json(path).values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("values, n", [('"1.5", true, false, "2e0"', 0),
+                                       ("1.5, 2.5, true, 4.5", 2),
+                                       ('1.5, 2.5, 3.5, {"x": 1}', 3)])
+def test_json_surface_non_numeric_values_exit_2(tmp_path, capsys, values, n):
+    # a number in a string and a boolean are no JSON numbers, as in a config
+    path = tmp_path / "strings.json"
+    path.write_text(_json_document(values))
+    message = f"{path}: values[{n}] must be a real number, got {json.loads(f'[{values}]')[n]!r}"
+    with pytest.raises(ValueError) as info:
+        ws.load_json(path)
+    assert str(info.value) == message
+    assert main(["export-plot", str(path), "--out", str(tmp_path / "plot")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "plot").exists()
 
 
 def test_from_json_dict_rejects_non_object(tmp_path, capsys):
