@@ -69,7 +69,6 @@ from .grid import (
     BoundarySpec,
     Grid2,
     SurfaceField,
-    apply_boundary,
     coons_init,
     edges_from_corner_vectors,
     load_csv,

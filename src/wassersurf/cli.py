@@ -4,7 +4,8 @@ All problem assembly is driven by a single JSON config document; the only
 flag that overrides it is ``--out`` (artifact directory).
 
 Exit codes: 0 success/converged, 1 verification tolerance failure,
-2 config or input error (an unusable input or output path included),
+2 config or input error (an unusable input or output path, a JSON file
+nested too deep to parse and a problem too large for memory included),
 3 solver stall, 4 degenerate problem, 5 numerical failure (non-finite
 values during a solve, or a quantile iteration that did not converge).
 """
@@ -166,8 +167,7 @@ class RunConfig:
     grid: Grid2
     m: int
     corners: tuple | None  # c00, c10, c01, c11 as their problem's reader returns them
-    oracle: tuple | None
-    oracles: list
+    oracles: list  # (surface, window, z_offset) each; "oracle" reads as a list of one
     solver: SolverConfig
     area: AreaConfig
     perturb_amplitude: float
@@ -186,7 +186,8 @@ def load_config(path, out_override=None) -> RunConfig:
     try:
         # bytes, so json decodes them as UTF-8 in any locale
         doc = json.loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not Unicode
+    # ValueError: not JSON, or not Unicode; RecursionError: nested too deep for json
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return _parse_config(json_typed(doc, dict, f"config {path}"), out_override)
 
@@ -222,16 +223,13 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         corners = (diag_corner_roots(docs) if problem == "gaussian-diag" else
                    tuple(parse_density(corner, f"corners.{key}.") for key, corner in docs.items()))
 
-    oracle = None
-    oracles = []
-    if "oracle" in doc:
-        oracle = parse_oracle(doc["oracle"])
-        oracles = [oracle]
+    oracles = [parse_oracle(doc["oracle"])] if "oracle" in doc else []
     if "oracles" in doc:
-        oracles = [parse_oracle(o, f"oracles[{n}]")
-                   for n, o in enumerate(json_typed(doc["oracles"], list, "oracles"))]
-        if oracle is None and oracles:
-            oracle = oracles[0]
+        oracles += [parse_oracle(o, f"oracles[{n}]")
+                    for n, o in enumerate(json_typed(doc["oracles"], list, "oracles"))]
+        # checked once both are read, so an error inside either is named first
+        if "oracle" in doc:
+            raise ConfigError(f"{problem} takes 'oracle' or 'oracles', not both")
 
     sdoc = _section(doc, "solver")
     method = sdoc.get("method", "nonlinear-cg")
@@ -270,7 +268,6 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
         grid=Grid2(ns, nt),
         m=m,
         corners=corners,
-        oracle=oracle,
         oracles=oracles,
         solver=solver,
         area=area,
@@ -291,8 +288,8 @@ def _assemble(cfg: RunConfig):
     """Build (boundary, free coords, oracle field) from the config's source in ``SOURCES``."""
     if cfg.problem == "analytic-verify":
         raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")
-    if cfg.oracle is not None:
-        surf, window, z_offset = cfg.oracle
+    if cfg.oracles:
+        surf, window, z_offset = cfg.oracles[0]
         if cfg.problem == "graph":
             boundary, full = analytic.graph_boundary(surf, cfg.grid, window, z_offset)
         else:  # the same edges in sqrt-covariance coordinates
@@ -319,6 +316,14 @@ def _write_boundary_csv(b: BoundarySpec, path: Path) -> None:
     path.write_text("".join(parts))
 
 
+def _make_dir(path: Path) -> None:
+    """Create the output directory ``path`` and its parents; an error names it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a name the file-system encoding cannot hold, or a NUL
+        raise ConfigError(f"cannot create directory {path}: {exc}") from exc
+
+
 def _dump_json(obj, path: Path) -> None:
     """Write ``obj`` as strict JSON: a NaN or infinite value raises instead of being written."""
     path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
@@ -336,7 +341,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         init = perturb_interior(init, cfg.perturb_amplitude, cfg.perturb_seed, free)
     # an unusable --out fails here, before the solve; a config error earlier
     # leaves no directory behind
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_dir(cfg.out)
     report = minimize(init, boundary, cfg.solver, cfg.area_for(cfg.m), free_coords=free)
 
     save_csv(report.field, cfg.out / "surface.csv")
@@ -376,7 +381,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.oracles and cfg.surface_path is None:
         raise ConfigError("verify needs an oracle list or a surface file")
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_dir(cfg.out)
     results = {}
     passed = True
 
@@ -460,7 +465,7 @@ def cmd_export_plot(surface_path, out_dir, density_nodes=None) -> int:
             raise ConfigError("density reconstruction needs m >= 3 quantile levels")
         nodes = _parse_nodes(density_nodes, ns, nt)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     template = (",".join(["%.17g"] * nt) + "\n") * ns
     for k in range(m):
         (out / f"coord_{k + 1}.csv").write_text(_fill_g17(template, field.values[:, :, k]))
@@ -540,6 +545,9 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         # OSError: an input or output path of the command that cannot be used
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid or a quantile count too large to hold
+        print(f"config error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -142,7 +142,7 @@ class BoundarySpec:
     ``edge_t0``/``edge_t1`` run along s at t=0 and t=1 (shape ``(ns, m)``).
     Shared corners of adjacent edges must agree to within ``CORNER_TOL``
     in every coordinate; the s-edges' corner values are then snapped to the
-    t-edges' (the ones ``apply_boundary`` writes last), so a field carrying
+    t-edges' (the ones ``coons_init`` writes last), so a field carrying
     this boundary matches all four edges bit-exactly.
     """
 
@@ -225,32 +225,14 @@ def edges_from_corner_vectors(c00, c10, c01, c11, grid: Grid2) -> BoundarySpec:
     )
 
 
-def apply_boundary(f: SurfaceField, b: BoundarySpec) -> SurfaceField:
-    """Return a copy of ``f`` with its four edges overwritten by ``b``.
-
-    Interior values are untouched; applying the same boundary twice is a
-    no-op after the first application.
-    """
-    if (b.ns, b.nt, b.dim) != (f.grid.ns, f.grid.nt, f.dim):
-        raise ShapeMismatchError(
-            f"boundary ({b.ns}x{b.nt}x{b.dim}) does not match field "
-            f"({f.grid.ns}x{f.grid.nt}x{f.dim})"
-        )
-    vals = f.values.copy()
-    vals[0, :, :] = b.edge_s0
-    vals[-1, :, :] = b.edge_s1
-    vals[:, 0, :] = b.edge_t0
-    vals[:, -1, :] = b.edge_t1
-    return SurfaceField(f.grid, vals)
-
-
 def coons_init(b: BoundarySpec) -> SurfaceField:
     """Transfinite (Coons) fill of four edge curves, used as initial guess.
 
     The interior blends the two pairs of opposite edges and subtracts the
     bilinear corner interpolant, which reproduces exactly any field whose
-    coordinates have the form ``a + b*s + c*t + d*s*t``.  The edges of the
-    result equal ``b`` bit-for-bit.
+    coordinates have the form ``a + b*s + c*t + d*s*t``.  The four edges
+    are then written over the blend (s-edges first, t-edges last), so the
+    edges of the result equal ``b`` bit-for-bit.
     """
     grid = Grid2(b.ns, b.nt)
     s = grid.s_nodes[:, None, None]
@@ -269,7 +251,11 @@ def coons_init(b: BoundarySpec) -> SurfaceField:
             + s * t * c11
         )
     )
-    return apply_boundary(SurfaceField(grid, vals), b)
+    vals[0] = b.edge_s0
+    vals[-1] = b.edge_s1
+    vals[:, 0] = b.edge_t0
+    vals[:, -1] = b.edge_t1
+    return SurfaceField(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -535,5 +521,5 @@ def load_json(path) -> SurfaceField:
             del text
             field = from_json_dict(doc)
         return field
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep for json
         raise ValueError(f"{path}: {exc}") from exc

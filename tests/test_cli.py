@@ -489,6 +489,55 @@ def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem
     assert not (tmp_path / "verify").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("problem", ["graph", "gaussian-diag", "analytic-verify"])
+def test_oracle_and_oracles_together_exit_2_before_out_exists(tmp_path, capsys, problem, command):
+    # one would be solved and the other verified, so a config gives one of the two
+    doc = {"problem": problem, "grid": {"ns": 5, "nt": 5}, "oracle": SCHERK_ORACLE,
+           "oracles": [{"oracle": "plane", "a1": 2, "a2": 3, "a3": 1, "window": [0, 1]}],
+           "out": str(tmp_path / "run")}
+    assert main([command, write_config(tmp_path, doc)]) == 2
+    message = f"{problem} takes 'oracle' or 'oracles', not both"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("command", ["export-plot", "solve"])
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, command):
+    # deeper than json's recursion limit, in a surface's values or a config's oracle
+    if command == "export-plot":
+        path = tmp_path / "deep.json"
+        path.write_text('{"ns": 2, "nt": 2, "dim": 1, "values": ' + _nested(100_000) + "}")
+        argv = ["export-plot", str(path), "--out", str(tmp_path / "run")]
+    else:
+        path = tmp_path / "deep_config.json"
+        path.write_text('{"problem": "graph", "oracle": ' + _nested(100_000) + "}")
+        argv = ["solve", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert str(path) in err and "recursion" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 7.28 TiB for an array"), MemoryError()])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, error):
+    # raised in place of a real allocation, whose outcome depends on the host
+    def exhausted(boundary):
+        raise error
+
+    monkeypatch.setattr("wassersurf.cli.coons_init", exhausted)
+    assert main(["solve", scherk_graph_config(tmp_path)]) == 2
+    detail = f": {error}" if str(error) else ""
+    assert capsys.readouterr().err == f"config error: out of memory{detail}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def _edited_config(tmp_path, problem, section, key, value):
     """The base config of ``problem`` with ``value`` set at ``key``, writing to ``run``.
 
@@ -664,6 +713,36 @@ def test_config_is_read_as_utf8_in_any_locale(tmp_path):
     run = verify("utf8.json")
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "o" / "caf\u00e9" / "residuals.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "export-plot"])
+def test_out_dir_the_file_system_encoding_cannot_hold_exits_2_naming_it(tmp_path, command):
+    # under C with UTF-8 mode off the file-system encoding is ASCII, so o/café has no name
+    out = "o/caf\u00e9"
+    if command == "export-plot":
+        ws.save_json(ws.graph_field(ws.Plane(2.0, 3.0, 1.0), ws.Grid2(5, 5),
+                                    ((0.0, 1.0), (0.0, 1.0))), tmp_path / "plane.json")
+        argv = [command, "plane.json", "--out", out]
+    else:
+        doc = {"solve": {"problem": "graph", "grid": {"ns": 5, "nt": 5}, "oracle": SCHERK_ORACLE},
+               "verify": {"problem": "analytic-verify", "oracles": [SCHERK_ORACLE]}}[command]
+        doc["out"] = out
+        (tmp_path / "config.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        argv = [command, "config.json"]
+    # ascii(): the command line of a C-locale process carries no é either
+    script = f"import sys\nfrom wassersurf.cli import main\nsys.exit(main({ascii(argv)}))\n"
+    src = str(Path(ws.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, encoding="ascii",
+                         errors="backslashreplace")
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
+        "config error: cannot create directory o/caf\\xe9: 'ascii' codec can't encode "
+        "character '\\xe9' in position 5: ordinal not in range(128)"
+    ]
+    assert not (tmp_path / "o").exists()
 
 
 def test_catenoid_sign_is_a_whole_number(tmp_path, capsys):

@@ -101,44 +101,17 @@ def test_coons_catenoid_gap_regression():
     assert gap == pytest.approx(CATENOID_COONS_GAP_9, rel=1e-12)
 
 
-def test_apply_boundary_overwrites_edges_only():
-    g = ws.Grid2(9, 9)
-    plane = plane_field(g)
-    b = ws.BoundarySpec.of_field(plane)
-    zero = ws.SurfaceField(g, np.zeros((9, 9, 1)))
-    out = ws.apply_boundary(zero, b)
-    assert np.array_equal(out.values[0], b.edge_s0)
-    assert np.array_equal(out.values[-1], b.edge_s1)
-    assert np.array_equal(out.values[:, 0], b.edge_t0)
-    assert np.array_equal(out.values[:, -1], b.edge_t1)
-    assert np.all(out.values[1:-1, 1:-1] == 0.0)
-
-
-def test_apply_boundary_idempotent():
-    g = ws.Grid2(7, 7)
-    b = ws.BoundarySpec.of_field(plane_field(g))
-    zero = ws.SurfaceField(g, np.zeros((7, 7, 1)))
-    once = ws.apply_boundary(zero, b)
-    twice = ws.apply_boundary(once, b)
-    assert np.array_equal(once.values, twice.values)
-
-
-def test_apply_boundary_fixed_point_of_coons():
+def test_coons_init_edges_equal_boundary_bit_for_bit():
     g = ws.Grid2(9, 9)
     u = 0.8 + 1.3 * g.s_nodes
     uu, vv = np.meshgrid(u, u, indexing="ij")
     z = ws.evaluate(ws.Catenoid(0.0, 1.0, 1), uu, vv).z
     b = ws.BoundarySpec.of_field(ws.SurfaceField(g, z[:, :, None]))
-    fill = ws.coons_init(b)
-    again = ws.apply_boundary(fill, b)
-    assert np.array_equal(fill.values, again.values)
-
-
-def test_apply_boundary_shape_mismatch():
-    b = ws.BoundarySpec.of_field(plane_field(ws.Grid2(9, 9)))
-    small = ws.SurfaceField(ws.Grid2(5, 5), np.zeros((5, 5, 1)))
-    with pytest.raises(ShapeMismatchError):
-        ws.apply_boundary(small, b)
+    fill = ws.coons_init(b).values
+    assert np.array_equal(fill[0], b.edge_s0)
+    assert np.array_equal(fill[-1], b.edge_s1)
+    assert np.array_equal(fill[:, 0], b.edge_t0)
+    assert np.array_equal(fill[:, -1], b.edge_t1)
 
 
 def test_corner_mismatch_rejected():
@@ -184,7 +157,6 @@ def test_operations_are_pure_and_deterministic(rng):
     a1 = ws.coons_init(b)
     a2 = ws.coons_init(b)
     assert np.array_equal(a1.values, a2.values)
-    assert np.array_equal(ws.apply_boundary(f, b).values, ws.apply_boundary(f, b).values)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
