@@ -16,14 +16,13 @@ discrete objective, not a rediscretization of the continuous first variation.
 One kernel, ``cell_terms``, takes a field's cell tangents, Gram terms, Gram
 determinant and cell areas; every other quantity here (area, determinant,
 fluxes, gradient, the cancellation-free area change) is derived from its
-result, so a caller that holds a field's terms never takes them again.  The
-kernel can take the tangents of a slice of coordinates only and add the Gram
-terms of the others as a frozen part, which is how a solve that moves one
-coordinate evaluates each trial field.
+result, so a caller that holds a field's terms never takes them again.  A
+caller that moves only some coordinates reads the area change and gradient
+of that move from a column view of the terms (``CellTerms.columns``).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,49 +110,36 @@ def area_element(ds: np.ndarray, dt: np.ndarray, cfg: AreaConfig) -> float:
 class CellTerms:
     """Per-cell terms of one field, shapes ``(ns-1, nt-1)`` unless noted.
 
-    ``ds`` and ``dt`` are the cell tangents of the coordinates the terms were
-    taken over, shape ``(ns-1, nt-1, width)``, and ``w`` their weights.
-    ``pinned`` is the Gram triple of every other coordinate (three float
-    zeros when there are none), and ``a``, ``b``, ``c`` are <ds,ds>_w,
-    <dt,dt>_w, <ds,dt>_w over all coordinates: the pinned part plus that of
-    the taken ones.  ``gram`` is a*b - c*c, unclamped, and ``cells`` the
-    area density sqrt(max(gram, 0) + epsilon).
+    ``ds`` and ``dt`` are cell tangents, shape ``(ns-1, nt-1, width)``, and
+    ``w`` their weights, of every coordinate or, in a ``columns`` view, of
+    the coordinates whose area change and gradient the view gives.  ``a``,
+    ``b``, ``c`` are <ds,ds>_w, <dt,dt>_w, <ds,dt>_w over every coordinate,
+    ``gram`` is a*b - c*c, unclamped, and ``cells`` the area density
+    sqrt(max(gram, 0) + epsilon).
     """
 
     ds: np.ndarray
     dt: np.ndarray
     w: np.ndarray
-    pinned: tuple
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     gram: np.ndarray
     cells: np.ndarray
 
+    def columns(self, cols: slice) -> "CellTerms":
+        """Tangents and weights of coordinates ``cols`` beside all coordinates' Gram terms."""
+        return replace(self, ds=self.ds[..., cols], dt=self.dt[..., cols], w=self.w[cols])
 
-def cell_terms(f: SurfaceField, cfg: AreaConfig, moving: slice = slice(None),
-               pinned: tuple | None = None) -> CellTerms:
-    """Cell tangents of the coordinates ``moving``, Gram terms and cell areas of ``f``.
 
-    The other coordinates enter through their Gram triple ``pinned``, taken
-    from ``f`` unless given.  A solve that moves only ``moving`` hands the
-    ``pinned`` of its first field to every later one, so their tangents are
-    taken once per solve.  With ``moving`` trailing (or every coordinate)
-    the sums equal those of one pass over all coordinates, bit for bit.
-    """
+def cell_terms(f: SurfaceField, cfg: AreaConfig) -> CellTerms:
+    """Cell tangents, Gram terms and cell areas of every coordinate of ``f``."""
     w = cfg.weight_vector(f.dim)
-    hs, ht = f.grid.hs, f.grid.ht
-    if pinned is None:
-        rest = np.ones(w.size, dtype=bool)
-        rest[moving] = False
-        pinned = (_gram_terms(*_tangents(f.values[..., rest], hs, ht), w[rest]) if rest.any()
-                  else (0.0,) * 3)
-    ds, dt = _tangents(f.values[..., moving], hs, ht)
-    w = w[moving]
-    a, b, c = (p + q for p, q in zip(pinned, _gram_terms(ds, dt, w)))
+    ds, dt = _tangents(f.values, f.grid.hs, f.grid.ht)
+    a, b, c = _gram_terms(ds, dt, w)
     gram = a * b - c * c
     cells = np.sqrt(np.maximum(gram, 0.0) + cfg.epsilon)
-    return CellTerms(ds, dt, w, pinned, a, b, c, gram, cells)
+    return CellTerms(ds, dt, w, a, b, c, gram, cells)
 
 
 def hourglass_amplitude(f: SurfaceField) -> float:
@@ -182,7 +168,7 @@ def total_area(f: SurfaceField, cfg: AreaConfig) -> float:
 
 
 def terms_change(current: CellTerms, cells_try, step, grid) -> float:
-    """Total-area change when the coordinates ``current`` was taken over move by ``step``.
+    """Total-area change when the coordinates whose tangents ``current`` holds move by ``step``.
 
     ``current`` holds the terms of the field before the move and
     ``cells_try`` the cell areas after it; ``step`` has shape
@@ -215,8 +201,8 @@ def _inverse_areas(terms: CellTerms) -> np.ndarray:
     return np.divide(1.0, terms.cells, out=np.zeros_like(terms.cells), where=live)[..., None]
 
 
-def _fluxes(terms: CellTerms, inv: np.ndarray, cols: slice = slice(None)):
-    """Per-cell fluxes (fs, ft) of the coordinates ``cols`` of those ``terms`` was taken over.
+def _fluxes(terms: CellTerms, inv: np.ndarray, cols: slice):
+    """Per-cell fluxes (fs, ft) of the coordinates ``cols`` of those ``terms`` holds tangents of.
 
     fs = w (b ds - c dt) / sqrt(G) and ft = w (a dt - c ds) / sqrt(G), the
     derivatives of a cell's area density in its s- and t-tangents, shapes
@@ -255,7 +241,7 @@ def _divergence(fs, ft, hs: float, ht: float, out=None) -> np.ndarray:
 
 
 def flux_divergence(terms: CellTerms, grid) -> np.ndarray:
-    """Flux divergence on interior nodes in the coordinates ``terms`` was taken over.
+    """Flux divergence on interior nodes in the coordinates whose tangents ``terms`` holds.
 
     Shape ``(ns-2, nt-2, width)``, taken ``FLUX_BLOCK`` coordinates at a
     time, so its temporaries are three blocks whatever the width.  Fluxes
@@ -272,7 +258,7 @@ def flux_divergence(terms: CellTerms, grid) -> np.ndarray:
 
 
 def terms_gradient(terms: CellTerms, grid) -> np.ndarray:
-    """Area gradient on interior nodes in the coordinates ``terms`` was taken over.
+    """Area gradient on interior nodes in the coordinates whose tangents ``terms`` holds.
 
     -hs*ht times the flux divergence, shape ``(ns-2, nt-2, width)``.
     """

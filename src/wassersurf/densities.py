@@ -93,20 +93,27 @@ class TabulatedDensity:
             raise ValueError("x and pdf must be matching 1-D arrays of at least 2 points")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
             raise ValueError("x and pdf values must be finite")
-        if np.any(np.diff(x) <= 0.0):
+        dx = np.diff(x)
+        if np.any(dx <= 0.0):
             raise ValueError("x must be strictly increasing")
         if np.any(p < 0.0):
             raise ValueError("pdf values must be nonnegative")
-        dx = np.diff(x)
-        mass = float(np.sum(0.5 * (p[:-1] + p[1:]) * dx))
-        if mass <= 0.0:
-            raise ValueError("pdf has no mass")
-        p = p / mass
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[:-1] + p[1:]) * dx)])
-        cum /= cum[-1]
-        total = float(np.sum(0.5 * (p[:-1] + p[1:]) * dx))
-        if abs(total - 1.0) > MASS_TOL:
+        # a mass or pdf beyond the float range is rejected here, not warned about
+        with np.errstate(over="ignore"):
+            mass = float(np.sum(0.5 * (p[:-1] + p[1:]) * dx))
+            if mass <= 0.0:
+                raise ValueError("pdf has no mass")
+            if not mass < math.inf:
+                raise ValueError(f"pdf trapezoid mass must be finite, got {mass!r}")
+            p = p / mass
+            if not np.all(np.isfinite(p)):
+                raise ValueError(f"pdf divided by its trapezoid mass {mass!r} must be finite")
+            traps = 0.5 * (p[:-1] + p[1:]) * dx
+        total = float(np.sum(traps))
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"pdf normalization failed: trapezoid mass {total!r}")
+        cum = np.concatenate([[0.0], np.cumsum(traps)])
+        cum /= cum[-1]
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pdf", p)
         object.__setattr__(self, "_cum", cum)
@@ -393,12 +400,22 @@ def boundary_from_corners(
 
     Each edge samples the displacement path between its two corner
     densities at the grid nodes; corners are consistent by construction.
+    A corner far out in the float range can have quantiles that overflow, so
+    each vector is checked as it is made: a level that is not finite raises
+    ValueError naming the corner (``corners.c00``) instead of a numpy warning.
     """
-    q00 = quantiles(c00, qg.nodes)
-    q10 = quantiles(c10, qg.nodes)
-    q01 = quantiles(c01, qg.nodes)
-    q11 = quantiles(c11, qg.nodes)
-    return edges_from_corner_vectors(q00, q10, q01, q11, grid)
+    levels = qg.nodes
+    vectors = []
+    for key, d in zip(("c00", "c10", "c01", "c11"), (c00, c10, c01, c11)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = quantiles(d, levels)
+        bad = ~np.isfinite(q)
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise ValueError(f"corners.{key} quantiles must be finite, "
+                             f"got {float(q[n])!r} at level {float(levels[n])!r}")
+        vectors.append(q)
+    return edges_from_corner_vectors(*vectors, grid)
 
 
 def transport_map_quadrature(d0: Density1D, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

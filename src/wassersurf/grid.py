@@ -230,27 +230,21 @@ def coons_init(b: BoundarySpec) -> SurfaceField:
 
     The interior blends the two pairs of opposite edges and subtracts the
     bilinear corner interpolant, which reproduces exactly any field whose
-    coordinates have the form ``a + b*s + c*t + d*s*t``.  The four edges
-    are then written over the blend (s-edges first, t-edges last), so the
-    edges of the result equal ``b`` bit-for-bit.
+    coordinates have the form ``a + b*s + c*t + d*s*t``.  The blend is
+    filled one row of fixed s at a time, so its temporaries are rows, not
+    fields.  The four edges are then written over it (s-edges first, t-edges
+    last), so the edges of the result equal ``b`` bit-for-bit.
     """
     grid = Grid2(b.ns, b.nt)
-    s = grid.s_nodes[:, None, None]
-    t = grid.t_nodes[None, :, None]
+    t = grid.t_nodes[:, None]
+    u = 1.0 - t
     c00, c01 = b.edge_s0[0], b.edge_s0[-1]
     c10, c11 = b.edge_s1[0], b.edge_s1[-1]
-    vals = (
-        (1.0 - s) * b.edge_s0[None, :, :]
-        + s * b.edge_s1[None, :, :]
-        + (1.0 - t) * b.edge_t0[:, None, :]
-        + t * b.edge_t1[:, None, :]
-        - (
-            (1.0 - s) * (1.0 - t) * c00
-            + (1.0 - s) * t * c01
-            + s * (1.0 - t) * c10
-            + s * t * c11
-        )
-    )
+    vals = np.empty((b.ns, b.nt, b.dim))
+    for i, s in enumerate(grid.s_nodes.tolist()):
+        r = 1.0 - s  # r and u weigh the s = 0 and t = 0 sides
+        vals[i] = (r * b.edge_s0 + s * b.edge_s1 + u * b.edge_t0[i] + t * b.edge_t1[i]
+                   - (r * u * c00 + r * t * c01 + s * u * c10 + s * t * c11))
     vals[0] = b.edge_s0
     vals[-1] = b.edge_s1
     vals[:, 0] = b.edge_t0

@@ -11,11 +11,9 @@ dG / (A_try + A) over cells, dG expanded in the step's own tangents), so
 every accepted step strictly decreases the area and the area trace is
 nonincreasing by construction.  Each trial field is evaluated once, by
 ``area.cell_terms``: an accepted trial's tangents, Gram terms and cell
-areas become the current terms, which feed the next decrease, the next
-gradient (the fluxes of the moving coordinates only) and the next step's
-operator.  The Gram terms of pinned coordinates never change, so they are
-taken once per solve and each trial takes the tangents of the moving
-coordinates only.  A failed line search, or a direction along which the
+areas become the current terms, which feed the next decrease and the next
+gradient (both read the moving coordinates' columns only) and the next
+step's operator.  A failed line search, or a direction along which the
 area does not fall, stops the solve with a stall.  ``free_coords`` names
 one coordinate or all of them; a proper subset of several is rejected,
 since no problem here poses one and the area is not convex in it.
@@ -322,11 +320,12 @@ def _laplace_beltrami_kernel(terms):
     return terms.b[..., None] * inv, -terms.c[..., None] * inv, terms.a[..., None] * inv
 
 
-def _newton_kernel(terms):
-    """Per-cell Hessian H of the area density in the tangents of one moving coordinate.
+def _newton_kernel(terms, free: slice):
+    """Per-cell Hessian H of the area density in the tangents of the one coordinate ``free``.
 
-    With (A, B, C) the pinned Gram triple, w the moving coordinate's weight
-    and f = (f_s, f_t) its fluxes, the Gram determinant is A*B - C^2 plus
+    With (A, B, C) the Gram triple of the other coordinates, taken from their
+    columns of ``terms``, w the free coordinate's weight and f = (f_s, f_t)
+    its fluxes, the Gram determinant is A*B - C^2 plus
     w * (B ds^2 - 2C ds dt + A dt^2), so the density sqrt(G) has
     H = (w [[B, -C], [-C, A]] - f f^T) / sqrt(G), zero where the clamped
     determinant sits at zero, as the fluxes are.  The operator that
@@ -334,10 +333,11 @@ def _newton_kernel(terms):
     area in the free coordinate.  Returns the (ss, st, tt) entries, each
     ``(ns-1, nt-1, 1)``.
     """
-    big_a, big_b, big_c = terms.pinned
+    big_a, big_b, big_c = _gram_terms(*(np.delete(x, free, axis=-1)
+                                        for x in (terms.ds, terms.dt, terms.w)))
     inv = _inverse_areas(terms)
-    fs, ft = _fluxes(terms, inv)
-    w = terms.w
+    fs, ft = _fluxes(terms, inv, free)
+    w = terms.w[free]
     return (inv * (w * big_b[..., None] - fs * fs),
             inv * (-w * big_c[..., None] - fs * ft),
             inv * (w * big_a[..., None] - ft * ft))
@@ -504,15 +504,14 @@ def minimize(
         return float(np.max(np.abs(g), initial=0.0))
 
     # the terms of the current field: taken once here, then handed over from
-    # the accepted trial; the Gram part of the coordinates outside
-    # ``moving`` (none on all-free solves) is frozen for the whole solve
-    terms = cell_terms(fld, loop_acfg, moving)
+    # the accepted trial
+    terms = cell_terms(fld, loop_acfg)
     f_cur = summed_area(terms.cells, grid)
     trace = [f_cur]
     stall = None
     # the kernel of the step's operator and the weight of the DST preconditioner
     kernel, scale = ((_laplace_beltrami_kernel, 1.0) if all_free
-                     else (_newton_kernel, float(w[moving.start])))
+                     else (lambda t: _newton_kernel(t, moving), float(w[moving.start])))
 
     def precondition(u):
         # S^-1 at the current field, by PCG preconditioned with the DST solve
@@ -520,13 +519,14 @@ def minimize(
                     _flat_hessian_inverse(terms, grid, scale, loop_acfg), u, w[moving])
 
     def line_search(direction, slope):
+        current = terms.columns(moving)
         alpha = _STEP0
         for _ in range(_MAX_BACKTRACKS + 1):
             work[1:-1, 1:-1, moving] = x + alpha * direction
-            trial = cell_terms(fld, loop_acfg, moving, terms.pinned)
+            trial = cell_terms(fld, loop_acfg)
             # the step as rounded into the trial field, not alpha * direction
             np.subtract(work[1:-1, 1:-1, moving], x, out=step[1:-1, 1:-1])
-            delta = terms_change(terms, trial.cells, step, grid)
+            delta = terms_change(current, trial.cells, step, grid)
             if math.isnan(delta):
                 raise SolverNaNError(it, "objective is NaN during line search")
             if delta <= _ARMIJO_C1 * alpha * slope:
@@ -537,8 +537,8 @@ def minimize(
     def measure():
         # the projector, the vector the operator inverts and the max-norms of
         # the gradient and of its normal and tangential parts; the gradient is
-        # a covector, so all-free solves project g/w as a vector, and pinned
-        # ones take the identity and g itself
+        # a covector, so all-free solves project g/w as a vector, and solves
+        # of one free coordinate take the identity and g itself
         gfull = max_norm(g)
         if not all_free:
             return (lambda v: v), g, gfull, gfull, 0.0
@@ -547,11 +547,11 @@ def minimize(
         return project, u, gfull, max_norm(w * u), max_norm(g - w * u)
 
     def settled():
-        # the stopping test (module docstring); with pinned coordinates the
+        # the stopping test (module docstring); with one free coordinate the
         # tangential part is 0 and the normal part is the gradient
         return gnorm <= tol and (tangential > tol or gfull <= tol)
 
-    g = terms_gradient(terms, grid)
+    g = terms_gradient(terms.columns(moving), grid)
     project, u, gfull, gnorm, tangential = measure()
     converged = settled()
     it = 0
@@ -574,7 +574,7 @@ def minimize(
         terms = accepted
         f_cur = f_cur + delta
         trace.append(f_cur)
-        g = terms_gradient(terms, grid)
+        g = terms_gradient(terms.columns(moving), grid)
         project, u, gfull, gnorm, tangential = measure()
         converged = settled()
     if not (converged or stall):

@@ -242,20 +242,26 @@ def test_cell_terms_of_a_trailing_slice_equal_one_pass_bit_for_bit():
     # one pass over every coordinate is the plain weighted inner products
     reference = ws.area._gram_terms(*ws.area._tangents(f.values, grid.hs, grid.ht), acfg.weights)
     assert all(np.array_equal(p, q) for p, q in zip((whole.a, whole.b, whole.c), reference))
-    first = ws.cell_terms(f, acfg, slice(2, 3))
     moved = f.values.copy()
     moved[1:-1, 1:-1, 2] += 0.1 * np.random.default_rng(8).standard_normal((11, 9))
     moved = ws.SurfaceField(grid, moved)
-    # the pinned part of the first field serves every field that moves only slice(2, 3)
-    later = ws.cell_terms(moved, acfg, slice(2, 3), first.pinned)
-    for terms, field in ((first, f), (later, moved)):
+    for field in (f, moved):
         one_pass = ws.cell_terms(field, acfg)
-        assert terms.ds.shape == (12, 10, 1)
-        assert np.array_equal(terms.ds, one_pass.ds[..., 2:])
-        assert np.array_equal(terms.dt, one_pass.dt[..., 2:])
+        # the column view of the trailing coordinate keeps every coordinate's sums
+        view = one_pass.columns(slice(2, 3))
+        assert view.ds.shape == (12, 10, 1)
+        assert np.array_equal(view.ds, one_pass.ds[..., 2:])
+        assert np.array_equal(view.dt, one_pass.dt[..., 2:])
+        assert np.array_equal(view.w, acfg.weights[2:])
         for name in ("a", "b", "c", "gram", "cells"):
-            assert np.array_equal(getattr(terms, name), getattr(one_pass, name)), name
-    assert ws.total_area(f, acfg) == ws.area.summed_area(first.cells, grid)
+            assert getattr(view, name) is getattr(one_pass, name), name
+        # the Gram triple of the other columns plus that of the trailing one
+        # is the one pass, bit for bit
+        rest = ws.area._gram_terms(one_pass.ds[..., :2], one_pass.dt[..., :2], acfg.weights[:2])
+        last = ws.area._gram_terms(view.ds, view.dt, view.w)
+        for name, p, q in zip("abc", rest, last):
+            assert np.array_equal(p + q, getattr(one_pass, name)), name
+    assert ws.total_area(f, acfg) == ws.area.summed_area(whole.cells, grid)
 
 
 def test_flux_divergence_in_blocks_equals_one_pass_bit_for_bit(rng):

@@ -843,6 +843,35 @@ def test_readme_solve_configs_exit_0(tmp_path):
         assert report["converged"] and report["iters"] > 0, block
 
 
+# corners too far out for the float range, each put in place of c00 in
+# README's density config, and the one line each exits 2 with
+FAR_CORNERS = {
+    "gaussian": ({"type": "gaussian", "mean": 1e308, "std": 1e308},
+                 "corners.c00 quantiles must be finite, got -inf at level 0.0078125"),
+    "mixture": ({"type": "mixture", "components": [
+        {"weight": 0.5, "mean": -1e308, "std": 0.6}, {"weight": 0.5, "mean": 1e308, "std": 0.6}]},
+                "corners.c00 quantiles must be finite, got -inf at level 0.0078125"),
+    "tabulated_mass": ({"type": "tabulated", "x": [0.0, 1e308], "pdf": [1e308, 1e308]},
+                       "corners.c00.pdf trapezoid mass must be finite, got inf"),
+    "tabulated_pdf": ({"type": "tabulated", "x": [0.0, 1e-320], "pdf": [1.0, 1.0]},
+                      "corners.c00.pdf divided by its trapezoid mass 1e-320 must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_CORNERS))
+def test_corner_beyond_the_float_range_exits_2_naming_it(tmp_path, capsys, name):
+    # a numpy warning would be an error under the suite's filter, so none is raised either
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    doc = next(json.loads(b) for b in blocks if json.loads(b)["problem"] == "density1d")
+    corner, message = FAR_CORNERS[name]
+    doc["corners"]["c00"] = corner
+    doc["out"] = str(tmp_path / "run")
+    assert main(["solve", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_threads_flag_removed(tmp_path):
     with pytest.raises(SystemExit):
         main(["--threads", "2", "solve", scherk_graph_config(tmp_path)])

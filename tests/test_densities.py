@@ -98,6 +98,28 @@ def test_tabulated_validation():
         ws.TabulatedDensity(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("x, pdf, message", [
+    ([0.0, 1e308], [1e308, 1e308], "pdf trapezoid mass must be finite, got inf"),
+    ([0.0, 1e-320], [1.0, 1.0], "pdf divided by its trapezoid mass 1e-320 must be finite"),
+], ids=["mass_overflows", "normalized_pdf_overflows"])
+def test_tabulated_mass_or_pdf_beyond_the_float_range_is_a_value_error(x, pdf, message):
+    # a ValueError that says so, not a numpy warning (an error under the suite's filter)
+    with pytest.raises(ValueError) as info:
+        ws.TabulatedDensity(np.array(x), np.array(pdf))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("far", [
+    ws.GaussianDensity(1e308, 1e308),
+    ws.MixtureDensity(((0.5, (-1e308, 0.6)), (0.5, (1e308, 0.6)))),
+], ids=["gaussian", "mixture"])
+def test_boundary_from_corners_rejects_quantiles_beyond_the_float_range(far):
+    near = ws.GaussianDensity(0.0, 1.0)
+    with pytest.raises(ValueError) as info:
+        ws.boundary_from_corners(near, far, near, near, ws.Grid2(5, 5), ws.QuantileGrid(64))
+    assert str(info.value) == "corners.c10 quantiles must be finite, got -inf at level 0.0078125"
+
+
 def all_variants():
     xs = np.linspace(-4.0, 5.0, 121)
     return [

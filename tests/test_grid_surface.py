@@ -200,6 +200,11 @@ GOOD_ROWS = ["0,0,0,0,0,1.5", "0,1,0,1,0,2.5", "1,0,1,0,0,3.5", "1,1,1,1,0,4.5"]
         pytest.param(GOOD_ROWS + ["0,0,0,0,0,9.5"],
                      r"duplicate entry for \(i, j, k\) = \(0, 0, 0\) at data rows 1 and 5",
                      id="duplicate"),
+        # a complete box that is no surface: the field's own checks, named by the file
+        pytest.param(GOOD_ROWS[:3] + ["1,1,1,1,0,nan"], r": surface values must be finite$",
+                     id="nan-value"),
+        pytest.param(GOOD_ROWS[:2],
+                     r": grid needs at least 2 nodes per direction, got 1x2$", id="one-i-index"),
     ],
 )
 def test_load_csv_rejects_bad_index_rows(tmp_path, capsys, rows, match):
@@ -322,6 +327,14 @@ def test_big_field_io_runs_in_bounded_memory(tmp_path, rng):
     acfg = ws.AreaConfig(weights=ws.quantile_weights(3))
     assert traced_peak(ws.euler_lagrange_residual, narrow, acfg) <= 9.7 * narrow.values.nbytes
     assert traced_peak(ws.area_gradient, narrow, acfg) <= 9.7 * narrow.values.nbytes
+
+
+def test_coons_init_runs_in_bounded_memory(rng):
+    # the blend is filled a row at a time: the result, its finiteness check
+    # (1/8) and a few rows, where a whole-field expression held 3x the field
+    edges = ws.BoundarySpec.of_field(ws.SurfaceField(ws.Grid2(65, 65),
+                                                     rng.standard_normal((65, 65, 128))))
+    assert traced_peak(ws.coons_init, edges) <= 1.5 * 65 * 65 * 128 * 8
 
 
 def _json_document(values: str, ns=2, nt=2, dim=1, **extra) -> str:

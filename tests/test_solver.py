@@ -420,18 +420,19 @@ def test_newton_operator_is_the_exact_hessian(problem):
         acfg = ws.AreaConfig()
     f = ws.perturb_interior(ws.coons_init(boundary), 1e-2, seed=1, free_coords=(2,))
     moving = slice(2, 3)
-    terms = ws.cell_terms(f, acfg, moving)
-    # the pinned coordinates' Gram is not the identity
-    assert not np.allclose(terms.pinned[0], 1.0) and not np.allclose(terms.pinned[1], 1.0)
+    terms = ws.cell_terms(f, acfg)
+    # the Gram of the other two coordinates is not the identity
+    other = ws.area._gram_terms(terms.ds[..., :2], terms.dt[..., :2], terms.w[:2])
+    assert not np.allclose(other[0], 1.0) and not np.allclose(other[1], 1.0)
     solver = wassersurf.solver
-    apply = solver._frozen_operator(solver._newton_kernel(terms), grid, 1)
+    apply = solver._frozen_operator(solver._newton_kernel(terms, moving), grid, 1)
     v = np.random.default_rng(3).standard_normal((grid.ns - 2, grid.nt - 2, 1))
 
     def gradient(x):
         values = f.values.copy()
         values[1:-1, 1:-1, moving] += x
-        return ws.area.terms_gradient(ws.cell_terms(ws.SurfaceField(grid, values), acfg, moving),
-                                      grid)
+        terms = ws.cell_terms(ws.SurfaceField(grid, values), acfg)
+        return ws.area.terms_gradient(terms.columns(moving), grid)
 
     h = 1e-5
     central = (gradient(h * v) - gradient(-h * v)) / (2.0 * h)
@@ -456,11 +457,12 @@ def test_area_change_matches_plain_difference():
     step[1:-1, 1:-1] = 1e-2 * np.random.default_rng(5).standard_normal((grid.ns - 2, grid.nt - 2))
     moved = f.values.copy()
     moved[:, :, 1] += step
-    current = ws.cell_terms(f, acfg, slice(1, 2))
-    trial = ws.cell_terms(ws.SurfaceField(grid, moved), acfg, slice(1, 2), current.pinned)
+    current = ws.cell_terms(f, acfg)
+    trial = ws.cell_terms(ws.SurfaceField(grid, moved), acfg)
     cells, cells_try = current.cells, trial.cells
     plain = grid.hs * grid.ht * math.fsum((cells_try - cells).ravel().tolist())
-    exact = ws.area.terms_change(current, cells_try, step[..., None], grid)
+    # the change of moving coordinate 1 alone, read from its columns
+    exact = ws.area.terms_change(current.columns(slice(1, 2)), cells_try, step[..., None], grid)
     assert abs(plain) > 1e-6
     assert exact == pytest.approx(plain, rel=1e-12)
 
@@ -536,17 +538,16 @@ def test_nan_gradient_raises_before_any_line_search(monkeypatch, free_coords):
 def _count_evaluations(monkeypatch):
     """Record minimize's kernel calls and trials; fail on the per-quantity functions.
 
-    Returns the list of ``(values, cfg, args after cfg, terms)`` of every
-    ``cell_terms`` call and the list of ``terms_change`` calls, one per
-    line-search trial.
+    Returns the list of ``(values, cfg, terms)`` of every ``cell_terms``
+    call and the list of ``terms_change`` calls, one per line-search trial.
     """
     real_terms = wassersurf.solver.cell_terms
     real_change = wassersurf.solver.terms_change
     calls, trials = [], []
 
-    def recording_terms(f, cfg, *args):
-        terms = real_terms(f, cfg, *args)
-        calls.append((f.values.copy(), cfg, args, terms))
+    def recording_terms(f, cfg):
+        terms = real_terms(f, cfg)
+        calls.append((f.values.copy(), cfg, terms))
         return terms
 
     def recording_change(*args):
@@ -570,7 +571,6 @@ def _count_evaluations(monkeypatch):
 def _assert_terms_equal(got, want):
     for name in ("ds", "dt", "w", "a", "b", "c", "gram", "cells"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert all(np.array_equal(p, q) for p, q in zip(got.pinned, want.pinned))
 
 
 def _graph_problem():
@@ -598,25 +598,20 @@ def test_each_field_is_evaluated_once(monkeypatch, problem):
     assert len(trials) >= rep.iterations
     assert len(calls) == 1 + len(trials) + 1
     start, loop, final = calls[0], calls[1:-1], calls[-1]
-    (moving,) = start[2]
-    assert final[2] == () and np.array_equal(final[0], rep.field.values)
-    for values, cfg, args, terms in loop:
-        # the pinned part is frozen once per solve and handed to every trial
-        assert args[0] == moving and args[1] is start[3].pinned
-        fresh = real_terms(ws.SurfaceField(init.grid, values), cfg, moving)
+    assert np.array_equal(final[0], rep.field.values)
+    for values, cfg, terms in loop:
+        # every trial takes the terms of every coordinate of its field
+        fresh = real_terms(ws.SurfaceField(init.grid, values), cfg)
         _assert_terms_equal(terms, fresh)
+    # each trial's area change reads the moving columns of the current terms
+    moving = trials[0][0].ds.shape[-1]
+    assert all(args[0].ds.shape[-1] == moving for args in trials)
     if free_coords is not None:
-        # one free trailing coordinate: the trial terms equal one pass over
-        # all coordinates, and the last trial is the returned field
-        assert start[3].ds.shape[-1] == 1 and np.any(start[3].pinned[0] > 0.0)
-        for values, cfg, _, terms in calls[:-1]:
-            one_pass = real_terms(ws.SurfaceField(init.grid, values), cfg)
-            for name in ("a", "b", "c", "gram", "cells"):
-                assert np.array_equal(getattr(terms, name), getattr(one_pass, name)), name
+        # one free coordinate of three, and the last trial is the returned field
+        assert start[2].ds.shape[-1] == init.dim and moving == 1
         assert np.array_equal(loop[-1][0], rep.field.values)
     else:
-        assert start[3].ds.shape[-1] == rep.span_rank < init.dim
-        assert not np.any(start[3].pinned[0])
+        assert start[2].ds.shape[-1] == moving == rep.span_rank < init.dim
 
 
 # ---------------------------------------------------------------------------
