@@ -41,7 +41,6 @@ from .densities import (
     MixtureDensity,
     MonotonicityReport,
     QuantileGrid,
-    QuantileSurface,
     TabulatedDensity,
     boundary_from_corners,
     cdf,

@@ -24,7 +24,6 @@ from . import analytic
 from .area import AreaConfig, quantile_weights
 from .densities import (
     QuantileGrid,
-    QuantileSurface,
     boundary_from_corners,
     monotonicity_report,
     parse_density,
@@ -38,7 +37,6 @@ from .errors import (
 )
 from .gaussian import DiagonalCovSurface, critical_point_residual, diag_corner_roots
 from .grid import (
-    BoundarySpec,
     Grid2,
     SurfaceField,
     _fill_g17,
@@ -303,19 +301,6 @@ def _assemble(cfg: RunConfig):
     return edges_from_corner_vectors(*cfg.corners, cfg.grid), None, None
 
 
-def _write_boundary_csv(b: BoundarySpec, path: Path) -> None:
-    parts = ["edge,idx,k,value\n"]
-    for name, arr in (
-        ("s0", b.edge_s0), ("s1", b.edge_s1), ("t0", b.edge_t0), ("t1", b.edge_t1)
-    ):
-        n, m = arr.shape
-        # one row template per edge; only its <idx> field changes with the row
-        row = "".join(f"{name},<idx>,{k},%.17g\n" for k in range(m))
-        template = "".join(row.replace("<idx>", str(idx)) for idx in range(n))
-        parts.append(_fill_g17(template, arr))
-    path.write_text("".join(parts))
-
-
 def _make_dir(path: Path) -> None:
     """Create the output directory ``path`` and its parents; an error names it."""
     try:
@@ -342,11 +327,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     # an unusable --out fails here, before the solve; a config error earlier
     # leaves no directory behind
     _make_dir(cfg.out)
-    report = minimize(init, boundary, cfg.solver, cfg.area_for(cfg.m), free_coords=free)
+    report = minimize(init, cfg.solver, cfg.area_for(cfg.m), free_coords=free)
 
     save_csv(report.field, cfg.out / "surface.csv")
     save_json(report.field, cfg.out / "surface.json")
-    _write_boundary_csv(boundary, cfg.out / "boundary.csv")
     _dump_json(report.to_json_dict(), cfg.out / "report.json")
 
     if oracle_field is not None:
@@ -356,7 +340,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                     "max_abs": float(np.max(gap)), "ns": cfg.grid.ns, "nt": cfg.grid.nt},
                    cfg.out / "oracle_gap.json")
     if cfg.problem == "density1d":
-        mono = monotonicity_report(QuantileSurface(report.field, QuantileGrid(cfg.m)))
+        mono = monotonicity_report(report.field)
         _dump_json({"violations": mono.violations, "worst_gap": mono.worst_gap},
                    cfg.out / "monotonicity.json")
 

@@ -98,9 +98,10 @@ class TabulatedDensity:
             raise ValueError("x must be strictly increasing")
         if np.any(p < 0.0):
             raise ValueError("pdf values must be nonnegative")
-        # a mass or pdf beyond the float range is rejected here, not warned about
+        # a mass or pdf beyond the float range is rejected here, not warned about;
+        # each sample is halved before the pair is summed, so that sum cannot overflow
         with np.errstate(over="ignore"):
-            mass = float(np.sum(0.5 * (p[:-1] + p[1:]) * dx))
+            mass = float(np.sum((0.5 * p[:-1] + 0.5 * p[1:]) * dx))
             if mass <= 0.0:
                 raise ValueError("pdf has no mass")
             if not mass < math.inf:
@@ -108,7 +109,7 @@ class TabulatedDensity:
             p = p / mass
             if not np.all(np.isfinite(p)):
                 raise ValueError(f"pdf divided by its trapezoid mass {mass!r} must be finite")
-            traps = 0.5 * (p[:-1] + p[1:]) * dx
+            traps = (0.5 * p[:-1] + 0.5 * p[1:]) * dx
         total = float(np.sum(traps))
         if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"pdf normalization failed: trapezoid mass {total!r}")
@@ -345,33 +346,21 @@ class QuantileGrid:
         return (np.arange(self.m) + 0.5) / self.m
 
 
-@dataclass(eq=False)
-class QuantileSurface:
-    """Surface field whose coordinate k holds the quantile at level z_k."""
-
-    field: SurfaceField
-    qgrid: QuantileGrid
-
-    def __post_init__(self):
-        if self.field.dim != self.qgrid.m:
-            raise ValueError(
-                f"field has m={self.field.dim} coordinates but quantile grid has m={self.qgrid.m}"
-            )
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     violations: int
     worst_gap: float
 
 
-def monotonicity_report(q: QuantileSurface) -> MonotonicityReport:
+def monotonicity_report(field: SurfaceField) -> MonotonicityReport:
     """Count adjacent quantile pairs out of order; report the worst gap.
 
-    ``worst_gap`` is the minimum of Z(.,.,z_{k+1}) - Z(.,.,z_k) over the
-    whole surface (negative iff any violation exists).
+    Coordinate k of ``field`` is read as the quantile at level z_k, for
+    levels in increasing order (``QuantileGrid``'s nodes in a density
+    surface).  ``worst_gap`` is the minimum of Z(.,.,z_{k+1}) - Z(.,.,z_k)
+    over the whole surface (negative iff any violation exists).
     """
-    vals = q.field.values
+    vals = field.values
     if vals.shape[2] < 2:
         return MonotonicityReport(0, 0.0)
     diffs = np.diff(vals, axis=2)

@@ -1,7 +1,7 @@
 """Preconditioned minimization of the discrete area over interior nodes.
 
 The solver moves only interior node values (one coordinate, or all of
-them) with the four boundary edges held bit-exactly fixed.  Every solve
+them) with the initial field's edges held bit-exactly fixed.  Every solve
 runs one loop: take the area gradient g and the max-norms of its normal
 and tangential parts, step along d = -P S^-1 P g (the problem's operator S
 and projector P) under a backtracking Armijo line search, and stop once
@@ -100,8 +100,8 @@ from .area import (
     terms_change,
     terms_gradient,
 )
-from .errors import ShapeMismatchError, SolverNaNError
-from .grid import BoundarySpec, Grid2, SurfaceField
+from .errors import SolverNaNError
+from .grid import Grid2, SurfaceField
 
 
 # the line search: first trial step (the natural length of a Newton or Laplace-
@@ -436,14 +436,13 @@ def normal_gradient(f: SurfaceField, acfg: AreaConfig) -> np.ndarray:
 
 def minimize(
     init: SurfaceField,
-    b: BoundarySpec,
     cfg: SolverConfig,
     acfg: AreaConfig,
     free_coords=None,
 ) -> SolveReport:
     """Minimize the total area over interior values with fixed edges.
 
-    ``init`` must already satisfy the boundary on its edges.  When
+    The edges of ``init`` are the boundary and come back bit for bit.  When
     ``free_coords`` is given, only those coordinate indices move (the
     graph problems pin the two affine parameter coordinates and descend
     on the height alone); the rest of the field is treated as data.  It
@@ -461,17 +460,6 @@ def minimize(
     values raise SolverNaNError with the iteration.
     """
     grid = init.grid
-    if (b.ns, b.nt, b.dim) != (grid.ns, grid.nt, init.dim):
-        raise ShapeMismatchError("boundary shape does not match the initial field")
-    v = init.values
-    if not (
-        np.array_equal(v[0, :, :], b.edge_s0)
-        and np.array_equal(v[-1, :, :], b.edge_s1)
-        and np.array_equal(v[:, 0, :], b.edge_t0)
-        and np.array_equal(v[:, -1, :], b.edge_t1)
-    ):
-        raise ValueError("initial field does not satisfy the boundary on its edges")
-
     free = _free_slice(free_coords, init.dim)
     all_free = free.stop - free.start == init.dim
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)

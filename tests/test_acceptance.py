@@ -117,7 +117,7 @@ def test_criterion_3_scherk_solver_convergence():
         grid = ws.Grid2(n, n)
         boundary, full = ws.graph_boundary(scherk, grid, window)
         rep = ws.minimize(
-            ws.coons_init(boundary), boundary,
+            ws.coons_init(boundary),
             ws.SolverConfig(max_iters=5000), acfg, free_coords=(2,),
         )
         errs[n] = float(
@@ -134,7 +134,7 @@ def test_criterion_4_plane_stationarity():
     grid = ws.Grid2(17, 17)
     boundary, _ = ws.graph_boundary(ws.Plane(1.0, 1.0, 0.0), grid, ((0.0, 1.0), (0.0, 1.0)))
     init = ws.coons_init(boundary)
-    rep = ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
+    rep = ws.minimize(init, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
     drift = float(np.max(np.abs(rep.field.values - init.values)))
     area_rel = abs(rep.area_trace[-1] - math.sqrt(3.0)) / math.sqrt(3.0)
     ok = rep.converged and rep.iterations <= 2 and drift <= 1e-12 and area_rel <= 1e-12
@@ -170,7 +170,7 @@ def test_criterion_6_degenerate_rectangle_detection():
         ws.GaussianDensity(0.0, 1.5), ws.GaussianDensity(0.0, 3.0), grid, qg,
     )
     acfg = ws.AreaConfig(epsilon=eps, weights=ws.quantile_weights(32))
-    rep = ws.minimize(ws.coons_init(boundary), boundary, ws.SolverConfig(), acfg)
+    rep = ws.minimize(ws.coons_init(boundary), ws.SolverConfig(), acfg)
     area = rep.area_trace[-1]
     flagged = rep.degenerate_cells == (grid.ns - 1) * (grid.nt - 1)
     ok = rep.converged and area <= 1.01 * math.sqrt(eps) and flagged
@@ -251,10 +251,10 @@ def test_criterion_9_monotonicity_preservation():
     for name, corners in cases.items():
         boundary = ws.boundary_from_corners(*corners, grid, qg)
         rep = ws.minimize(
-            ws.coons_init(boundary), boundary,
+            ws.coons_init(boundary),
             ws.SolverConfig(grad_tol=1e-9, max_iters=500), acfg,
         )
-        mono = ws.monotonicity_report(ws.QuantileSurface(rep.field, qg))
+        mono = ws.monotonicity_report(rep.field)
         violations[name] = mono.violations
     ok = all(v == 0 for v in violations.values())
     report(9, ok, f"quantile monotonicity violations {violations}")

@@ -16,7 +16,6 @@ from wassersurf.cli import (
     CONFIG_KEYS,
     ORACLES,
     PROBLEMS,
-    _write_boundary_csv,
     load_config,
     main,
 )
@@ -48,7 +47,7 @@ def test_solve_scherk_graph_oracle(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
     assert report["stall"] is None
-    assert (out / "surface.csv").exists() and (out / "boundary.csv").exists()
+    assert (out / "surface.csv").exists() and not (out / "boundary.csv").exists()
     gap = json.loads((out / "oracle_gap.json").read_text())
     assert gap["max_abs_interior"] <= 1e-6
     trace = report["area_trace"]
@@ -843,6 +842,12 @@ def test_readme_solve_configs_exit_0(tmp_path):
         assert report["converged"] and report["iters"] > 0, block
 
 
+def readme_density_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    return next(json.loads(b) for b in blocks if json.loads(b)["problem"] == "density1d")
+
+
 # corners too far out for the float range, each put in place of c00 in
 # README's density config, and the one line each exits 2 with
 FAR_CORNERS = {
@@ -861,15 +866,23 @@ FAR_CORNERS = {
 @pytest.mark.parametrize("name", sorted(FAR_CORNERS))
 def test_corner_beyond_the_float_range_exits_2_naming_it(tmp_path, capsys, name):
     # a numpy warning would be an error under the suite's filter, so none is raised either
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
-    doc = next(json.loads(b) for b in blocks if json.loads(b)["problem"] == "density1d")
+    doc = readme_density_config()
     corner, message = FAR_CORNERS[name]
     doc["corners"]["c00"] = corner
     doc["out"] = str(tmp_path / "run")
     assert main(["solve", write_config(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_corner_whose_pdf_samples_sum_past_the_float_range_solves(tmp_path):
+    # each sample is 1e308, but the trapezoid mass over a width of 1e-10 is 1e298
+    doc = readme_density_config()
+    doc["corners"]["c00"] = {"type": "tabulated", "x": [0.0, 1e-10], "pdf": [1e308, 1e308]}
+    doc["out"] = str(tmp_path / "run")
+    assert main(["solve", write_config(tmp_path, doc)]) == 0
+    mono = json.loads((tmp_path / "run" / "monotonicity.json").read_text())
+    assert mono["violations"] == 0
 
 
 def test_threads_flag_removed(tmp_path):
@@ -1119,24 +1132,19 @@ def test_csv_surface_suffix_in_any_case(tmp_path, rng):
     assert main(["verify", cfg]) == 0
 
 
-def _g17_reference_texts(f, b):
-    """The three CSV writers' texts, formatted one value at a time."""
+def _g17_reference_texts(f):
+    """The two CSV writers' texts, formatted one value at a time."""
     g = f.grid
     surface = ["i,j,s,t,k,value"] + [
         f"{i},{j},{g.s_nodes[i]:.17g},{g.t_nodes[j]:.17g},{k},{f.values[i, j, k]:.17g}"
         for i in range(g.ns) for j in range(g.nt) for k in range(f.dim)
-    ]
-    boundary = ["edge,idx,k,value"] + [
-        f"{name},{idx},{k},{arr[idx, k]:.17g}"
-        for name, arr in (("s0", b.edge_s0), ("s1", b.edge_s1), ("t0", b.edge_t0), ("t1", b.edge_t1))
-        for idx in range(arr.shape[0]) for k in range(arr.shape[1])
     ]
     coords = [
         "\n".join(",".join(f"{f.values[i, j, k]:.17g}" for j in range(g.nt)) for i in range(g.ns))
         + "\n"
         for k in range(f.dim)
     ]
-    return "\n".join(surface) + "\n", "\n".join(boundary) + "\n", coords
+    return "\n".join(surface) + "\n", coords
 
 
 def test_csv_writers_match_per_value_reference(tmp_path, rng):
@@ -1144,13 +1152,10 @@ def test_csv_writers_match_per_value_reference(tmp_path, rng):
     vals = rng.standard_normal((7, 5, 3)) * 10.0 ** rng.integers(-300, 300, (7, 5, 3))
     vals.flat[:4] = [-0.0, 5e-324, -1.7e308, 1.0 / 3.0]
     field = ws.SurfaceField(grid, vals)
-    b = ws.BoundarySpec.of_field(field)
-    surface, boundary, coords = _g17_reference_texts(field, b)
+    surface, coords = _g17_reference_texts(field)
 
     ws.save_csv(field, tmp_path / "surface.csv")
     assert (tmp_path / "surface.csv").read_text() == surface
-    _write_boundary_csv(b, tmp_path / "boundary.csv")
-    assert (tmp_path / "boundary.csv").read_text() == boundary
     assert main(["export-plot", str(tmp_path / "surface.csv"), "--out", str(tmp_path / "plot")]) == 0
     for k, text in enumerate(coords):
         assert (tmp_path / "plot" / f"coord_{k + 1}.csv").read_text() == text
@@ -1266,12 +1271,61 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, monkeypatch, ca
     assert str(path) in err
 
 
+README_DENSITY_CORNERS = {
+    "c00": {"type": "mixture", "components": [
+        {"weight": 0.5, "mean": -1.5, "std": 0.6}, {"weight": 0.5, "mean": 1.5, "std": 0.6}]},
+    "c10": {"type": "gaussian", "mean": 1.0, "std": 1.3},
+    "c01": {"type": "gaussian", "mean": -0.5, "std": 2.0},
+    "c11": {"type": "gaussian", "mean": 1.5, "std": 2.5},
+}
+COV_CORNERS = {"c00": [1.0, 2.0, 0.5], "c10": [2.0, 1.0, 1.5],
+               "c01": [0.5, 3.0, 1.0], "c11": [3.0, 0.7, 2.0]}
+# a solve config per source of edges, and the edges its settings give when
+# built directly, without the CLI
+EDGE_CASES = {
+    "graph-oracle": (
+        {"problem": "graph", "oracle": {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}},
+        lambda grid: ws.graph_boundary(ws.Scherk(1.0), grid, ((0.1, 0.4), (0.1, 0.4)))[0]),
+    "density-corners": (
+        {"problem": "density1d", "grid": {"m": 16}, "corners": README_DENSITY_CORNERS},
+        lambda grid: ws.boundary_from_corners(
+            *map(ws.parse_density, README_DENSITY_CORNERS.values()), grid, ws.QuantileGrid(16))),
+    "covariance-corners": (
+        {"problem": "gaussian-diag", "corners": {
+            key: {"type": "gaussian_diag", "diag": diag} for key, diag in COV_CORNERS.items()}},
+        lambda grid: ws.edges_from_corner_vectors(
+            *(np.sqrt(diag) for diag in COV_CORNERS.values()), grid)),
+    "covariance-oracle-perturbed": (
+        {"problem": "gaussian-diag", "oracle": {
+            "oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1], "z_offset": 0.5},
+         "area": {"epsilon": 0.0}, "perturb": {"amplitude": 1e-2, "seed": 3}},
+        lambda grid: ws.to_cov_boundary(ws.Catenoid(0.0, 1.0), grid, ((0.8, 2.1),) * 2, 0.5)[0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_solved_surface_files_keep_the_configured_edges_bit_for_bit(tmp_path, case):
+    doc, build = EDGE_CASES[case]
+    grid = ws.Grid2(9, 9)
+    doc = {**doc, "grid": {**doc.get("grid", {}), "ns": grid.ns, "nt": grid.nt},
+           "out": str(tmp_path / "run")}
+    assert main(["solve", write_config(tmp_path, doc)]) == 0
+    b = build(grid)
+    for field in (ws.load_json(tmp_path / "run" / "surface.json"),
+                  ws.load_csv(tmp_path / "run" / "surface.csv")):
+        v = field.values
+        for got, edge in ((v[0], b.edge_s0), (v[-1], b.edge_s1),
+                          (v[:, 0], b.edge_t0), (v[:, -1], b.edge_t1)):
+            # as integers, so a sign of zero counts too
+            assert np.array_equal(got.view(np.uint64), edge.view(np.uint64))
+
+
 def test_cli_artifacts_deterministic(tmp_path):
     cfg1 = scherk_graph_config(tmp_path, out="run1")
     cfg2 = scherk_graph_config(tmp_path, out="run2")
     assert main(["solve", cfg1]) == 0
     assert main(["solve", cfg2]) == 0
-    for name in ("surface.json", "report.json", "boundary.csv"):
+    for name in ("surface.json", "report.json", "surface.csv"):
         a = (tmp_path / "run1" / name).read_bytes()
         b = (tmp_path / "run2" / name).read_bytes()
         assert a == b

@@ -191,7 +191,7 @@ def test_critical_point_residual_decreases_on_solver_output():
     for n, border in ((17, 1), (33, 2)):
         boundary, cov = ws.to_cov_boundary(ws.Scherk(1.0), ws.Grid2(n, n), window, z_offset=2.0)
         rep = ws.minimize(
-            ws.coons_init(boundary), boundary,
+            ws.coons_init(boundary),
             ws.SolverConfig(grad_tol=1e-9, max_iters=5000),
             ws.AreaConfig(epsilon=0.0), free_coords=(2,),
         )

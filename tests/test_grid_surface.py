@@ -143,7 +143,7 @@ def test_corner_gap_snapped_so_solve_accepts_coons_fill():
     assert np.array_equal(snapped.edge_s0[-1], snapped.edge_t1[0])
     assert np.array_equal(snapped.edge_s1[0], snapped.edge_t0[-1])
     assert np.array_equal(s0, originals[0]) and np.array_equal(s1, originals[1])
-    rep = ws.minimize(ws.coons_init(snapped), snapped, ws.SolverConfig(), ws.AreaConfig())
+    rep = ws.minimize(ws.coons_init(snapped), ws.SolverConfig(), ws.AreaConfig())
     out = rep.field.values
     assert np.array_equal(out[0], snapped.edge_s0)
     assert np.array_equal(out[-1], snapped.edge_s1)

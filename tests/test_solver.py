@@ -36,8 +36,8 @@ def quantile_problem(n=9, m=32):
 
 
 def test_plane_boundary_already_stationary():
-    boundary, init, _ = plane_problem()
-    rep = ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
+    _, init, _ = plane_problem()
+    rep = ws.minimize(init, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
     assert rep.converged
     assert rep.iterations <= 2
     assert np.max(np.abs(rep.field.values - init.values)) <= 1e-12
@@ -46,7 +46,7 @@ def test_plane_boundary_already_stationary():
 
 def test_boundary_immutable_bit_exact():
     boundary, init, acfg, _ = quantile_problem()
-    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=1e-9, max_iters=500), acfg)
+    rep = ws.minimize(init, ws.SolverConfig(grad_tol=1e-9, max_iters=500), acfg)
     out = rep.field.values
     assert np.array_equal(out[0], boundary.edge_s0)
     assert np.array_equal(out[-1], boundary.edge_s1)
@@ -55,30 +55,22 @@ def test_boundary_immutable_bit_exact():
 
 
 def test_area_trace_nonincreasing_exactly():
-    boundary, init, acfg, _ = quantile_problem()
-    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=1e-10, max_iters=400), acfg)
+    _, init, acfg, _ = quantile_problem()
+    rep = ws.minimize(init, ws.SolverConfig(grad_tol=1e-10, max_iters=400), acfg)
     trace = rep.area_trace
     assert len(trace) >= 2
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
-def test_rejects_init_violating_boundary():
-    boundary, init, _ = plane_problem(9)
-    bad = init.values.copy()
-    bad[0, 0, 0] += 1e-9
-    with pytest.raises(ValueError, match="boundary"):
-        ws.minimize(ws.SurfaceField(init.grid, bad), boundary, ws.SolverConfig(), ws.AreaConfig())
-
-
 def test_free_coords_validation():
-    boundary, init, _ = plane_problem(5)
+    _, init, _ = plane_problem(5)
     with pytest.raises(ValueError):
-        ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(), free_coords=(5,))
+        ws.minimize(init, ws.SolverConfig(), ws.AreaConfig(), free_coords=(5,))
     with pytest.raises(ValueError):
-        ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(), free_coords=())
+        ws.minimize(init, ws.SolverConfig(), ws.AreaConfig(), free_coords=())
     # one coordinate or all of them; no problem poses a proper subset of several
     with pytest.raises(ValueError, match="one coordinate or all"):
-        ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(), free_coords=(1, 2))
+        ws.minimize(init, ws.SolverConfig(), ws.AreaConfig(), free_coords=(1, 2))
     # perturb_interior reads free_coords as minimize does
     with pytest.raises(ValueError, match="one coordinate or all"):
         ws.perturb_interior(init, 1e-2, 1, free_coords=(0, 2))
@@ -123,25 +115,25 @@ def test_degenerate_rectangle_sits_at_epsilon_floor():
     )
     eps = 1e-12
     acfg = ws.AreaConfig(epsilon=eps, weights=ws.quantile_weights(32))
-    rep = ws.minimize(ws.coons_init(boundary), boundary, ws.SolverConfig(), acfg)
+    rep = ws.minimize(ws.coons_init(boundary), ws.SolverConfig(), acfg)
     assert rep.converged
     assert rep.area_trace[-1] <= 1.01 * math.sqrt(eps)
     assert rep.degenerate_cells == 8 * 8
 
 
 def test_solver_stall_returns_best_so_far(monkeypatch):
-    boundary, init, acfg, _ = quantile_problem()
+    _, init, acfg, _ = quantile_problem()
     monkeypatch.setattr(wassersurf.solver, "_STEP0", 1e8)
     monkeypatch.setattr(wassersurf.solver, "_MAX_BACKTRACKS", 0)
     cfg = ws.SolverConfig(max_iters=50, grad_tol=1e-14)
-    rep = ws.minimize(init, boundary, cfg, acfg)
+    rep = ws.minimize(init, cfg, acfg)
     assert not rep.converged
     assert rep.stall is not None
     assert np.array_equal(rep.field.values, init.values)
 
 
 def test_nan_objective_raises_with_iteration(monkeypatch):
-    boundary, init, acfg, _ = quantile_problem()
+    _, init, acfg, _ = quantile_problem()
 
     def bad_cells(terms):
         out = replace(terms, cells=np.full(terms.cells.shape, np.nan))
@@ -158,15 +150,15 @@ def test_nan_objective_raises_with_iteration(monkeypatch):
 
     monkeypatch.setattr(wassersurf.solver, "cell_terms", flaky)
     with pytest.raises(SolverNaNError) as err:
-        ws.minimize(init, boundary, ws.SolverConfig(max_iters=10), acfg)
+        ws.minimize(init, ws.SolverConfig(max_iters=10), acfg)
     assert err.value.iteration == 1
 
 
 def test_determinism_of_full_solve():
-    boundary, init, acfg, _ = quantile_problem()
+    _, init, acfg, _ = quantile_problem()
     cfg = ws.SolverConfig(grad_tol=1e-10, max_iters=300)
-    r1 = ws.minimize(init, boundary, cfg, acfg)
-    r2 = ws.minimize(init, boundary, cfg, acfg)
+    r1 = ws.minimize(init, cfg, acfg)
+    r2 = ws.minimize(init, cfg, acfg)
     assert np.array_equal(r1.field.values, r2.field.values)
     assert r1.area_trace == r2.area_trace
     assert r1.iterations == r2.iterations
@@ -258,7 +250,7 @@ def test_solver_output_residual_near_sampled_analytic():
     acfg = ws.AreaConfig(epsilon=0.0)
     grid = ws.Grid2(33, 33)
     boundary, full = ws.graph_boundary(scherk, grid, window)
-    rep = ws.minimize(ws.coons_init(boundary), boundary, ws.SolverConfig(max_iters=5000), acfg, free_coords=(2,))
+    rep = ws.minimize(ws.coons_init(boundary), ws.SolverConfig(max_iters=5000), acfg, free_coords=(2,))
     solved = ws.euler_lagrange_residual(rep.field, acfg).max_norm
     sampled = ws.euler_lagrange_residual(full, acfg).max_norm
     assert solved <= 10.0 * sampled
@@ -281,7 +273,7 @@ def test_stationarity_consistency_when_converged():
     acfg = ws.AreaConfig(epsilon=0.0)
     tol = 1e-9
     rep = ws.minimize(
-        ws.coons_init(boundary), boundary,
+        ws.coons_init(boundary),
         ws.SolverConfig(grad_tol=tol, max_iters=5000), acfg, free_coords=(2,),
     )
     assert rep.converged
@@ -289,8 +281,8 @@ def test_stationarity_consistency_when_converged():
 
 
 def test_report_json_schema():
-    boundary, init, _ = plane_problem(9)
-    rep = ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
+    _, init, _ = plane_problem(9)
+    rep = ws.minimize(init, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
     doc = rep.to_json_dict()
     assert set(doc) == {"converged", "iters", "area_trace", "grad_norm", "grad_tangential",
                         "el_residual", "degenerate_cells", "span_rank", "hourglass", "stall"}
@@ -299,7 +291,7 @@ def test_report_json_schema():
 
 
 def test_perturb_interior_deterministic_and_bounded():
-    boundary, init, _ = plane_problem(9)
+    _, init, _ = plane_problem(9)
     p1 = ws.perturb_interior(init, 0.01, seed=3, free_coords=(2,))
     p2 = ws.perturb_interior(init, 0.01, seed=3, free_coords=(2,))
     assert np.array_equal(p1.values, p2.values)
@@ -356,9 +348,9 @@ def test_perturbed_init_converges_to_same_surface():
     boundary, full = ws.graph_boundary(scherk, grid, ((0.1, 0.4), (0.1, 0.4)))
     acfg = ws.AreaConfig(epsilon=0.0)
     cfg = ws.SolverConfig(grad_tol=1e-9, max_iters=5000)
-    base = ws.minimize(ws.coons_init(boundary), boundary, cfg, acfg, free_coords=(2,))
+    base = ws.minimize(ws.coons_init(boundary), cfg, acfg, free_coords=(2,))
     shaken = ws.perturb_interior(ws.coons_init(boundary), 0.02, seed=11, free_coords=(2,))
-    other = ws.minimize(shaken, boundary, cfg, acfg, free_coords=(2,))
+    other = ws.minimize(shaken, cfg, acfg, free_coords=(2,))
     assert other.converged
     assert np.max(np.abs(other.field.values - base.field.values)) <= 1e-6
 
@@ -380,7 +372,7 @@ def graph_solve(surf, window, n, grad_tol=None, perturb=0.0):
     boundary, full = ws.graph_boundary(surf, grid, window)
     init = ws.perturb_interior(ws.coons_init(boundary), perturb, seed=1, free_coords=(2,))
     rep = ws.minimize(
-        init, boundary, ws.SolverConfig(grad_tol=grad_tol), ws.AreaConfig(epsilon=0.0),
+        init, ws.SolverConfig(grad_tol=grad_tol), ws.AreaConfig(epsilon=0.0),
         free_coords=(2,),
     )
     return rep, full
@@ -521,12 +513,12 @@ def test_nan_objective_raises_on_preconditioned_path(monkeypatch):
 @pytest.mark.parametrize("free_coords", [(2,), None], ids=["pinned", "all-free"])
 def test_nan_gradient_raises_before_any_line_search(monkeypatch, free_coords):
     # a NaN area gradient is a numerical failure on either metric, not a stall
-    boundary, init, acfg, _ = covariance_span_problem([d[:3] for d in COV_DIAGS])
+    _, init, acfg, _ = covariance_span_problem([d[:3] for d in COV_DIAGS])
     real = wassersurf.solver.terms_gradient
     monkeypatch.setattr(wassersurf.solver, "terms_gradient",
                         lambda terms, grid: np.full_like(real(terms, grid), np.nan))
     with pytest.raises(SolverNaNError) as err:
-        ws.minimize(init, boundary, ws.SolverConfig(), acfg, free_coords=free_coords)
+        ws.minimize(init, ws.SolverConfig(), acfg, free_coords=free_coords)
     assert err.value.iteration == 1
 
 
@@ -588,10 +580,10 @@ def _all_free_problem():
 
 @pytest.mark.parametrize("problem", [_graph_problem, _all_free_problem], ids=["graph", "all-free"])
 def test_each_field_is_evaluated_once(monkeypatch, problem):
-    boundary, init, acfg, free_coords = problem()
+    _, init, acfg, free_coords = problem()
     real_terms = wassersurf.solver.cell_terms
     calls, trials = _count_evaluations(monkeypatch)
-    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=1e-9), acfg,
+    rep = ws.minimize(init, ws.SolverConfig(grad_tol=1e-9), acfg,
                       free_coords=free_coords)
     assert rep.converged and rep.iterations >= 3
     # once at the start, once per line-search trial, once for the final residual
@@ -650,9 +642,9 @@ def test_span_reduction_matches_full_solve(problem):
     boundary, init, acfg, tol = problem()
     m = init.dim
     cfg = ws.SolverConfig(grad_tol=tol, max_iters=3000)
-    reduced = ws.minimize(init, boundary, cfg, acfg)
+    reduced = ws.minimize(init, cfg, acfg)
     # naming every coordinate keeps the full-space loop
-    full = ws.minimize(init, boundary, cfg, acfg, free_coords=range(m))
+    full = ws.minimize(init, cfg, acfg, free_coords=range(m))
     assert full.span_rank == m
     assert reduced.span_rank < m
     assert reduced.converged and full.converged
@@ -663,8 +655,8 @@ def test_span_reduction_matches_full_solve(problem):
 
 
 def test_span_reduction_meets_full_space_tolerance():
-    boundary, init, acfg, tol = density_span_problem()
-    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=tol, max_iters=3000), acfg)
+    _, init, acfg, tol = density_span_problem()
+    rep = ws.minimize(init, ws.SolverConfig(grad_tol=tol, max_iters=3000), acfg)
     assert rep.converged and rep.span_rank == 3
     normal = wassersurf.solver.normal_gradient(rep.field, acfg)
     assert np.max(np.abs(normal)) <= tol * (1.0 + 1e-9)
@@ -675,15 +667,15 @@ def test_span_reduction_meets_full_space_tolerance():
 )
 def test_unreduced_cases_keep_full_space_loop(case):
     if case == "nonuniform-weights":
-        boundary, init, _, tol = density_span_problem()
+        _, init, _, tol = density_span_problem()
         acfg = ws.AreaConfig(weights=ws.quantile_weights(16) * np.linspace(0.5, 1.5, 16))
     else:
         # four generic corners in R^3 span all of it
         boundary, init, acfg, tol = covariance_span_problem([d[:3] for d in COV_DIAGS])
     m = init.dim
     cfg = ws.SolverConfig(grad_tol=tol, max_iters=200)
-    rep = ws.minimize(init, boundary, cfg, acfg)
-    full = ws.minimize(init, boundary, cfg, acfg, free_coords=range(m))
+    rep = ws.minimize(init, cfg, acfg)
+    full = ws.minimize(init, cfg, acfg, free_coords=range(m))
     assert rep.span_rank == m
     assert np.array_equal(rep.field.values, full.field.values)
     assert rep.area_trace == full.area_trace
@@ -691,11 +683,11 @@ def test_unreduced_cases_keep_full_space_loop(case):
 
 
 def test_stall_message_explains_itself(monkeypatch):
-    boundary, init, acfg, _ = quantile_problem()
+    _, init, acfg, _ = quantile_problem()
     monkeypatch.setattr(wassersurf.solver, "_STEP0", 1e8)
     monkeypatch.setattr(wassersurf.solver, "_MAX_BACKTRACKS", 3)
     cfg = ws.SolverConfig(max_iters=50, grad_tol=1e-14)
-    rep = ws.minimize(init, boundary, cfg, acfg)
+    rep = ws.minimize(init, cfg, acfg)
     assert not rep.converged
     el_tol = 1e-14 / (init.grid.hs * init.grid.ht)
     for part in ("iteration 1", "backtracks", f"step {1e8 * 0.5**3:.3e}",
@@ -718,7 +710,7 @@ def test_stall_message_names_a_spent_budget():
     grid = ws.Grid2(17, 17)
     boundary, _ = ws.graph_boundary(CATENOID[0], grid, CATENOID[1])
     cfg = ws.SolverConfig(max_iters=2, grad_tol=1e-9)
-    rep = ws.minimize(ws.coons_init(boundary), boundary, cfg, ws.AreaConfig(epsilon=0.0),
+    rep = ws.minimize(ws.coons_init(boundary), cfg, ws.AreaConfig(epsilon=0.0),
                       free_coords=(2,))
     assert not rep.converged and rep.iterations == 2
     el_tol = 1e-9 / (grid.hs * grid.ht)
@@ -761,15 +753,15 @@ def test_all_free_oracle_gaps_refine_without_drift(name):
     acfg = ws.AreaConfig(epsilon=0.0)
     gaps = {}
     for n in (17, 33):
-        boundary, init, gap = all_free_oracle_problem(name, n)
-        rep = ws.minimize(init, boundary, ws.SolverConfig(), acfg)
+        _, init, gap = all_free_oracle_problem(name, n)
+        rep = ws.minimize(init, ws.SolverConfig(), acfg)
         assert rep.converged and rep.span_rank == 3
         gaps[n] = gap(rep.field.values)
         # past the stopping rule: a tolerance below the rounding floor keeps
         # the solve stepping until max_iters or a stall at that floor
         past = {}
         for iters in (10, 200):
-            long = ws.minimize(init, boundary, ws.SolverConfig(max_iters=iters, grad_tol=1e-300), acfg)
+            long = ws.minimize(init, ws.SolverConfig(max_iters=iters, grad_tol=1e-300), acfg)
             assert not long.converged and long.iterations > rep.iterations
             past[iters] = (gap(long.field.values), long.hourglass)
         assert past[200][0] <= past[10][0] * (1.0 + 1e-6)
@@ -787,18 +779,18 @@ def test_all_free_oracle_gaps_refine_without_drift(name):
 def test_all_free_oracle_gaps_within_ten_percent_of_pinned(name):
     acfg = ws.AreaConfig(epsilon=0.0)
     for n in (17, 33):
-        boundary, init, gap = all_free_oracle_problem(name, n)
-        free = ws.minimize(init, boundary, ws.SolverConfig(), acfg)
+        _, init, gap = all_free_oracle_problem(name, n)
+        free = ws.minimize(init, ws.SolverConfig(), acfg)
         # the same perturbed nodes with (x, y) pinned and the height free
-        pinned = ws.minimize(init, boundary, ws.SolverConfig(), acfg, free_coords=(2,))
+        pinned = ws.minimize(init, ws.SolverConfig(), acfg, free_coords=(2,))
         assert free.converged and pinned.converged
         ratio = gap(free.field.values) / gap(pinned.field.values)
         assert abs(ratio - 1.0) <= 0.10, (n, ratio)
 
 
 def test_all_free_report_splits_the_gradient():
-    boundary, init, acfg, tol = covariance_span_problem()
-    rep = ws.minimize(init, boundary, ws.SolverConfig(grad_tol=tol), acfg)
+    _, init, acfg, tol = covariance_span_problem()
+    rep = ws.minimize(init, ws.SolverConfig(grad_tol=tol), acfg)
     assert rep.converged
     normal = wassersurf.solver.normal_gradient(rep.field, acfg)
     assert rep.grad_norm == pytest.approx(float(np.max(np.abs(normal))), rel=1e-6, abs=1e-14)
@@ -807,8 +799,8 @@ def test_all_free_report_splits_the_gradient():
     assert rep.grad_tangential == pytest.approx(tangential, rel=1e-6)
     assert rep.grad_tangential > rep.grad_norm
     assert rep.hourglass == ws.area.hourglass_amplitude(rep.field)
-    plane_boundary, plane_init, _ = plane_problem(9)
-    pinned = ws.minimize(plane_init, plane_boundary, ws.SolverConfig(), ws.AreaConfig(),
+    _, plane_init, _ = plane_problem(9)
+    pinned = ws.minimize(plane_init, ws.SolverConfig(), ws.AreaConfig(),
                          free_coords=(2,))
     assert pinned.grad_tangential == 0.0
 
@@ -818,7 +810,7 @@ def test_corner_driven_covariance_example_converges_below_coons_residual():
     grid = ws.Grid2(17, 17)
     boundary = ws.edges_from_corner_vectors(*(np.sqrt(c) for c in corners), grid)
     init = ws.coons_init(boundary)
-    rep = ws.minimize(init, boundary, ws.SolverConfig(), ws.AreaConfig())
+    rep = ws.minimize(init, ws.SolverConfig(), ws.AreaConfig())
     assert rep.converged and rep.stall is None
     assert rep.iterations <= 30
     trace = rep.area_trace
