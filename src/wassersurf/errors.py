@@ -2,7 +2,7 @@
 
 
 class CornerMismatchError(ValueError):
-    """Adjacent boundary edges disagree at a shared corner beyond tolerance."""
+    """Adjacent boundary edges hold different vectors at a shared corner."""
 
 
 class ShapeMismatchError(ValueError):

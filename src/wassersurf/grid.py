@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import CornerMismatchError, ShapeMismatchError
 
-#: absolute tolerance for corner agreement between adjacent boundary edges
-CORNER_TOL = 1e-12
-
 
 def whole_number(value, name: str) -> int:
     """``value`` as an int; raises ValueError for a fraction or a non-number, never truncates."""
@@ -140,10 +137,10 @@ class BoundarySpec:
 
     ``edge_s0``/``edge_s1`` run along t at s=0 and s=1 (shape ``(nt, m)``);
     ``edge_t0``/``edge_t1`` run along s at t=0 and t=1 (shape ``(ns, m)``).
-    Shared corners of adjacent edges must agree to within ``CORNER_TOL``
-    in every coordinate; the s-edges' corner values are then snapped to the
-    t-edges' (the ones ``coons_init`` writes last), so a field carrying
-    this boundary matches all four edges bit-exactly.
+    The edges form one closed curve, so the two edges at each shared corner
+    must hold equal vectors (``-0.0`` equals ``0.0``), else
+    CornerMismatchError: a gap is a different curve at every scale, not a
+    rounding error to absorb.
     """
 
     edge_s0: np.ndarray
@@ -152,50 +149,22 @@ class BoundarySpec:
     edge_t1: np.ndarray
 
     def __post_init__(self):
-        edges = {}
         for name in ("edge_s0", "edge_s1", "edge_t0", "edge_t1"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 2:
-                raise ShapeMismatchError(f"{name} must be 2-D (length x m), got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-            edges[name] = arr
             setattr(self, name, arr)
-        if edges["edge_s0"].shape != edges["edge_s1"].shape:
-            raise ShapeMismatchError("edge_s0 and edge_s1 must have equal shapes")
-        if edges["edge_t0"].shape != edges["edge_t1"].shape:
-            raise ShapeMismatchError("edge_t0 and edge_t1 must have equal shapes")
-        if edges["edge_s0"].shape[1] != edges["edge_t0"].shape[1]:
-            raise ShapeMismatchError("s-edges and t-edges must share the coordinate dimension")
-        corners = [
-            ("(0,0)", "edge_s0", 0, self.edge_t0[0]),
-            ("(0,1)", "edge_s0", -1, self.edge_t1[0]),
-            ("(1,0)", "edge_s1", 0, self.edge_t0[-1]),
-            ("(1,1)", "edge_s1", -1, self.edge_t1[-1]),
-        ]
-        for label, name, idx, corner in corners:
-            edge = getattr(self, name)
-            gap = float(np.max(np.abs(edge[idx] - corner)))
-            if gap > CORNER_TOL:
+        s0, s1, t0, t1 = self.edge_s0, self.edge_s1, self.edge_t0, self.edge_t1
+        if not (s0.ndim == t0.ndim == 2 and s0.shape == s1.shape and t0.shape == t1.shape
+                and s0.shape[1] == t0.shape[1]):
+            raise ShapeMismatchError(
+                f"edges must be edge_s0 = edge_s1 (nt, m) and edge_t0 = edge_t1 (ns, m), got "
+                f"{s0.shape}, {s1.shape}, {t0.shape}, {t1.shape}")
+        for label, a, b in (("(0,0)", s0[0], t0[0]), ("(0,1)", s0[-1], t1[0]),
+                            ("(1,0)", s1[0], t0[-1]), ("(1,1)", s1[-1], t1[-1])):
+            if not np.array_equal(a, b):
                 raise CornerMismatchError(
-                    f"edges disagree at corner {label}: max gap {gap:.3e} > {CORNER_TOL:.1e}"
-                )
-            if gap > 0.0:
-                edge = edge.copy()  # never write into the caller's array
-                edge[idx] = corner
-                setattr(self, name, edge)
-
-    @property
-    def ns(self) -> int:
-        return self.edge_t0.shape[0]
-
-    @property
-    def nt(self) -> int:
-        return self.edge_s0.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.edge_s0.shape[1]
+                    f"edges disagree at corner {label}: max gap {np.max(np.abs(a - b)):.3e}")
 
     @classmethod
     def of_field(cls, f: SurfaceField) -> "BoundarySpec":
@@ -232,15 +201,16 @@ def coons_init(b: BoundarySpec) -> SurfaceField:
     bilinear corner interpolant, which reproduces exactly any field whose
     coordinates have the form ``a + b*s + c*t + d*s*t``.  The blend is
     filled one row of fixed s at a time, so its temporaries are rows, not
-    fields.  The four edges are then written over it (s-edges first, t-edges
-    last), so the edges of the result equal ``b`` bit-for-bit.
+    fields.  The four edges are then written over it, so the edges of the
+    result equal ``b`` bit-for-bit.
     """
-    grid = Grid2(b.ns, b.nt)
+    (ns, m), nt = b.edge_t0.shape, len(b.edge_s0)
+    grid = Grid2(ns, nt)
     t = grid.t_nodes[:, None]
     u = 1.0 - t
     c00, c01 = b.edge_s0[0], b.edge_s0[-1]
     c10, c11 = b.edge_s1[0], b.edge_s1[-1]
-    vals = np.empty((b.ns, b.nt, b.dim))
+    vals = np.empty((ns, nt, m))
     for i, s in enumerate(grid.s_nodes.tolist()):
         r = 1.0 - s  # r and u weigh the s = 0 and t = 0 sides
         vals[i] = (r * b.edge_s0 + s * b.edge_s1 + u * b.edge_t0[i] + t * b.edge_t1[i]

@@ -496,7 +496,6 @@ def minimize(
     terms = cell_terms(fld, loop_acfg)
     f_cur = summed_area(terms.cells, grid)
     trace = [f_cur]
-    stall = None
     # the kernel of the step's operator and the weight of the DST preconditioner
     kernel, scale = ((_laplace_beltrami_kernel, 1.0) if all_free
                      else (lambda t: _newton_kernel(t, moving), float(w[moving.start])))
@@ -522,28 +521,24 @@ def minimize(
             alpha *= _BACKTRACK
         return None, None
 
-    def measure():
-        # the projector, the vector the operator inverts and the max-norms of
-        # the gradient and of its normal and tangential parts; the gradient is
-        # a covector, so all-free solves project g/w as a vector, and solves
-        # of one free coordinate take the identity and g itself
-        gfull = max_norm(g)
-        if not all_free:
-            return (lambda v: v), g, gfull, gfull, 0.0
-        project = _normal_projector(work, grid, w)
-        u = project(g / w)
-        return project, u, gfull, max_norm(w * u), max_norm(g - w * u)
-
-    def settled():
-        # the stopping test (module docstring); with one free coordinate the
-        # tangential part is 0 and the normal part is the gradient
-        return gnorm <= tol and (tangential > tol or gfull <= tol)
-
     g = terms_gradient(terms.columns(moving), grid)
-    project, u, gfull, gnorm, tangential = measure()
-    converged = settled()
     it = 0
-    while not converged and it < cfg.max_iters:
+    while True:
+        # the max-norms of the gradient and of its normal and tangential parts,
+        # then the stopping test (module docstring); the gradient is a covector,
+        # so all-free solves project g/w as a vector, and solves of one free
+        # coordinate take the identity and g itself, whose tangential part is 0
+        gfull = max_norm(g)
+        if all_free:
+            project = _normal_projector(work, grid, w)
+            u = project(g / w)
+            gnorm, tangential = max_norm(w * u), max_norm(g - w * u)
+        else:
+            project, u, gnorm, tangential = (lambda v: v), g, gfull, 0.0
+        converged = gnorm <= tol and (tangential > tol or gfull <= tol)
+        if converged or it >= cfg.max_iters:
+            stall = None if converged else (it, None)
+            break
         it += 1
         d = -project(precondition(u))
         slope = float(np.vdot(g, d))
@@ -563,10 +558,6 @@ def minimize(
         f_cur = f_cur + delta
         trace.append(f_cur)
         g = terms_gradient(terms.columns(moving), grid)
-        project, u, gfull, gnorm, tangential = measure()
-        converged = settled()
-    if not (converged or stall):
-        stall = (it, None)
 
     if basis is None:
         values = work.copy()

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,30 +124,87 @@ def test_corner_mismatch_rejected():
         ws.BoundarySpec(b.edge_s0, b.edge_s1, bad, b.edge_t1)
 
 
-def test_corner_gap_within_tolerance_accepted():
-    g = ws.Grid2(5, 5)
-    b = ws.BoundarySpec.of_field(plane_field(g))
-    nudged = b.edge_t0.copy()
-    nudged[0, 0] += 5e-13
-    ws.BoundarySpec(b.edge_s0, b.edge_s1, nudged, b.edge_t1)
+# the edge and node that a 1-ulp gap moves off each corner, as (edge, index)
+CORNER_NODES = {"(0,0)": ("edge_t0", 0), "(0,1)": ("edge_t1", 0),
+                "(1,0)": ("edge_t0", -1), "(1,1)": ("edge_t1", -1)}
 
 
-def test_corner_gap_snapped_so_solve_accepts_coons_fill():
-    g = ws.Grid2(9, 9)
-    b = ws.BoundarySpec.of_field(plane_field(g))
-    s0 = b.edge_s0.copy()
-    s1 = b.edge_s1.copy()
-    s0[-1, 0] += 1e-13
-    s1[0, 0] -= 1e-13
-    originals = (s0.copy(), s1.copy())
-    snapped = ws.BoundarySpec(s0, s1, b.edge_t0, b.edge_t1)
-    assert np.array_equal(snapped.edge_s0[-1], snapped.edge_t1[0])
-    assert np.array_equal(snapped.edge_s1[0], snapped.edge_t0[-1])
-    assert np.array_equal(s0, originals[0]) and np.array_equal(s1, originals[1])
-    rep = ws.minimize(ws.coons_init(snapped), ws.SolverConfig(), ws.AreaConfig())
-    out = rep.field.values
-    assert np.array_equal(out[0], snapped.edge_s0)
-    assert np.array_equal(out[-1], snapped.edge_s1)
+@pytest.mark.parametrize("scale", [1e5, 1.0, 1e-14])
+@pytest.mark.parametrize("label", sorted(CORNER_NODES))
+def test_one_ulp_corner_gap_rejected_at_every_scale(label, scale):
+    g = ws.Grid2(5, 4)
+    b = ws.BoundarySpec.of_field(plane_field(g, a=0.5, b=0.25, m=2))
+    edges = {name: scale * (1.0 + getattr(b, name)) for name in
+             ("edge_s0", "edge_s1", "edge_t0", "edge_t1")}
+    name, idx = CORNER_NODES[label]
+    edges[name][idx, 1] = np.nextafter(edges[name][idx, 1], np.inf)
+    with pytest.raises(CornerMismatchError, match=re.escape(f"corner {label}")):
+        ws.BoundarySpec(**edges)
+
+
+def test_edge_shape_mismatch_lists_all_four_shapes():
+    b = ws.BoundarySpec.of_field(plane_field(ws.Grid2(5, 4), m=2))
+    with pytest.raises(ShapeMismatchError, match=re.escape("(4, 2), (4, 2), (5, 2), (4, 2)")):
+        ws.BoundarySpec(b.edge_s0, b.edge_s1, b.edge_t0, b.edge_t1[:4])
+
+
+# oracles whose graphs are positive in every coordinate over the window after
+# the z offset, so both graph_boundary and to_cov_boundary take them
+POSITIVE_ORACLES = {
+    "plane": (ws.Plane(2.0, 3.0, 1.0), ((0.2, 0.8), (0.2, 0.8)), 0.0),
+    "scherk": (ws.Scherk(1.0), ((0.05, 0.45), (0.05, 0.45)), 2.0),
+    "catenoid": (ws.Catenoid(0.0, 1.0, 1), ((0.8, 2.1), (0.8, 2.1)), 0.5),
+    "helicoid": (ws.Helicoid(1.0, 2.0), ((0.5, 1.0), (0.5, 1.0)), 0.0),
+}
+GAUSSIAN_CORNERS = [{"type": "gaussian", "mean": 1.0, "std": 1.3},
+                    {"type": "gaussian", "mean": -0.5, "std": 2.0},
+                    {"type": "gaussian", "mean": 1.5, "std": 2.5}]
+DENSITY_C00 = {
+    "gaussian": {"type": "gaussian", "mean": 0.25, "std": 0.7},
+    "mixture": {"type": "mixture", "components": [
+        {"weight": 0.5, "mean": -1.5, "std": 0.6}, {"weight": 0.5, "mean": 1.5, "std": 0.6}]},
+    "narrow_tabulated": {"type": "tabulated", "x": [0.0, 1e-10], "pdf": [1e308, 1e308]},
+}
+
+
+def _extreme_corner_vectors(grid):
+    # each corner holds +-0.0, +-1e-300 and +-1e300 among random entries; the
+    # first entries pair -0.0 at c00 with a negative c10 and a positive c01,
+    # so the two edges through (0,0) hold -0.0 and 0.0 there
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+    corners = [np.concatenate([[first], rng.permutation(special), rng.standard_normal(4)])
+               for first in (-0.0, -1.0, 1.0, 0.5)]
+    return ws.edges_from_corner_vectors(*corners, grid)
+
+
+def _density_corners(c00, grid):
+    dens = [ws.parse_density(doc) for doc in (c00, *GAUSSIAN_CORNERS)]
+    return ws.boundary_from_corners(*dens, grid, ws.QuantileGrid(16))
+
+
+PRODUCERS = {
+    "edges_from_corner_vectors": _extreme_corner_vectors,
+    **{f"boundary_from_corners-{name}": (lambda grid, doc=doc: _density_corners(doc, grid))
+       for name, doc in DENSITY_C00.items()},
+    **{f"graph_boundary-{name}": (lambda grid, case=case: ws.graph_boundary(case[0], grid, *case[1:])[0])
+       for name, case in POSITIVE_ORACLES.items()},
+    **{f"to_cov_boundary-{name}": (lambda grid, case=case: ws.to_cov_boundary(case[0], grid, *case[1:])[0])
+       for name, case in POSITIVE_ORACLES.items()},
+}
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (4, 9)])
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_producers_give_edges_that_meet_exactly(producer, shape):
+    # each producer builds its BoundarySpec, which rejects any corner gap
+    grid = ws.Grid2(*shape)
+    b = PRODUCERS[producer](grid)
+    assert b.edge_s0.shape[0] == grid.nt and b.edge_t0.shape[0] == grid.ns
+    assert ws.coons_init(b).values.shape == (*shape, b.edge_s0.shape[1])
+    if producer == "edges_from_corner_vectors":
+        assert np.signbit(b.edge_s0[0, 0]) != np.signbit(b.edge_t0[0, 0])
+        assert np.all(np.isin([1e-300, 1e300, -1e300], b.edge_s0[0]))
 
 
 def test_operations_are_pure_and_deterministic(rng):
