@@ -286,6 +286,8 @@ def _assemble(cfg: RunConfig):
     """Build (boundary, free coords, oracle field) from the config's source in ``SOURCES``."""
     if cfg.problem == "analytic-verify":
         raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")
+    if len(cfg.oracles) > 1:
+        raise ConfigError(f"solve takes one oracle, got {len(cfg.oracles)}")
     if cfg.oracles:
         surf, window, z_offset = cfg.oracles[0]
         if cfg.problem == "graph":

@@ -156,9 +156,10 @@ class BoundarySpec:
             setattr(self, name, arr)
         s0, s1, t0, t1 = self.edge_s0, self.edge_s1, self.edge_t0, self.edge_t1
         if not (s0.ndim == t0.ndim == 2 and s0.shape == s1.shape and t0.shape == t1.shape
-                and s0.shape[1] == t0.shape[1]):
+                and s0.shape[1] == t0.shape[1] and len(s0) and len(t0)):
             raise ShapeMismatchError(
-                f"edges must be edge_s0 = edge_s1 (nt, m) and edge_t0 = edge_t1 (ns, m), got "
+                f"edges must be edge_s0 = edge_s1 (nt, m) and edge_t0 = edge_t1 (ns, m), "
+                f"nonempty, got "
                 f"{s0.shape}, {s1.shape}, {t0.shape}, {t1.shape}")
         for label, a, b in (("(0,0)", s0[0], t0[0]), ("(0,1)", s0[-1], t1[0]),
                             ("(1,0)", s1[0], t0[-1]), ("(1,1)", s1[-1], t1[-1])):

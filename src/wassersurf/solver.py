@@ -41,11 +41,10 @@ free:
   nodes.  The step is then the Laplace-Beltrami iteration of Pinkall &
   Polthier (Exp. Math. 2(1), 1993) and Dziuk (Numer. Math. 58, 1991) with
   a normal projection P as the gauge: z = P S^-1 P g, where P removes the
-  tangential part at every interior node in the w-inner product (central-
-  difference tangents; nodes with a degenerate tangent pair are left as
-  they are) and K = [[b, -c], [-c, a]] / sqrt(G) per cell
-  (``_laplace_beltrami_kernel``), so that g_k = w_k S[x_k].  One Krylov
-  space serves all coordinates at once.
+  tangential part at every interior node (central-difference tangents;
+  nodes with a degenerate tangent pair are left as they are) and
+  K = [[b, -c], [-c, a]] / sqrt(G) per cell (``_laplace_beltrami_kernel``),
+  so that g_k = S[x_k].  One Krylov space serves all coordinates at once.
 
 The gradient's tangential (gauge) part belongs to the parametrization, not
 to the surface: normal steps cannot remove it, and the unprojected
@@ -57,20 +56,23 @@ meets grad_tol/(hs*ht) at convergence whenever the parametrization's gauge
 part allows it.  The tangential part is reported as ``grad_tangential``
 (0 with a pinned coordinate, where the normal part is the gradient).
 
-When every coordinate is free and the area weights are uniform, the solve
-runs in an orthonormal basis U (m x r) of the span of the centred initial
-field and lifts the displacement back at the end.  Corner-driven boundaries
-(straight geodesic edges between four corner vectors) span an affine space
-of dimension at most 3, plus one direction for a seeded perturbation, so r
-is usually far below m.  The reduction is exact: with uniform weights the
-gradient at a node is a combination of its cells' tangents, the node
-tangents lie in span(U) and S acts on each coordinate alike, so iterates,
-gradients and steps never leave span(U), and since U is orthonormal the
-reduced area, inner products and step lengths equal the full ones up to
-rounding.  The stopping test still takes the max-norms of the lifted
-full-space gradient and its parts.  Non-uniform weights, a full-rank
-field or a given ``free_coords`` keep the full space.  Either way the
-loop moves one contiguous run of coordinates, held as a slice.
+The area weights w are a change of coordinates: in y = sqrt(w) * x the
+w-inner product is the Euclidean one, so the loop runs in y with unit
+weights.  Its stopping test takes the max-norms of the gradient in x,
+sqrt(w) times the one in y, and the moving coordinates' displacement is
+lifted back divided by sqrt(w), so edges and pinned coordinates come back
+bit for bit.  An all-free solve (``free_coords`` None or naming every
+coordinate, which is the same) runs in an orthonormal basis U (m x r) of
+the span of the centred field in y, whatever its rank: a full-rank field
+is a rotation, and a constant field keeps one direction along which
+nothing moves.  Corner-driven boundaries (straight geodesic edges between
+four corner vectors) span an affine space of dimension at most 3, plus one
+direction for a seeded perturbation, so r is usually far below m.  The
+reduction is exact: the gradient at a node is a combination of its cells'
+tangents, the node tangents lie in span(U) and S acts on each coordinate
+alike, so iterates, gradients and steps never leave span(U), and since U
+is orthonormal the reduced area, inner products and step lengths equal the
+full ones up to rounding.
 
 The discrete optimality residual is the flux divergence of the area
 module's one flux kernel, the same one ``area_gradient`` scales by -hs*ht,
@@ -229,22 +231,20 @@ def _free_slice(free_coords, m: int) -> slice:
     return slice(free[0], free[-1] + 1)
 
 
-def _span_basis(init: SurfaceField, acfg: AreaConfig):
-    """Node mean and orthonormal basis (m x r) of the centred initial field's span.
+def _span_basis(values: np.ndarray):
+    """The centred field ``values`` in an orthonormal basis U (m x r) of its span, and U.
 
-    The rank cut sits at rounding level (numpy's ``matrix_rank`` default).
-    Returns None when the reduction does not apply: non-uniform weights, or
-    a rank that is zero or not below m.
+    Returns the coordinates, shape ``(ns, nt, r)``, and U, taken from the SVD
+    of the field's R factor (no N x m left vectors).  The rank cut sits at
+    rounding level (numpy's ``matrix_rank`` default); a constant field keeps
+    one direction, so r >= 1.
     """
-    m = init.dim
-    w = acfg.weight_vector(m)
-    if np.any(w != w[0]):
-        return None
-    nodes = init.values.reshape(-1, m)
-    centre = nodes.mean(axis=0)
-    _, sigma, vt = np.linalg.svd(nodes - centre, full_matrices=False)
+    nodes = values.reshape(-1, values.shape[-1])
+    centred = nodes - nodes.mean(axis=0)
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(centred, mode="r"), full_matrices=False)
     rank = int(np.count_nonzero(sigma > sigma[0] * max(nodes.shape) * np.finfo(float).eps))
-    return (centre, vt[:rank].T) if 0 < rank < m else None
+    basis = vt[:max(rank, 1)].T
+    return (centred @ basis).reshape(values.shape[:-1] + basis.shape[1:]), basis
 
 
 def _dst_matrix(n: int) -> np.ndarray:
@@ -265,7 +265,7 @@ def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
     factors share the eigenvectors of the DST-I (``_dst_matrix``), so the
     solve of each column X, S1 @ (S1 @ X @ S2 * scale) @ S2, is exact.
     Returns a function on interior arrays that reshape to ``(ns-2, nt-2, r)``,
-    applied to each of the r columns.
+    which solves all r columns in one stacked product.
     """
     hs, ht = grid.hs, grid.ht
     n1, n2 = grid.ns - 2, grid.nt - 2
@@ -280,29 +280,24 @@ def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
     scale = 4.0 / ((n1 + 1) * (n2 + 1) * symbol)
 
     def solve(g):
-        x = g.reshape(n1, n2, -1)
-        out = np.empty_like(x)
-        for k in range(x.shape[2]):
-            out[..., k] = s1 @ (s1 @ x[..., k] @ s2 * scale) @ s2
-        return out.reshape(g.shape)
+        x = np.moveaxis(g.reshape(n1, n2, -1), 2, 0)
+        return np.moveaxis(s1 @ (s1 @ x @ s2 * scale) @ s2, 0, 2).reshape(g.shape)
 
     return solve
 
 
-def _flat_hessian_inverse(terms, grid: Grid2, scale: float, acfg: AreaConfig):
+def _flat_hessian_inverse(terms, grid: Grid2, acfg: AreaConfig):
     """DST preconditioner frozen at the given cell terms.
 
-    The second derivatives of a cell's area in the k-th s- and t-tangent
-    components are w_k*b/sqrt(G) and w_k*a/sqrt(G); their means over the
-    non-degenerate cells (1 when there are none), times ``scale`` (w_k for
-    the Newton kernel, which carries the weight, or 1 for the
-    Laplace-Beltrami one), weight the operator.
+    The second derivatives of a cell's area in the s- and t-tangent
+    components of a coordinate are b/sqrt(G) and a/sqrt(G); their means over
+    the non-degenerate cells (1 when there are none) weight the operator.
     """
     live = terms.gram > acfg.epsilon
     if np.any(live):
         root = terms.cells[live]
-        c_s = scale * float(np.mean(terms.b[live] / root))
-        c_t = scale * float(np.mean(terms.a[live] / root))
+        c_s = float(np.mean(terms.b[live] / root))
+        c_t = float(np.mean(terms.a[live] / root))
     else:
         c_s = c_t = 1.0
     return _dst_inverse(grid, c_s, c_t)
@@ -312,7 +307,7 @@ def _laplace_beltrami_kernel(terms):
     """Per-cell kernel K = [[b, -c], [-c, a]] / sqrt(G) of the all-free step.
 
     It is the flux kernel of ``area._fluxes`` with its coefficients frozen
-    (zero on the clamped side), so ``area_gradient[..., k] = w_k * S[x_k]``
+    (zero on the clamped side), so ``area_gradient[..., k] = S[x_k]``
     on interior nodes for the operator S that ``_frozen_operator`` builds
     from it.  Returns the (ss, st, tt) entries, each ``(ns-1, nt-1, 1)``.
     """
@@ -324,10 +319,10 @@ def _newton_kernel(terms, free: slice):
     """Per-cell Hessian H of the area density in the tangents of the one coordinate ``free``.
 
     With (A, B, C) the Gram triple of the other coordinates, taken from their
-    columns of ``terms``, w the free coordinate's weight and f = (f_s, f_t)
-    its fluxes, the Gram determinant is A*B - C^2 plus
-    w * (B ds^2 - 2C ds dt + A dt^2), so the density sqrt(G) has
-    H = (w [[B, -C], [-C, A]] - f f^T) / sqrt(G), zero where the clamped
+    columns of unit-weight ``terms``, and f = (f_s, f_t) the free coordinate's
+    fluxes, the Gram determinant is A*B - C^2 plus
+    B ds^2 - 2C ds dt + A dt^2, so the density sqrt(G) has
+    H = ([[B, -C], [-C, A]] - f f^T) / sqrt(G), zero where the clamped
     determinant sits at zero, as the fluxes are.  The operator that
     ``_frozen_operator`` builds from it is the exact Hessian of the discrete
     area in the free coordinate.  Returns the (ss, st, tt) entries, each
@@ -337,10 +332,9 @@ def _newton_kernel(terms, free: slice):
                                         for x in (terms.ds, terms.dt, terms.w)))
     inv = _inverse_areas(terms)
     fs, ft = _fluxes(terms, inv, free)
-    w = terms.w[free]
-    return (inv * (w * big_b[..., None] - fs * fs),
-            inv * (-w * big_c[..., None] - fs * ft),
-            inv * (w * big_a[..., None] - ft * ft))
+    return (inv * (big_b[..., None] - fs * fs),
+            inv * (-big_c[..., None] - fs * ft),
+            inv * (big_a[..., None] - ft * ft))
 
 
 def _frozen_operator(kernel, grid: Grid2, width: int):
@@ -362,16 +356,16 @@ def _frozen_operator(kernel, grid: Grid2, width: int):
     return apply
 
 
-def _pcg(apply, precondition, rhs, w):
+def _pcg(apply, precondition, rhs):
     """Preconditioned CG for ``apply(x) = rhs``, one Krylov space for all columns.
 
-    Inner products are weighted by w over the columns, so a truncated
-    iterate still has <x, rhs>_w > 0 and stays a descent direction.  Stops
-    at a relative residual of ``_PCG_RTOL`` or after ``_PCG_STEPS`` steps.
+    A truncated iterate still has <x, rhs> > 0 and stays a descent
+    direction.  Stops at a relative residual of ``_PCG_RTOL`` or after
+    ``_PCG_STEPS`` steps.
     """
 
     def dot(p, q):
-        return float(np.vdot(p * w, q))
+        return float(np.vdot(p, q))
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -396,8 +390,8 @@ def _pcg(apply, precondition, rhs, w):
     return x
 
 
-def _normal_projector(values: np.ndarray, grid: Grid2, w: np.ndarray):
-    """Projector onto the normal space at each interior node, in the w-inner product.
+def _normal_projector(values: np.ndarray, grid: Grid2):
+    """Projector onto the normal space at each interior node.
 
     The node tangents are central differences.  Nodes whose tangent Gram
     determinant is below ``_NODE_FLOOR`` times the product of its diagonal
@@ -406,14 +400,14 @@ def _normal_projector(values: np.ndarray, grid: Grid2, w: np.ndarray):
     """
     ts = (values[2:, 1:-1] - values[:-2, 1:-1]) / (2.0 * grid.hs)
     tt = (values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * grid.ht)
-    g_ss, g_tt, g_st = _gram_terms(ts, tt, w)
+    g_ss, g_tt, g_st = (np.einsum("...k,...k->...", p, q)
+                        for p, q in ((ts, ts), (tt, tt), (ts, tt)))
     det = g_ss * g_tt - g_st * g_st
     live = det > _NODE_FLOOR * g_ss * g_tt
     inv = np.divide(1.0, det, out=np.zeros_like(det), where=live)
 
     def project(u):
-        ps = np.einsum("...k,k,...k->...", ts, w, u)
-        pt = np.einsum("...k,k,...k->...", tt, w, u)
+        ps, pt = (np.einsum("...k,...k->...", t, u) for t in (ts, tt))
         along_s = (inv * (g_tt * ps - g_st * pt))[..., None]
         along_t = (inv * (g_ss * pt - g_st * ps))[..., None]
         return u - along_s * ts - along_t * tt
@@ -424,14 +418,15 @@ def _normal_projector(values: np.ndarray, grid: Grid2, w: np.ndarray):
 def normal_gradient(f: SurfaceField, acfg: AreaConfig) -> np.ndarray:
     """Normal part of the area gradient on interior nodes, shape ``(ns-2, nt-2, m)``.
 
-    The gradient is a covector g: g/w is projected as a vector onto the
-    normal space of each node (``_normal_projector``) and mapped back by w.
-    The rest of g is its tangential (gauge) part, which the parametrization
-    of an all-free surface can absorb without changing the surface.
+    The gradient g is a covector: in y = sqrt(w) * x it is g/sqrt(w), which
+    is projected onto the normal space of each node (``_normal_projector``)
+    and mapped back by sqrt(w).  The rest of g is its tangential (gauge)
+    part, which the parametrization of an all-free surface can absorb
+    without changing the surface.
     """
-    w = acfg.weight_vector(f.dim)
+    root = np.sqrt(acfg.weight_vector(f.dim))
     g = area_gradient(f, acfg)[1:-1, 1:-1]
-    return w * _normal_projector(f.values, f.grid, w)(g / w)
+    return root * _normal_projector(f.values * root, f.grid)(g / root)
 
 
 def minimize(
@@ -449,9 +444,11 @@ def minimize(
     names one coordinate or all of them, else ValueError.  One loop and one
     PCG serve both, with two kernels (see the module docstring): inexact
     Newton steps with one coordinate free, normal-projected
-    Laplace-Beltrami steps with every coordinate free.  With
-    ``free_coords=None`` and uniform weights the loop runs in the span of
-    the initial field, and ``span_rank`` reports the dimension used.
+    Laplace-Beltrami steps with every coordinate free.  The weights are a
+    change of variables: the loop runs with unit weights in y = sqrt(w) * x.
+    Naming every coordinate is the same as ``free_coords=None`` and runs in
+    an orthonormal basis of the initial field's span in y, whose dimension
+    ``span_rank`` reports (m with one free coordinate).
 
     A solve that stops short returns the best field seen so far with
     ``converged=False`` and a ``stall`` that says why: a line search that
@@ -464,31 +461,25 @@ def minimize(
     all_free = free.stop - free.start == init.dim
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
 
-    # The loop moves coordinates ``moving`` of ``work`` under ``loop_acfg``:
-    # the free coordinates of the field itself, or all r coordinates of the
-    # field in an orthonormal basis of its span (see the module docstring).
-    span = _span_basis(init, acfg) if free_coords is None else None
-    if span is None:
-        basis = None
-        span_rank, moving, loop_acfg = init.dim, free, acfg
-        work = init.values.copy()
-    else:
-        centre, basis = span
-        span_rank = basis.shape[1]
-        moving = slice(0, span_rank)
-        loop_acfg = replace(acfg, weights=np.full(span_rank, acfg.weight_vector(init.dim)[0]))
-        work = (init.values - centre) @ basis
+    # The loop moves coordinates ``moving`` of ``work`` under unit weights, in
+    # y = sqrt(w) * x: the one free coordinate of y, or all r coordinates of y
+    # in an orthonormal basis of its span (see the module docstring).
+    root = np.sqrt(acfg.weight_vector(init.dim))
+    loop_acfg = replace(acfg, weights=None)
+    work = init.values * root
+    if all_free:
+        work, basis = _span_basis(work)
         start = work.copy()
+    moving = slice(0, work.shape[-1]) if all_free else free
     fld = SurfaceField(grid, work)
-    w = loop_acfg.weight_vector(work.shape[-1])
     # the loop's state (x, g, d, u) is interior-shaped, (ns-2, nt-2, width)
     x = work[1:-1, 1:-1, moving].copy()
     step = np.zeros(work.shape[:2] + x.shape[-1:])
 
     def max_norm(g):
-        # the stopping test is on the full-space gradient
-        if basis is not None:
-            g = g.reshape(-1, span_rank) @ basis.T
+        # the stopping test is on the full-space gradient in x, a covector:
+        # sqrt(w) times the one in y
+        g = g @ (basis.T * root) if all_free else g * root[free]
         return float(np.max(np.abs(g), initial=0.0))
 
     # the terms of the current field: taken once here, then handed over from
@@ -496,14 +487,12 @@ def minimize(
     terms = cell_terms(fld, loop_acfg)
     f_cur = summed_area(terms.cells, grid)
     trace = [f_cur]
-    # the kernel of the step's operator and the weight of the DST preconditioner
-    kernel, scale = ((_laplace_beltrami_kernel, 1.0) if all_free
-                     else (lambda t: _newton_kernel(t, moving), float(w[moving.start])))
+    kernel = _laplace_beltrami_kernel if all_free else (lambda t: _newton_kernel(t, moving))
 
     def precondition(u):
         # S^-1 at the current field, by PCG preconditioned with the DST solve
         return _pcg(_frozen_operator(kernel(terms), grid, x.shape[-1]),
-                    _flat_hessian_inverse(terms, grid, scale, loop_acfg), u, w[moving])
+                    _flat_hessian_inverse(terms, grid, loop_acfg), u)
 
     def line_search(direction, slope):
         current = terms.columns(moving)
@@ -525,14 +514,13 @@ def minimize(
     it = 0
     while True:
         # the max-norms of the gradient and of its normal and tangential parts,
-        # then the stopping test (module docstring); the gradient is a covector,
-        # so all-free solves project g/w as a vector, and solves of one free
+        # then the stopping test (module docstring); solves of one free
         # coordinate take the identity and g itself, whose tangential part is 0
         gfull = max_norm(g)
         if all_free:
-            project = _normal_projector(work, grid, w)
-            u = project(g / w)
-            gnorm, tangential = max_norm(w * u), max_norm(g - w * u)
+            project = _normal_projector(work, grid)
+            u = project(g)
+            gnorm, tangential = max_norm(u), max_norm(g - u)
         else:
             project, u, gnorm, tangential = (lambda v: v), g, gfull, 0.0
         converged = gnorm <= tol and (tangential > tol or gfull <= tol)
@@ -559,12 +547,12 @@ def minimize(
         trace.append(f_cur)
         g = terms_gradient(terms.columns(moving), grid)
 
-    if basis is None:
-        values = work.copy()
+    # back to x on interior nodes only: edges and pinned coordinates stay bit-exact
+    values = init.values.copy()
+    if all_free:
+        values[1:-1, 1:-1] += (work - start)[1:-1, 1:-1] @ (basis.T / root)
     else:
-        # lift the displacement on interior nodes only: edges stay bit-exact
-        values = init.values.copy()
-        values[1:-1, 1:-1] += (work - start)[1:-1, 1:-1] @ basis.T
+        values[1:-1, 1:-1, free] = work[1:-1, 1:-1, free] / root[free]
     final = SurfaceField(grid, values)
     rep = euler_lagrange_residual(final, acfg)
     el_norm = _kept_max_norm(rep.values[1:-1, 1:-1, free], rep.excluded_mask)
@@ -579,7 +567,7 @@ def minimize(
         el_residual=el_norm,
         converged=converged,
         degenerate_cells=rep.degenerate_cells,
-        span_rank=span_rank,
+        span_rank=work.shape[-1],
         hourglass=hourglass_amplitude(final),
         stall=stall,
     )

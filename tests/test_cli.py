@@ -501,6 +501,22 @@ def test_oracle_and_oracles_together_exit_2_before_out_exists(tmp_path, capsys, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("problem", ["graph", "gaussian-diag"])
+def test_solve_of_several_oracles_exits_2_before_out_exists(tmp_path, capsys, problem):
+    # a solve has one surface to fill; verify checks every oracle of the list
+    doc = {"problem": problem, "grid": {"ns": 5, "nt": 5},
+           "oracles": [SCHERK_ORACLE, {"oracle": "plane", "a1": 2, "a2": 3, "a3": 1,
+                                       "window": [0, 1], "z_offset": 1.0}],
+           "out": str(tmp_path / "run")}
+    config = write_config(tmp_path, doc)
+    assert main(["solve", config]) == 2
+    assert capsys.readouterr().err == "config error: solve takes one oracle, got 2\n"
+    assert not (tmp_path / "run").exists()
+    assert main(["verify", config]) == 0
+    residuals = json.loads((tmp_path / "run" / "residuals.json").read_text())
+    assert [e["variant"] for e in residuals["minimal_surface"]] == ["scherk", "plane"]
+
+
 def _nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 

@@ -144,8 +144,12 @@ def test_one_ulp_corner_gap_rejected_at_every_scale(label, scale):
 
 def test_edge_shape_mismatch_lists_all_four_shapes():
     b = ws.BoundarySpec.of_field(plane_field(ws.Grid2(5, 4), m=2))
-    with pytest.raises(ShapeMismatchError, match=re.escape("(4, 2), (4, 2), (5, 2), (4, 2)")):
-        ws.BoundarySpec(b.edge_s0, b.edge_s1, b.edge_t0, b.edge_t1[:4])
+    cases = [((b.edge_s0, b.edge_s1, b.edge_t0, b.edge_t1[:4]), "(4, 2), (4, 2), (5, 2), (4, 2)"),
+             # the shapes agree, but there is no corner to compare
+             ((np.zeros((0, 2)),) * 4, "(0, 2), (0, 2), (0, 2), (0, 2)")]
+    for edges, shapes in cases:
+        with pytest.raises(ShapeMismatchError, match=re.escape(shapes)):
+            ws.BoundarySpec(*edges)
 
 
 # oracles whose graphs are positive in every coordinate over the window after

@@ -480,8 +480,12 @@ def test_dst_preconditioner_inverts_its_operator():
     # r = 3 columns of the solver's (ns-2, nt-2, r) layout at once, each solved
     # alone; n1 != n2, so a swap of the s and t factors would show
     cols = np.random.default_rng(10).standard_normal((n1 * n2, 3))
-    got = solve((op @ cols).reshape(n1, n2, 3))
+    rhs = (op @ cols).reshape(n1, n2, 3)
+    got = solve(rhs)
     assert np.max(np.abs(got - cols.reshape(n1, n2, 3))) <= 1e-12 * np.max(np.abs(cols))
+    # the stacked product solves each column as its solve alone does, bit for bit
+    for k in range(3):
+        assert np.array_equal(got[..., k], solve(rhs[..., k:k + 1])[..., 0])
 
 
 def test_flat_hessian_inverse_without_live_cells_takes_unit_coefficients():
@@ -491,7 +495,7 @@ def test_flat_hessian_inverse_without_live_cells_takes_unit_coefficients():
     terms = ws.cell_terms(ws.SurfaceField(grid, np.ones((7, 9, 3))), acfg)
     assert not np.any(terms.gram > acfg.epsilon)
     x = np.random.default_rng(4).standard_normal((5, 7, 2))
-    got = wassersurf.solver._flat_hessian_inverse(terms, grid, 2.5, acfg)(x)
+    got = wassersurf.solver._flat_hessian_inverse(terms, grid, acfg)(x)
     assert np.array_equal(got, wassersurf.solver._dst_inverse(grid, 1.0, 1.0)(x))
 
 
@@ -637,49 +641,35 @@ def assert_edges_exact(values, boundary):
     assert np.array_equal(values[:, -1], boundary.edge_t1)
 
 
-@pytest.mark.parametrize("problem", [density_span_problem, covariance_span_problem])
-def test_span_reduction_matches_full_solve(problem):
-    boundary, init, acfg, tol = problem()
-    m = init.dim
-    cfg = ws.SolverConfig(grad_tol=tol, max_iters=3000)
-    reduced = ws.minimize(init, cfg, acfg)
-    # naming every coordinate keeps the full-space loop
-    full = ws.minimize(init, cfg, acfg, free_coords=range(m))
-    assert full.span_rank == m
-    assert reduced.span_rank < m
-    assert reduced.converged and full.converged
-    assert reduced.iterations == full.iterations > 0
-    assert np.max(np.abs(reduced.field.values - full.field.values)) <= 1e-12
-    assert np.max(np.abs(np.subtract(reduced.area_trace, full.area_trace))) <= 1e-12
-    assert_edges_exact(reduced.field.values, boundary)
-
-
 def test_span_reduction_meets_full_space_tolerance():
     _, init, acfg, tol = density_span_problem()
-    rep = ws.minimize(init, ws.SolverConfig(grad_tol=tol, max_iters=3000), acfg)
-    assert rep.converged and rep.span_rank == 3
-    normal = wassersurf.solver.normal_gradient(rep.field, acfg)
-    assert np.max(np.abs(normal)) <= tol * (1.0 + 1e-9)
+    # non-uniform weights too: y = sqrt(w) * x scales each coordinate, so the
+    # corner-driven field keeps its rank
+    nonuniform = ws.AreaConfig(weights=ws.quantile_weights(16) * np.linspace(0.5, 1.5, 16))
+    for acfg in (acfg, nonuniform):
+        rep = ws.minimize(init, ws.SolverConfig(grad_tol=tol, max_iters=3000), acfg)
+        assert rep.converged and rep.span_rank == 3
+        normal = wassersurf.solver.normal_gradient(rep.field, acfg)
+        assert np.max(np.abs(normal)) <= tol * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize(
-    "case", ["nonuniform-weights", "full-rank"]
-)
-def test_unreduced_cases_keep_full_space_loop(case):
-    if case == "nonuniform-weights":
-        _, init, _, tol = density_span_problem()
-        acfg = ws.AreaConfig(weights=ws.quantile_weights(16) * np.linspace(0.5, 1.5, 16))
-    else:
-        # four generic corners in R^3 span all of it
-        boundary, init, acfg, tol = covariance_span_problem([d[:3] for d in COV_DIAGS])
-    m = init.dim
-    cfg = ws.SolverConfig(grad_tol=tol, max_iters=200)
-    rep = ws.minimize(init, cfg, acfg)
-    full = ws.minimize(init, cfg, acfg, free_coords=range(m))
-    assert rep.span_rank == m
-    assert np.array_equal(rep.field.values, full.field.values)
-    assert rep.area_trace == full.area_trace
-    assert rep.iterations == full.iterations
+@pytest.mark.parametrize("free_coords", [None, range(16)], ids=["none", "every"])
+def test_weights_equal_the_matching_coordinate_scaling(free_coords):
+    # a weight vector is the change of variables y = sqrt(w) * x, and naming
+    # every coordinate takes the same loop as None
+    boundary, init, _, tol = density_span_problem()
+    w = ws.quantile_weights(16) * np.linspace(0.5, 1.5, 16)
+    root = np.sqrt(w)
+    cfg = ws.SolverConfig(grad_tol=tol, max_iters=3000)
+    weighted = ws.minimize(init, cfg, ws.AreaConfig(weights=w), free_coords=free_coords)
+    scaled = ws.minimize(ws.SurfaceField(init.grid, init.values * root), cfg, ws.AreaConfig())
+    assert weighted.converged and scaled.converged
+    assert weighted.iterations == scaled.iterations > 0
+    inner = weighted.field.values[1:-1, 1:-1]
+    gap = np.max(np.abs(inner - scaled.field.values[1:-1, 1:-1] / root))
+    assert gap <= 1e-12 * np.max(np.abs(inner))
+    assert np.max(np.abs(np.subtract(weighted.area_trace, scaled.area_trace))) <= 1e-12
+    assert_edges_exact(weighted.field.values, boundary)
 
 
 def test_stall_message_explains_itself(monkeypatch):
