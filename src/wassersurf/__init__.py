@@ -21,7 +21,6 @@ from .analytic import (
     Plane,
     Scherk,
     evaluate,
-    graph_boundary,
     graph_field,
     minimal_surface_residual,
     to_cov_boundary,
@@ -65,7 +64,6 @@ from .gaussian import (
     sqrt_coords,
 )
 from .grid import (
-    BoundarySpec,
     Grid2,
     SurfaceField,
     coons_init,

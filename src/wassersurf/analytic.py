@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainValidityError, PositivityError
 from .gaussian import DiagonalCovSurface
-from .grid import BoundarySpec, Grid2, SurfaceField
+from .grid import Grid2, SurfaceField
 
 ARCCOSH_GUARD = 1e-14
 
@@ -195,30 +195,18 @@ def graph_field(surf: AnalyticSurface, grid: Grid2, window, z_offset: float = 0.
     return SurfaceField(grid, vals)
 
 
-def graph_boundary(
-    surf: AnalyticSurface, grid: Grid2, window, z_offset: float = 0.0
-) -> tuple[BoundarySpec, SurfaceField]:
-    """Edge traces of the analytic graph plus the full sampled surface.
-
-    The full surface is returned alongside the boundary so solver output
-    can be compared against it node by node.
-    """
-    full = graph_field(surf, grid, window, z_offset)
-    return BoundarySpec.of_field(full), full
-
-
 def to_cov_boundary(surf: AnalyticSurface, grid: Grid2, window, z_offset: float = 0.0):
-    """Boundary and full surface in sqrt-covariance coordinates.
+    """``graph_field``, and the same field read as sqrt-covariance coordinates.
 
     All three coordinates must come out strictly positive so the squared
     entries form positive-definite diagonal covariances; choose the window
     and ``z_offset`` accordingly.
     """
-    boundary, full = graph_boundary(surf, grid, window, z_offset)
+    full = graph_field(surf, grid, window, z_offset)
     low = float(full.values.min())
     if low <= 0.0:
         raise PositivityError(
             f"sqrt-covariance coordinates must be positive; minimum is {low:.6g}. "
             f"Shift the window or increase z_offset by more than {-low:.6g}."
         )
-    return boundary, DiagonalCovSurface(full)
+    return full, DiagonalCovSurface(full)

@@ -283,7 +283,11 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
 
 
 def _assemble(cfg: RunConfig):
-    """Build (boundary, free coords, oracle field) from the config's source in ``SOURCES``."""
+    """(edges, free coords, oracle field) from the config's source in ``SOURCES``.
+
+    The edges are a field for ``coons_init``: the oracle's sampled graph, which is
+    also the oracle field, or the geodesic edges between the corners.
+    """
     if cfg.problem == "analytic-verify":
         raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")
     if len(cfg.oracles) > 1:
@@ -291,11 +295,10 @@ def _assemble(cfg: RunConfig):
     if cfg.oracles:
         surf, window, z_offset = cfg.oracles[0]
         if cfg.problem == "graph":
-            boundary, full = analytic.graph_boundary(surf, cfg.grid, window, z_offset)
-        else:  # the same edges in sqrt-covariance coordinates
-            boundary, cov = analytic.to_cov_boundary(surf, cfg.grid, window, z_offset)
-            full = cov.field
-        return boundary, (2,), full
+            full = analytic.graph_field(surf, cfg.grid, window, z_offset)
+        else:  # the same field as sqrt-covariance coordinates, checked positive
+            full, _ = analytic.to_cov_boundary(surf, cfg.grid, window, z_offset)
+        return full, (2,), full
     if cfg.corners is None:
         raise ConfigError(f"{cfg.problem} needs {' or '.join(map(repr, SOURCES[cfg.problem]))}")
     if cfg.problem == "density1d":
@@ -322,8 +325,8 @@ def _dump_json(obj, path: Path) -> None:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    boundary, free, oracle_field = _assemble(cfg)
-    init = coons_init(boundary)
+    edges, free, oracle_field = _assemble(cfg)
+    init = coons_init(edges)
     if cfg.perturb_amplitude != 0.0:
         init = perturb_interior(init, cfg.perturb_amplitude, cfg.perturb_seed, free)
     # an unusable --out fails here, before the solve; a config error earlier
@@ -365,8 +368,16 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if not cfg.oracles and cfg.surface_path is None:
+    surface = cfg.surface_path is not None
+    if not cfg.oracles and not surface:
         raise ConfigError("verify needs an oracle list or a surface file")
+    # a tolerance is taken only where its check runs
+    for key, runs, need in (("minimal_surface", bool(cfg.oracles), "an oracle list"),
+                            ("euler_lagrange", surface, "a surface file"),
+                            ("critical_point", surface and cfg.problem == "gaussian-diag",
+                             "a surface file of problem 'gaussian-diag'")):
+        if key in cfg.tolerances and not runs:
+            raise ConfigError(f"tolerances.{key} is checked only with {need}")
     _make_dir(cfg.out)
     results = {}
     passed = True
@@ -392,7 +403,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
         results["minimal_surface"] = entries
 
-    if cfg.surface_path is not None:
+    if surface:
         field = _load_surface(cfg.surface_path)
         rep = euler_lagrange_residual(field, cfg.area_for(field.dim))
         results["euler_lagrange"] = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
@@ -401,7 +412,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             results["critical_point"] = {"max_norm": mw.max_norm, "border": mw.border}
         # a residual is judged only against a tolerance the config sets
         for key in ("euler_lagrange", "critical_point"):
-            if key in results and key in cfg.tolerances:
+            if key in cfg.tolerances:  # then its check ran (checked above)
                 entry = results[key]
                 entry["tol"] = cfg.tolerances[key]
                 entry["pass"] = entry["max_norm"] <= entry["tol"]

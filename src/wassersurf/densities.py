@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import QuantileConvergenceError
 from .grid import (
-    BoundarySpec,
     Grid2,
     SurfaceField,
     check_keys,
@@ -384,11 +383,12 @@ def geodesic_quantiles(d0: Density1D, d1: Density1D, tau: float, qg: QuantileGri
 def boundary_from_corners(
     c00: Density1D, c10: Density1D, c01: Density1D, c11: Density1D,
     grid: Grid2, qg: QuantileGrid,
-) -> BoundarySpec:
-    """Geodesic edges between four corner densities, in quantile coordinates.
+) -> SurfaceField:
+    """Field of geodesic edges between four corner densities, in quantile coordinates.
 
     Each edge samples the displacement path between its two corner
-    densities at the grid nodes; corners are consistent by construction.
+    densities at the grid nodes (``edges_from_corner_vectors``; the interior
+    is zero, for ``coons_init`` to fill).
     A corner far out in the float range can have quantiles that overflow, so
     each vector is checked as it is made: a level that is not finite raises
     ValueError naming the corner (``corners.c00``) instead of a numpy warning.

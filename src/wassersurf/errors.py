@@ -1,12 +1,8 @@
 """Exception types shared across the package."""
 
 
-class CornerMismatchError(ValueError):
-    """Adjacent boundary edges hold different vectors at a shared corner."""
-
-
 class ShapeMismatchError(ValueError):
-    """Field, boundary, or grid shapes are incompatible."""
+    """Field, corner-vector, or grid shapes are incompatible."""
 
 
 class DomainValidityError(ValueError):

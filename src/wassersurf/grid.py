@@ -1,10 +1,10 @@
-"""Two-parameter grids, vector-valued surface fields, and fixed boundary data.
+"""Two-parameter grids, vector-valued surface fields, and their Coons fill.
 
 Every surface flavor handled by this package (Euclidean graph, quantile
 family of 1-D densities, diagonal covariance family) reduces to the same
 discrete object: an ``ns x nt`` grid over the unit parameter square whose
-nodes carry m-dimensional coordinate vectors.  The four edge curves are
-data, never unknowns; optimizers only ever move interior nodes.
+nodes carry m-dimensional coordinate vectors.  Its edge nodes are the
+boundary, data and never unknowns; optimizers only ever move interior nodes.
 """
 
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CornerMismatchError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 
 def whole_number(value, name: str) -> int:
@@ -131,95 +131,46 @@ class SurfaceField:
         return SurfaceField(self.grid, self.values.copy())
 
 
-@dataclass(eq=False)
-class BoundarySpec:
-    """The four fixed edge curves of a surface field.
-
-    ``edge_s0``/``edge_s1`` run along t at s=0 and s=1 (shape ``(nt, m)``);
-    ``edge_t0``/``edge_t1`` run along s at t=0 and t=1 (shape ``(ns, m)``).
-    The edges form one closed curve, so the two edges at each shared corner
-    must hold equal vectors (``-0.0`` equals ``0.0``), else
-    CornerMismatchError: a gap is a different curve at every scale, not a
-    rounding error to absorb.
-    """
-
-    edge_s0: np.ndarray
-    edge_s1: np.ndarray
-    edge_t0: np.ndarray
-    edge_t1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("edge_s0", "edge_s1", "edge_t0", "edge_t1"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            setattr(self, name, arr)
-        s0, s1, t0, t1 = self.edge_s0, self.edge_s1, self.edge_t0, self.edge_t1
-        if not (s0.ndim == t0.ndim == 2 and s0.shape == s1.shape and t0.shape == t1.shape
-                and s0.shape[1] == t0.shape[1] and len(s0) and len(t0)):
-            raise ShapeMismatchError(
-                f"edges must be edge_s0 = edge_s1 (nt, m) and edge_t0 = edge_t1 (ns, m), "
-                f"nonempty, got "
-                f"{s0.shape}, {s1.shape}, {t0.shape}, {t1.shape}")
-        for label, a, b in (("(0,0)", s0[0], t0[0]), ("(0,1)", s0[-1], t1[0]),
-                            ("(1,0)", s1[0], t0[-1]), ("(1,1)", s1[-1], t1[-1])):
-            if not np.array_equal(a, b):
-                raise CornerMismatchError(
-                    f"edges disagree at corner {label}: max gap {np.max(np.abs(a - b)):.3e}")
-
-    @classmethod
-    def of_field(cls, f: SurfaceField) -> "BoundarySpec":
-        """Extract the four edges of an existing field."""
-        v = f.values
-        return cls(v[0, :, :].copy(), v[-1, :, :].copy(), v[:, 0, :].copy(), v[:, -1, :].copy())
-
-
-def edges_from_corner_vectors(c00, c10, c01, c11, grid: Grid2) -> BoundarySpec:
-    """Boundary whose edges linearly interpolate four corner vectors.
+def edges_from_corner_vectors(c00, c10, c01, c11, grid: Grid2) -> SurfaceField:
+    """Field whose edges linearly interpolate four corner vectors; its interior is zero.
 
     This is the shared construction for geodesic edges in coordinates where
-    geodesics are straight lines (quantile values, sqrt-covariance entries):
-    each edge interpolates its two corner vectors in the edge parameter, so
-    corners are consistent by construction.
+    geodesics are straight lines (quantile values, sqrt-covariance entries).
+    The edges are written s = 0, s = 1, t = 0, t = 1 in that order, so each
+    corner node holds its t-edge's end, which equals the corner vector.
     """
     c00, c10, c01, c11 = (np.asarray(c, dtype=float) for c in (c00, c10, c01, c11))
     if not (c00.shape == c10.shape == c01.shape == c11.shape) or c00.ndim != 1:
         raise ShapeMismatchError("corner vectors must be 1-D and of equal length")
     s = grid.s_nodes[:, None]
     t = grid.t_nodes[:, None]
-    return BoundarySpec(
-        edge_s0=(1.0 - t) * c00 + t * c01,
-        edge_s1=(1.0 - t) * c10 + t * c11,
-        edge_t0=(1.0 - s) * c00 + s * c10,
-        edge_t1=(1.0 - s) * c01 + s * c11,
-    )
+    vals = np.zeros((grid.ns, grid.nt, len(c00)))
+    vals[0] = (1.0 - t) * c00 + t * c01
+    vals[-1] = (1.0 - t) * c10 + t * c11
+    vals[:, 0] = (1.0 - s) * c00 + s * c10
+    vals[:, -1] = (1.0 - s) * c01 + s * c11
+    return SurfaceField(grid, vals)
 
 
-def coons_init(b: BoundarySpec) -> SurfaceField:
-    """Transfinite (Coons) fill of four edge curves, used as initial guess.
+def coons_init(f: SurfaceField) -> SurfaceField:
+    """Transfinite (Coons) fill of the edges of ``f``, used as initial guess.
 
+    The fill depends on the edge nodes of ``f`` alone, which come back bit for bit.
     The interior blends the two pairs of opposite edges and subtracts the
-    bilinear corner interpolant, which reproduces exactly any field whose
-    coordinates have the form ``a + b*s + c*t + d*s*t``.  The blend is
-    filled one row of fixed s at a time, so its temporaries are rows, not
-    fields.  The four edges are then written over it, so the edges of the
-    result equal ``b`` bit-for-bit.
+    bilinear interpolant of the corner nodes, which reproduces exactly any
+    field of the form ``a + b*s + c*t + d*s*t``.  It is filled one row of
+    fixed s at a time, so its temporaries are rows, not fields.
     """
-    (ns, m), nt = b.edge_t0.shape, len(b.edge_s0)
-    grid = Grid2(ns, nt)
+    grid, v = f.grid, f.values
+    s0, s1, t0, t1 = v[0], v[-1], v[:, 0], v[:, -1]
     t = grid.t_nodes[:, None]
     u = 1.0 - t
-    c00, c01 = b.edge_s0[0], b.edge_s0[-1]
-    c10, c11 = b.edge_s1[0], b.edge_s1[-1]
-    vals = np.empty((ns, nt, m))
-    for i, s in enumerate(grid.s_nodes.tolist()):
+    c00, c01, c10, c11 = v[0, 0], v[0, -1], v[-1, 0], v[-1, -1]
+    vals = v.copy()
+    for i, s in enumerate(grid.s_nodes.tolist()[1:-1], 1):
         r = 1.0 - s  # r and u weigh the s = 0 and t = 0 sides
-        vals[i] = (r * b.edge_s0 + s * b.edge_s1 + u * b.edge_t0[i] + t * b.edge_t1[i]
-                   - (r * u * c00 + r * t * c01 + s * u * c10 + s * t * c11))
-    vals[0] = b.edge_s0
-    vals[-1] = b.edge_s1
-    vals[:, 0] = b.edge_t0
-    vals[:, -1] = b.edge_t1
+        vals[i, 1:-1] = (r * s0 + s * s1 + u * t0[i] + t * t1[i]
+                         - (r * u * c00 + r * t * c01 + s * u * c10 + s * t * c11))[1:-1]
     return SurfaceField(grid, vals)
 
 

@@ -470,17 +470,15 @@ def minimize(
     if all_free:
         work, basis = _span_basis(work)
         start = work.copy()
+        lift = basis.T * root  # takes a covector in y to the full-space one in x
     moving = slice(0, work.shape[-1]) if all_free else free
     fld = SurfaceField(grid, work)
     # the loop's state (x, g, d, u) is interior-shaped, (ns-2, nt-2, width)
     x = work[1:-1, 1:-1, moving].copy()
     step = np.zeros(work.shape[:2] + x.shape[-1:])
 
-    def max_norm(g):
-        # the stopping test is on the full-space gradient in x, a covector:
-        # sqrt(w) times the one in y
-        g = g @ (basis.T * root) if all_free else g * root[free]
-        return float(np.max(np.abs(g), initial=0.0))
+    def max_norm(v):
+        return float(np.max(np.abs(v), initial=0.0))
 
     # the terms of the current field: taken once here, then handed over from
     # the accepted trial
@@ -513,14 +511,17 @@ def minimize(
     g = terms_gradient(terms.columns(moving), grid)
     it = 0
     while True:
-        # the max-norms of the gradient and of its normal and tangential parts,
-        # then the stopping test (module docstring); solves of one free
-        # coordinate take the identity and g itself, whose tangential part is 0
-        gfull = max_norm(g)
+        # the max-norms of the full-space gradient in x (sqrt(w) times the one in
+        # y) and of its normal and tangential parts, then the stopping test (module
+        # docstring); solves of one free coordinate take the identity and g
+        # itself, whose tangential part is 0
+        lg = g @ lift if all_free else g * root[free]
+        gfull = max_norm(lg)
         if all_free:
             project = _normal_projector(work, grid)
             u = project(g)
-            gnorm, tangential = max_norm(u), max_norm(g - u)
+            lu = u @ lift
+            gnorm, tangential = max_norm(lu), max_norm(lg - lu)
         else:
             project, u, gnorm, tangential = (lambda v: v), g, gfull, 0.0
         converged = gnorm <= tol and (tangential > tol or gfull <= tol)

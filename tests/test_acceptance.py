@@ -64,7 +64,7 @@ def test_criterion_2_gradient_correctness():
 
     # catenoid edges: non-separable, so the fill is far from stationary
     grid_g = ws.Grid2(17, 17)
-    bg, _ = ws.graph_boundary(ws.Catenoid(0.0, 1.0, 1), grid_g, ((0.8, 2.1), (0.8, 2.1)))
+    bg = ws.graph_field(ws.Catenoid(0.0, 1.0, 1), grid_g, ((0.8, 2.1), (0.8, 2.1)))
     problems.append(("graph 17x17", ws.coons_init(bg), ws.AreaConfig(epsilon=1e-12)))
 
     grid_q = ws.Grid2(9, 9)
@@ -115,7 +115,7 @@ def test_criterion_3_scherk_solver_convergence():
     errs = {}
     for n in (17, 33):
         grid = ws.Grid2(n, n)
-        boundary, full = ws.graph_boundary(scherk, grid, window)
+        boundary = full = ws.graph_field(scherk, grid, window)
         rep = ws.minimize(
             ws.coons_init(boundary),
             ws.SolverConfig(max_iters=5000), acfg, free_coords=(2,),
@@ -132,7 +132,7 @@ def test_criterion_3_scherk_solver_convergence():
 
 def test_criterion_4_plane_stationarity():
     grid = ws.Grid2(17, 17)
-    boundary, _ = ws.graph_boundary(ws.Plane(1.0, 1.0, 0.0), grid, ((0.0, 1.0), (0.0, 1.0)))
+    boundary = ws.graph_field(ws.Plane(1.0, 1.0, 0.0), grid, ((0.0, 1.0), (0.0, 1.0)))
     init = ws.coons_init(boundary)
     rep = ws.minimize(init, ws.SolverConfig(), ws.AreaConfig(epsilon=0.0), free_coords=(2,))
     drift = float(np.max(np.abs(rep.field.values - init.values)))

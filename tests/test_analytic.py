@@ -144,7 +144,7 @@ def test_cov_boundary_plane_identification():
     sigma = ws.covariance_field(cov).values
     expect = (gamma[:, :, 0] + gamma[:, :, 1] + 1.0) ** 2
     assert np.max(np.abs(sigma[:, :, 2] - expect)) <= 1e-12
-    ws.BoundarySpec(b.edge_s0, b.edge_s1, b.edge_t0, b.edge_t1)  # corners consistent
+    assert np.array_equal(b.values, gamma)  # the graph field, which cov reads
 
 
 def test_cov_boundary_helicoid_identification():
@@ -168,10 +168,3 @@ def test_cov_boundary_rejects_nonpositive_and_instructs():
     grid = ws.Grid2(5, 5)
     with pytest.raises(PositivityError, match="z_offset"):
         ws.to_cov_boundary(ws.Scherk(1.0), grid, ((0.1, 0.4), (0.1, 0.4)), z_offset=0.0)
-
-
-def test_graph_boundary_returns_matching_edges():
-    grid = ws.Grid2(9, 9)
-    b, full = ws.graph_boundary(ws.Scherk(1.0), grid, ((0.1, 0.4), (0.1, 0.4)))
-    assert np.array_equal(b.edge_s0, full.values[0])
-    assert np.array_equal(b.edge_t1, full.values[:, -1])

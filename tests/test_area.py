@@ -215,7 +215,7 @@ def test_area_change_resolves_second_order_change_of_tiny_steps():
     # at a plane, a critical point, the change along a step eps*v is
     # eps^2 * (v'Hv/2) + O(eps^3): far below the rounding of two cell areas
     grid = ws.Grid2(9, 8)
-    _, f = ws.graph_boundary(ws.Plane(0.7, -0.4, 0.2), grid, ((0.0, 1.0), (0.0, 1.0)))
+    f = ws.graph_field(ws.Plane(0.7, -0.4, 0.2), grid, ((0.0, 1.0), (0.0, 1.0)))
     acfg = ws.AreaConfig(epsilon=0.0)
     v = np.zeros_like(f.values)
     v[1:-1, 1:-1] = np.random.default_rng(4).standard_normal((grid.ns - 2, grid.nt - 2, 3))

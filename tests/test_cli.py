@@ -807,6 +807,35 @@ def test_bad_tolerances_exit_2_before_the_surface_is_read(
     assert not (tmp_path / "verify").exists()
 
 
+
+SCHERK_ORACLE = {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}
+# a verify config per tolerance whose check would not run, and what that check needs
+UNCHECKED_TOLERANCES = {
+    "critical_point-density1d": (
+        {"problem": "density1d", "surface": "plane.json"}, "critical_point",
+        "a surface file of problem 'gaussian-diag'"),
+    "critical_point-no-surface": (
+        {"problem": "gaussian-diag", "oracle": SCHERK_ORACLE}, "critical_point",
+        "a surface file of problem 'gaussian-diag'"),
+    "minimal_surface-no-oracles": (
+        {"problem": "graph", "surface": "plane.json"}, "minimal_surface", "an oracle list"),
+    "euler_lagrange-no-surface": (
+        {"problem": "graph", "oracles": [SCHERK_ORACLE]}, "euler_lagrange", "a surface file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCHECKED_TOLERANCES))
+def test_verify_rejects_a_tolerance_it_does_not_check(tmp_path, capsys, case):
+    doc, key, need = UNCHECKED_TOLERANCES[case]
+    field = ws.graph_field(ws.Plane(2.0, 3.0, 1.0), ws.Grid2(5, 5), ((0.0, 1.0), (0.0, 1.0)))
+    ws.save_json(field, tmp_path / "plane.json")
+    if "surface" in doc:
+        doc = {**doc, "surface": str(tmp_path / doc["surface"])}
+    cfg = write_config(tmp_path, {**doc, "tolerances": {key: 1e-30}, "out": str(tmp_path / "v")})
+    assert main(["verify", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: tolerances.{key} is checked only with {need}\n"
+    assert not (tmp_path / "v").exists()
+
 def plane_verify_config(tmp_path, samples):
     # ``samples`` is no setting: verify samples each window on a fixed grid
     return write_config(tmp_path, {
@@ -1301,7 +1330,7 @@ COV_CORNERS = {"c00": [1.0, 2.0, 0.5], "c10": [2.0, 1.0, 1.5],
 EDGE_CASES = {
     "graph-oracle": (
         {"problem": "graph", "oracle": {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}},
-        lambda grid: ws.graph_boundary(ws.Scherk(1.0), grid, ((0.1, 0.4), (0.1, 0.4)))[0]),
+        lambda grid: ws.graph_field(ws.Scherk(1.0), grid, ((0.1, 0.4), (0.1, 0.4)))),
     "density-corners": (
         {"problem": "density1d", "grid": {"m": 16}, "corners": README_DENSITY_CORNERS},
         lambda grid: ws.boundary_from_corners(
@@ -1330,8 +1359,8 @@ def test_solved_surface_files_keep_the_configured_edges_bit_for_bit(tmp_path, ca
     for field in (ws.load_json(tmp_path / "run" / "surface.json"),
                   ws.load_csv(tmp_path / "run" / "surface.csv")):
         v = field.values
-        for got, edge in ((v[0], b.edge_s0), (v[-1], b.edge_s1),
-                          (v[:, 0], b.edge_t0), (v[:, -1], b.edge_t1)):
+        for got, edge in ((v[0], b.values[0]), (v[-1], b.values[-1]),
+                          (v[:, 0], b.values[:, 0]), (v[:, -1], b.values[:, -1])):
             # as integers, so a sign of zero counts too
             assert np.array_equal(got.view(np.uint64), edge.view(np.uint64))
 

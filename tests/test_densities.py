@@ -317,7 +317,7 @@ def test_boundary_identical_corners_constant_edges():
     qg = ws.QuantileGrid(16)
     b = ws.boundary_from_corners(STD_GAUSSIAN, STD_GAUSSIAN, STD_GAUSSIAN, STD_GAUSSIAN, grid, qg)
     q = ws.quantiles(STD_GAUSSIAN, qg.nodes)
-    for edge in (b.edge_s0, b.edge_s1, b.edge_t0, b.edge_t1):
+    for edge in (b.values[0], b.values[-1], b.values[:, 0], b.values[:, -1]):
         assert np.max(np.abs(edge - q)) <= 1e-14
 
 
@@ -328,7 +328,7 @@ def test_boundary_symmetric_corner_arrangement():
     n01 = STD_GAUSSIAN
     n04 = ws.GaussianDensity(0.0, 2.0)
     b = ws.boundary_from_corners(n01, n04, n01, n04, grid, qg)
-    assert np.array_equal(b.edge_t0, b.edge_t1)
+    assert np.array_equal(b.values[:, 0], b.values[:, -1])
 
 
 def test_boundary_gaussian_corners_affine_quantiles():
@@ -341,11 +341,11 @@ def test_boundary_gaussian_corners_affine_quantiles():
     b = ws.boundary_from_corners(c00, c10, c01, c11, grid, qg)
     basis = np.column_stack([np.ones(qg.m), ws.standard_normal_quantile(qg.nodes)])
     for i, s in enumerate(grid.s_nodes):
-        coef, *_ = np.linalg.lstsq(basis, b.edge_t0[i], rcond=None)
+        coef, *_ = np.linalg.lstsq(basis, b.values[i, 0], rcond=None)
         assert coef[0] == pytest.approx(-1.0 + 2.0 * s, abs=1e-10)
         assert coef[1] == pytest.approx(1.0, abs=1e-10)
     for j, t in enumerate(grid.t_nodes):
-        coef, *_ = np.linalg.lstsq(basis, b.edge_s1[j], rcond=None)
+        coef, *_ = np.linalg.lstsq(basis, b.values[-1, j], rcond=None)
         assert coef[0] == pytest.approx(1.0, abs=1e-10)
         assert coef[1] == pytest.approx(1.0 + t, abs=1e-10)
 

@@ -1,5 +1,4 @@
 import json
-import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 import wassersurf as ws
 from wassersurf import grid
 from wassersurf.cli import main
-from wassersurf.errors import CornerMismatchError, ShapeMismatchError
+from wassersurf.errors import ShapeMismatchError
 from wassersurf.grid import CSV_HEADER, from_json_dict
 
 # Coons fill of catenoid edge traces, 9x9 over [0.8, 2.1]^2: regression
@@ -53,7 +52,7 @@ def test_surface_field_shape_check():
 def test_coons_reproduces_plane_exactly():
     g = ws.Grid2(9, 9)
     exact = plane_field(g, a=2.0, b=3.0)
-    fill = ws.coons_init(ws.BoundarySpec.of_field(exact))
+    fill = ws.coons_init(exact)
     assert np.max(np.abs(fill.values - exact.values)) <= 1e-14
 
 
@@ -61,7 +60,7 @@ def test_coons_constant_edges_give_constant_field():
     g = ws.Grid2(6, 8)
     c = np.array([1.5, -2.0, 0.25])
     vals = np.broadcast_to(c, (6, 8, 3)).copy()
-    fill = ws.coons_init(ws.BoundarySpec.of_field(ws.SurfaceField(g, vals)))
+    fill = ws.coons_init(ws.SurfaceField(g, vals))
     assert np.max(np.abs(fill.values - vals)) <= 1e-15
 
 
@@ -72,7 +71,7 @@ def test_coons_exact_on_bilinear_fields(rng):
     coef = rng.standard_normal((4, 3))
     vals = coef[0] + coef[1] * s + coef[2] * t + coef[3] * s * t
     exact = ws.SurfaceField(g, vals)
-    fill = ws.coons_init(ws.BoundarySpec.of_field(exact))
+    fill = ws.coons_init(exact)
     assert np.max(np.abs(fill.values - exact.values)) <= 1e-14
 
 
@@ -85,7 +84,7 @@ def test_coons_scherk_edges_are_reproduced_exactly():
     uu, vv = np.meshgrid(u, u, indexing="ij")
     z = ws.evaluate(ws.Scherk(1.0), uu, vv).z
     exact = ws.SurfaceField(g, z[:, :, None])
-    fill = ws.coons_init(ws.BoundarySpec.of_field(exact))
+    fill = ws.coons_init(exact)
     gap = np.max(np.abs(fill.values[1:-1, 1:-1] - exact.values[1:-1, 1:-1]))
     assert gap <= 1e-15
 
@@ -96,7 +95,7 @@ def test_coons_catenoid_gap_regression():
     uu, vv = np.meshgrid(u, u, indexing="ij")
     z = ws.evaluate(ws.Catenoid(0.0, 1.0, 1), uu, vv).z
     exact = ws.SurfaceField(g, z[:, :, None])
-    fill = ws.coons_init(ws.BoundarySpec.of_field(exact))
+    fill = ws.coons_init(exact)
     gap = np.max(np.abs(fill.values[1:-1, 1:-1] - exact.values[1:-1, 1:-1]))
     assert gap > 1e-3
     assert gap == pytest.approx(CATENOID_COONS_GAP_9, rel=1e-12)
@@ -107,53 +106,26 @@ def test_coons_init_edges_equal_boundary_bit_for_bit():
     u = 0.8 + 1.3 * g.s_nodes
     uu, vv = np.meshgrid(u, u, indexing="ij")
     z = ws.evaluate(ws.Catenoid(0.0, 1.0, 1), uu, vv).z
-    b = ws.BoundarySpec.of_field(ws.SurfaceField(g, z[:, :, None]))
+    b = ws.SurfaceField(g, z[:, :, None])
     fill = ws.coons_init(b).values
-    assert np.array_equal(fill[0], b.edge_s0)
-    assert np.array_equal(fill[-1], b.edge_s1)
-    assert np.array_equal(fill[:, 0], b.edge_t0)
-    assert np.array_equal(fill[:, -1], b.edge_t1)
+    assert np.array_equal(fill[0], b.values[0])
+    assert np.array_equal(fill[-1], b.values[-1])
+    assert np.array_equal(fill[:, 0], b.values[:, 0])
+    assert np.array_equal(fill[:, -1], b.values[:, -1])
 
 
-def test_corner_mismatch_rejected():
-    g = ws.Grid2(5, 5)
-    b = ws.BoundarySpec.of_field(plane_field(g))
-    bad = b.edge_t0.copy()
-    bad[0, 0] += 1e-9
-    with pytest.raises(CornerMismatchError):
-        ws.BoundarySpec(b.edge_s0, b.edge_s1, bad, b.edge_t1)
-
-
-# the edge and node that a 1-ulp gap moves off each corner, as (edge, index)
-CORNER_NODES = {"(0,0)": ("edge_t0", 0), "(0,1)": ("edge_t1", 0),
-                "(1,0)": ("edge_t0", -1), "(1,1)": ("edge_t1", -1)}
-
-
-@pytest.mark.parametrize("scale", [1e5, 1.0, 1e-14])
-@pytest.mark.parametrize("label", sorted(CORNER_NODES))
-def test_one_ulp_corner_gap_rejected_at_every_scale(label, scale):
-    g = ws.Grid2(5, 4)
-    b = ws.BoundarySpec.of_field(plane_field(g, a=0.5, b=0.25, m=2))
-    edges = {name: scale * (1.0 + getattr(b, name)) for name in
-             ("edge_s0", "edge_s1", "edge_t0", "edge_t1")}
-    name, idx = CORNER_NODES[label]
-    edges[name][idx, 1] = np.nextafter(edges[name][idx, 1], np.inf)
-    with pytest.raises(CornerMismatchError, match=re.escape(f"corner {label}")):
-        ws.BoundarySpec(**edges)
-
-
-def test_edge_shape_mismatch_lists_all_four_shapes():
-    b = ws.BoundarySpec.of_field(plane_field(ws.Grid2(5, 4), m=2))
-    cases = [((b.edge_s0, b.edge_s1, b.edge_t0, b.edge_t1[:4]), "(4, 2), (4, 2), (5, 2), (4, 2)"),
-             # the shapes agree, but there is no corner to compare
-             ((np.zeros((0, 2)),) * 4, "(0, 2), (0, 2), (0, 2), (0, 2)")]
-    for edges, shapes in cases:
-        with pytest.raises(ShapeMismatchError, match=re.escape(shapes)):
-            ws.BoundarySpec(*edges)
+def test_coons_init_reads_only_the_edges(rng):
+    g = ws.Grid2(7, 6)
+    a = rng.standard_normal((7, 6, 3))
+    b = a.copy()
+    b[1:-1, 1:-1] = rng.standard_normal((5, 4, 3))
+    fills = [ws.coons_init(ws.SurfaceField(g, v)).values for v in (a, b)]
+    assert fills[0].tobytes() == fills[1].tobytes()
+    assert not np.array_equal(fills[0][1:-1, 1:-1], a[1:-1, 1:-1])
 
 
 # oracles whose graphs are positive in every coordinate over the window after
-# the z offset, so both graph_boundary and to_cov_boundary take them
+# the z offset, so to_cov_boundary takes them
 POSITIVE_ORACLES = {
     "plane": (ws.Plane(2.0, 3.0, 1.0), ((0.2, 0.8), (0.2, 0.8)), 0.0),
     "scherk": (ws.Scherk(1.0), ((0.05, 0.45), (0.05, 0.45)), 2.0),
@@ -171,6 +143,14 @@ DENSITY_C00 = {
 }
 
 
+def _linear_edges(corners, grid):
+    # the edges s = 0, s = 1, t = 0, t = 1, each interpolating its two corners
+    c00, c10, c01, c11 = corners
+    s, t = grid.s_nodes[:, None], grid.t_nodes[:, None]
+    return ((1.0 - t) * c00 + t * c01, (1.0 - t) * c10 + t * c11,
+            (1.0 - s) * c00 + s * c10, (1.0 - s) * c01 + s * c11)
+
+
 def _extreme_corner_vectors(grid):
     # each corner holds +-0.0, +-1e-300 and +-1e300 among random entries; the
     # first entries pair -0.0 at c00 with a negative c10 and a positive c01,
@@ -179,21 +159,29 @@ def _extreme_corner_vectors(grid):
     special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
     corners = [np.concatenate([[first], rng.permutation(special), rng.standard_normal(4)])
                for first in (-0.0, -1.0, 1.0, 0.5)]
-    return ws.edges_from_corner_vectors(*corners, grid)
+    return ws.edges_from_corner_vectors(*corners, grid), corners, _linear_edges(corners, grid)
 
 
 def _density_corners(c00, grid):
     dens = [ws.parse_density(doc) for doc in (c00, *GAUSSIAN_CORNERS)]
-    return ws.boundary_from_corners(*dens, grid, ws.QuantileGrid(16))
+    qg = ws.QuantileGrid(16)
+    corners = [ws.quantiles(d, qg.nodes) for d in dens]
+    return ws.boundary_from_corners(*dens, grid, qg), corners, _linear_edges(corners, grid)
+
+
+def _cov_graph(case, grid):
+    surf, window, z_offset = case
+    v = ws.graph_field(surf, grid, window, z_offset).values
+    corners = (v[0, 0], v[-1, 0], v[0, -1], v[-1, -1])
+    edges = (v[0], v[-1], v[:, 0], v[:, -1])
+    return ws.to_cov_boundary(surf, grid, window, z_offset)[0], corners, edges
 
 
 PRODUCERS = {
     "edges_from_corner_vectors": _extreme_corner_vectors,
     **{f"boundary_from_corners-{name}": (lambda grid, doc=doc: _density_corners(doc, grid))
        for name, doc in DENSITY_C00.items()},
-    **{f"graph_boundary-{name}": (lambda grid, case=case: ws.graph_boundary(case[0], grid, *case[1:])[0])
-       for name, case in POSITIVE_ORACLES.items()},
-    **{f"to_cov_boundary-{name}": (lambda grid, case=case: ws.to_cov_boundary(case[0], grid, *case[1:])[0])
+    **{f"to_cov_boundary-{name}": (lambda grid, case=case: _cov_graph(case, grid))
        for name, case in POSITIVE_ORACLES.items()},
 }
 
@@ -201,23 +189,31 @@ PRODUCERS = {
 @pytest.mark.parametrize("shape", [(7, 5), (4, 9)])
 @pytest.mark.parametrize("producer", sorted(PRODUCERS))
 def test_producers_give_edges_that_meet_exactly(producer, shape):
-    # each producer builds its BoundarySpec, which rejects any corner gap
+    # each producer's field holds its corner vectors at its corner nodes and its
+    # edges bit for bit; the t-edges are written last, so where the s- and
+    # t-edge differ at a corner in the sign of a zero, the node holds the t-edge's
     grid = ws.Grid2(*shape)
-    b = PRODUCERS[producer](grid)
-    assert b.edge_s0.shape[0] == grid.nt and b.edge_t0.shape[0] == grid.ns
-    assert ws.coons_init(b).values.shape == (*shape, b.edge_s0.shape[1])
+    f, corners, (s0, s1, t0, t1) = PRODUCERS[producer](grid)
+    v = f.values
+    for node, c in zip((v[0, 0], v[-1, 0], v[0, -1], v[-1, -1]), corners):
+        assert np.array_equal(node, c)
+    for got, want in ((v[0, 1:-1], s0[1:-1]), (v[-1, 1:-1], s1[1:-1]),
+                      (v[:, 0], t0), (v[:, -1], t1)):
+        assert got.tobytes() == want.tobytes()
+    if not producer.startswith("to_cov_boundary"):
+        assert not v[1:-1, 1:-1].any()
+    assert ws.coons_init(f).values.shape == (*shape, len(corners[0]))
     if producer == "edges_from_corner_vectors":
-        assert np.signbit(b.edge_s0[0, 0]) != np.signbit(b.edge_t0[0, 0])
-        assert np.all(np.isin([1e-300, 1e300, -1e300], b.edge_s0[0]))
+        assert np.signbit(s0[0, 0]) != np.signbit(t0[0, 0])
+        assert np.all(np.isin([1e-300, 1e300, -1e300], v[0, 0]))
 
 
 def test_operations_are_pure_and_deterministic(rng):
     g = ws.Grid2(8, 6)
     vals = rng.standard_normal((8, 6, 2))
     f = ws.SurfaceField(g, vals)
-    b = ws.BoundarySpec.of_field(f)
-    a1 = ws.coons_init(b)
-    a2 = ws.coons_init(b)
+    a1 = ws.coons_init(f)
+    a2 = ws.coons_init(f)
     assert np.array_equal(a1.values, a2.values)
 
 
@@ -394,8 +390,7 @@ def test_big_field_io_runs_in_bounded_memory(tmp_path, rng):
 def test_coons_init_runs_in_bounded_memory(rng):
     # the blend is filled a row at a time: the result, its finiteness check
     # (1/8) and a few rows, where a whole-field expression held 3x the field
-    edges = ws.BoundarySpec.of_field(ws.SurfaceField(ws.Grid2(65, 65),
-                                                     rng.standard_normal((65, 65, 128))))
+    edges = ws.SurfaceField(ws.Grid2(65, 65), rng.standard_normal((65, 65, 128)))
     assert traced_peak(ws.coons_init, edges) <= 1.5 * 65 * 65 * 128 * 8
 
 
@@ -548,8 +543,8 @@ def test_edges_from_corner_vectors_linear_and_consistent():
     c01 = np.array([0.5, 4.0])
     c11 = np.array([2.0, 5.0])
     b = ws.edges_from_corner_vectors(c00, c10, c01, c11, g)
-    assert np.array_equal(b.edge_s0[0], c00)
-    assert np.array_equal(b.edge_s0[-1], c01)
-    assert np.array_equal(b.edge_t1[-1], c11)
+    assert np.array_equal(b.values[0][0], c00)
+    assert np.array_equal(b.values[0][-1], c01)
+    assert np.array_equal(b.values[:, -1][-1], c11)
     mid = 0.5 * (c00 + c10)
-    assert np.max(np.abs(b.edge_t0[2] - mid)) <= 1e-15
+    assert np.max(np.abs(b.values[:, 0][2] - mid)) <= 1e-15

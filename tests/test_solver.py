@@ -13,7 +13,7 @@ from wassersurf.errors import SolverNaNError
 
 def plane_problem(n=17, a=1.0, b=1.0):
     grid = ws.Grid2(n, n)
-    boundary, full = ws.graph_boundary(ws.Plane(a, b, 0.0), grid, ((0.0, 1.0), (0.0, 1.0)))
+    boundary = full = ws.graph_field(ws.Plane(a, b, 0.0), grid, ((0.0, 1.0), (0.0, 1.0)))
     return boundary, ws.coons_init(boundary), full
 
 
@@ -48,10 +48,10 @@ def test_boundary_immutable_bit_exact():
     boundary, init, acfg, _ = quantile_problem()
     rep = ws.minimize(init, ws.SolverConfig(grad_tol=1e-9, max_iters=500), acfg)
     out = rep.field.values
-    assert np.array_equal(out[0], boundary.edge_s0)
-    assert np.array_equal(out[-1], boundary.edge_s1)
-    assert np.array_equal(out[:, 0], boundary.edge_t0)
-    assert np.array_equal(out[:, -1], boundary.edge_t1)
+    assert np.array_equal(out[0], boundary.values[0])
+    assert np.array_equal(out[-1], boundary.values[-1])
+    assert np.array_equal(out[:, 0], boundary.values[:, 0])
+    assert np.array_equal(out[:, -1], boundary.values[:, -1])
 
 
 def test_area_trace_nonincreasing_exactly():
@@ -249,7 +249,7 @@ def test_solver_output_residual_near_sampled_analytic():
     window = ((0.1, 0.4), (0.1, 0.4))
     acfg = ws.AreaConfig(epsilon=0.0)
     grid = ws.Grid2(33, 33)
-    boundary, full = ws.graph_boundary(scherk, grid, window)
+    boundary = full = ws.graph_field(scherk, grid, window)
     rep = ws.minimize(ws.coons_init(boundary), ws.SolverConfig(max_iters=5000), acfg, free_coords=(2,))
     solved = ws.euler_lagrange_residual(rep.field, acfg).max_norm
     sampled = ws.euler_lagrange_residual(full, acfg).max_norm
@@ -269,7 +269,7 @@ def test_el_residual_excludes_fully_degenerate_nodes():
 
 def test_stationarity_consistency_when_converged():
     grid = ws.Grid2(17, 17)
-    boundary, _ = ws.graph_boundary(ws.Scherk(1.0), grid, ((0.1, 0.4), (0.1, 0.4)))
+    boundary = ws.graph_field(ws.Scherk(1.0), grid, ((0.1, 0.4), (0.1, 0.4)))
     acfg = ws.AreaConfig(epsilon=0.0)
     tol = 1e-9
     rep = ws.minimize(
@@ -345,7 +345,7 @@ def test_perturb_interior_rejects_a_seed_that_is_no_non_negative_integer(seed):
 def test_perturbed_init_converges_to_same_surface():
     scherk = ws.Scherk(1.0)
     grid = ws.Grid2(17, 17)
-    boundary, full = ws.graph_boundary(scherk, grid, ((0.1, 0.4), (0.1, 0.4)))
+    boundary = full = ws.graph_field(scherk, grid, ((0.1, 0.4), (0.1, 0.4)))
     acfg = ws.AreaConfig(epsilon=0.0)
     cfg = ws.SolverConfig(grad_tol=1e-9, max_iters=5000)
     base = ws.minimize(ws.coons_init(boundary), cfg, acfg, free_coords=(2,))
@@ -369,7 +369,7 @@ GRAPH_ORACLES = {
 
 def graph_solve(surf, window, n, grad_tol=None, perturb=0.0):
     grid = ws.Grid2(n, n)
-    boundary, full = ws.graph_boundary(surf, grid, window)
+    boundary = full = ws.graph_field(surf, grid, window)
     init = ws.perturb_interior(ws.coons_init(boundary), perturb, seed=1, free_coords=(2,))
     rep = ws.minimize(
         init, ws.SolverConfig(grad_tol=grad_tol), ws.AreaConfig(epsilon=0.0),
@@ -404,7 +404,7 @@ def test_newton_operator_is_the_exact_hessian(problem):
     grid = ws.Grid2(17, 17)
     if problem == "graph":
         surf, window = CATENOID
-        boundary, _ = ws.graph_boundary(surf, grid, window)
+        boundary = ws.graph_field(surf, grid, window)
         acfg = ws.AreaConfig(epsilon=0.0)
     else:
         surf, window, z_offset = COV_ORACLES["scherk"]
@@ -572,7 +572,7 @@ def _assert_terms_equal(got, want):
 def _graph_problem():
     grid = ws.Grid2(17, 17)
     surf, window = CATENOID
-    boundary, _ = ws.graph_boundary(surf, grid, window)
+    boundary = ws.graph_field(surf, grid, window)
     init = ws.perturb_interior(ws.coons_init(boundary), 1e-2, seed=1, free_coords=(2,))
     return boundary, init, ws.AreaConfig(epsilon=0.0), (2,)
 
@@ -635,10 +635,10 @@ def covariance_span_problem(diags=COV_DIAGS):
 
 
 def assert_edges_exact(values, boundary):
-    assert np.array_equal(values[0], boundary.edge_s0)
-    assert np.array_equal(values[-1], boundary.edge_s1)
-    assert np.array_equal(values[:, 0], boundary.edge_t0)
-    assert np.array_equal(values[:, -1], boundary.edge_t1)
+    assert np.array_equal(values[0], boundary.values[0])
+    assert np.array_equal(values[-1], boundary.values[-1])
+    assert np.array_equal(values[:, 0], boundary.values[:, 0])
+    assert np.array_equal(values[:, -1], boundary.values[:, -1])
 
 
 def test_span_reduction_meets_full_space_tolerance():
@@ -698,7 +698,7 @@ def test_stall_message_without_a_line_search():
 
 def test_stall_message_names_a_spent_budget():
     grid = ws.Grid2(17, 17)
-    boundary, _ = ws.graph_boundary(CATENOID[0], grid, CATENOID[1])
+    boundary = ws.graph_field(CATENOID[0], grid, CATENOID[1])
     cfg = ws.SolverConfig(max_iters=2, grad_tol=1e-9)
     rep = ws.minimize(ws.coons_init(boundary), cfg, ws.AreaConfig(epsilon=0.0),
                       free_coords=(2,))
