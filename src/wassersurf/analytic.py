@@ -187,10 +187,14 @@ def graph_field(surf: AnalyticSurface, grid: Grid2, window, z_offset: float = 0.
 
     ``u`` and ``v`` are the affine maps of [0,1] onto the window intervals,
     so the first two coordinates have exactly constant cell tangents.
+    FloatingPointError if a height leaves the float range.
     """
     u, v = _window_nodes(grid, window)
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    z = evaluate(surf, uu, vv).z + z_offset
+    with np.errstate(all="ignore"):  # a height beyond the float range is named below
+        z = evaluate(surf, uu, vv).z + z_offset
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError(f"{type(surf).__name__} heights must be finite on the window")
     vals = np.stack([uu, vv, z], axis=2)
     return SurfaceField(grid, vals)
 

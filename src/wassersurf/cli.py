@@ -1,7 +1,7 @@
 """Command-line front end: solve, verify, and export-plot workflows.
 
-All problem assembly is driven by a single JSON config document; the only
-flag that overrides it is ``--out`` (artifact directory).
+``solve`` and ``verify`` each read one JSON config document of their own keys;
+the only flag that overrides it is ``--out`` (artifact directory).
 
 Exit codes: 0 success/converged, 1 verification tolerance failure,
 2 config or input error (an unusable input or output path, a JSON file
@@ -61,8 +61,8 @@ EXIT_STALL = 3
 EXIT_DEGENERATE = 4
 EXIT_NUMERIC = 5
 
-#: the sections each problem may take its surface from ("oracle" also stands for
-#: its list form "oracles"); a problem with two takes one of them, not both
+#: the sections each problem may take its surface from, an oracle as ``solve``'s ``oracle``
+#: or ``verify``'s list ``oracles``; a problem with two takes one of them, not both
 SOURCES = {"graph": ("oracle",), "density1d": ("corners",),
            "gaussian-diag": ("corners", "oracle"), "analytic-verify": ("oracle",)}
 PROBLEMS = tuple(SOURCES)
@@ -106,11 +106,11 @@ def _parse_window(doc, name: str) -> tuple:
     return window
 
 
-#: keys accepted at the top level ("") and in each fixed-schema section; any
-#: other key is a config error, so a misspelt setting never falls back silently
+#: the keys each command reads at the top level, and those of each section (``grid.m`` for
+#: density1d only); any other key is a config error, so no setting is silently ignored
 CONFIG_KEYS = {
-    "": ("problem", "grid", "corners", "oracle", "oracles", "solver", "area", "perturb",
-         "tolerances", "surface", "out"),
+    "solve": ("problem", "grid", "corners", "oracle", "solver", "area", "perturb", "out"),
+    "verify": ("problem", "oracles", "surface", "tolerances", "area", "out"),
     "grid": ("ns", "nt", "m"),
     "corners": ("c00", "c10", "c01", "c11"),
     "solver": ("method", "max_iters", "grad_tol"),
@@ -123,9 +123,9 @@ ORACLES = {"plane": analytic.Plane, "scherk": analytic.Scherk,
            "catenoid": analytic.Catenoid, "helicoid": analytic.Helicoid}
 
 
-def _section(doc: dict, key: str) -> dict:
-    """The object under ``key`` (empty if absent), key-checked."""
-    return check_keys(json_typed(doc.get(key, {}), dict, key), CONFIG_KEYS[key], key + ".")
+def _section(doc: dict, key: str, known=None) -> dict:
+    """The object under ``key`` (empty if absent), holding no key outside ``known`` (its own)."""
+    return check_keys(json_typed(doc.get(key, {}), dict, key), known or CONFIG_KEYS[key], key + ".")
 
 
 def _settings(doc: dict, section: str, parsers: dict) -> dict:
@@ -162,17 +162,18 @@ def parse_oracle(doc: dict, name: str = "oracle"):
 @dataclass
 class RunConfig:
     problem: str
-    grid: Grid2
-    m: int
-    corners: tuple | None  # c00, c10, c01, c11 as their problem's reader returns them
-    oracles: list  # (surface, window, z_offset) each; "oracle" reads as a list of one
-    solver: SolverConfig
     area: AreaConfig
-    perturb_amplitude: float
-    perturb_seed: int
     out: Path
-    tolerances: dict
-    surface_path: str | None
+    grid: Grid2 | None = None  # solve's settings, up to perturb_seed; None in verify
+    m: int | None = None
+    corners: tuple | None = None  # c00, c10, c01, c11 as their problem's reader returns them
+    oracle: tuple | None = None  # (surface, window, z_offset)
+    solver: SolverConfig | None = None
+    perturb_amplitude: float | None = None
+    perturb_seed: int | None = None
+    oracles: list | None = None  # verify's, None in solve; (surface, window, z_offset) each
+    tolerances: dict | None = None
+    surface_path: str | None = None
 
     def area_for(self, m: int) -> AreaConfig:
         """``area`` for a surface of ``m`` coordinates; density1d weighs each quantile 1/m."""
@@ -180,39 +181,51 @@ class RunConfig:
         return replace(self.area, weights=weights)
 
 
-def load_config(path, out_override=None) -> RunConfig:
+def load_config(path, command: str, out_override=None) -> RunConfig:
+    """The config at ``path`` as ``command`` reads it; a key it does not read is an error."""
     try:
         # bytes, so json decodes them as UTF-8 in any locale
         doc = json.loads(Path(path).read_bytes())
     # ValueError: not JSON, or not Unicode; RecursionError: nested too deep for json
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _parse_config(json_typed(doc, dict, f"config {path}"), out_override)
-
-
-def _parse_config(doc: dict, out_override) -> RunConfig:
-    check_keys(doc, CONFIG_KEYS[""])
+    doc = check_keys(json_typed(doc, dict, f"config {path}"), CONFIG_KEYS[command])
     problem = doc.get("problem")
-    if problem not in PROBLEMS:
-        raise ConfigError(f"problem must be one of {PROBLEMS}, got {problem!r}")
+    problems = PROBLEMS if command == "verify" else PROBLEMS[:-1]  # analytic-verify: no solve
+    if problem not in problems:
+        raise ConfigError(f"problem must be one of {problems}, got {problem!r}")
+    settings = (_solve_settings if command == "solve" else _verify_settings)(doc, problem)
+    area_settings = _settings(_section(doc, "area"), "area", {"epsilon": real_number})
+    try:
+        area = AreaConfig(**area_settings)
+    except ValueError as exc:
+        raise ConfigError(f"area.{exc}") from exc
+    out = doc.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    return RunConfig(problem, area, Path(out_override if out_override is not None else out),
+                     **settings)
 
-    gdoc = _section(doc, "grid")
+
+def _solve_settings(doc: dict, problem: str) -> dict:
+    """The settings only ``solve`` reads, each parsed and checked."""
+    # only a density1d has quantile levels to count
+    gdoc = _section(doc, "grid", None if problem == "density1d" else ("ns", "nt"))
     ns, nt, m = (whole_number(gdoc.get(key, default), f"grid.{key}")
                  for key, default in (("ns", 17), ("nt", 17), ("m", 64)))
-    if problem != "analytic-verify" and min(ns, nt) < 3:
+    if min(ns, nt) < 3:
         raise ConfigError("grids must have ns, nt >= 3 for solving")
     if m < 1:
         raise ConfigError(f"grid.m must be at least 1, got {m}")
 
-    # each source the config gives, by the key it is given under ("oracle" over "oracles")
-    given = {("oracle" if key == "oracles" else key): key
-             for key in ("corners", "oracles", "oracle") if key in doc}
-    for source, key in given.items():
-        if source not in SOURCES[problem]:
+    given = [key for key in ("corners", "oracle") if key in doc]
+    for key in given:
+        if key not in SOURCES[problem]:
             raise ConfigError(f"{problem} takes no '{key}'")
-    if len(given) > 1:
-        raise ConfigError(f"{problem} takes {' or '.join(map(repr, given.values()))}, not both")
-
+    sources = " or ".join(map(repr, SOURCES[problem]))
+    if len(given) != 1:
+        raise ConfigError(f"{problem} takes {sources}, not both" if given else
+                          f"{problem} needs {sources}")
     corners = None
     if "corners" in doc:
         cdoc = _section(doc, "corners")
@@ -220,14 +233,7 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
                 for key in CONFIG_KEYS["corners"]}
         corners = (diag_corner_roots(docs) if problem == "gaussian-diag" else
                    tuple(parse_density(corner, f"corners.{key}.") for key, corner in docs.items()))
-
-    oracles = [parse_oracle(doc["oracle"])] if "oracle" in doc else []
-    if "oracles" in doc:
-        oracles += [parse_oracle(o, f"oracles[{n}]")
-                    for n, o in enumerate(json_typed(doc["oracles"], list, "oracles"))]
-        # checked once both are read, so an error inside either is named first
-        if "oracle" in doc:
-            raise ConfigError(f"{problem} takes 'oracle' or 'oracles', not both")
+    oracle = parse_oracle(doc["oracle"]) if "oracle" in doc else None
 
     sdoc = _section(doc, "solver")
     method = sdoc.get("method", "nonlinear-cg")
@@ -242,39 +248,39 @@ def _parse_config(doc: dict, out_override) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
-    area_settings = _settings(_section(doc, "area"), "area", {"epsilon": real_number})
-    try:
-        area = AreaConfig(**area_settings)
-    except ValueError as exc:
-        raise ConfigError(f"area.{exc}") from exc
     pdoc = _section(doc, "perturb")
     amplitude = _finite_real(pdoc.get("amplitude", 0.0), "perturb.amplitude")
     seed = whole_number(pdoc.get("seed", 0), "perturb.seed")
     if seed < 0:
         raise ConfigError(f"perturb.seed must be non-negative, got {seed}")
+    return dict(grid=Grid2(ns, nt), m=m, corners=corners, oracle=oracle, solver=solver,
+                perturb_amplitude=amplitude, perturb_seed=seed)
+
+
+def _verify_settings(doc: dict, problem: str) -> dict:
+    """The settings only ``verify`` reads, each parsed and checked."""
+    if "oracles" in doc and "oracle" not in SOURCES[problem]:
+        raise ConfigError(f"{problem} takes no 'oracles'")
+    oracles = [parse_oracle(o, f"oracles[{n}]")
+               for n, o in enumerate(json_typed(doc.get("oracles", []), list, "oracles"))]
     tolerances = {}
     for key, value in _section(doc, "tolerances").items():
         tol = tolerances[key] = real_number(value, f"tolerances.{key}")
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ConfigError(f"tolerances.{key} must be nonnegative and finite, got {tol!r}")
-    surface, out = doc.get("surface"), doc.get("out", ".")
-    for key, value in (("surface", surface), ("out", out)):
-        if not (isinstance(value, str) or key == "surface" and value is None):
-            raise ConfigError(f"{key} must be a path string, got {value!r}")
-    return RunConfig(
-        problem=problem,
-        grid=Grid2(ns, nt),
-        m=m,
-        corners=corners,
-        oracles=oracles,
-        solver=solver,
-        area=area,
-        perturb_amplitude=amplitude,
-        perturb_seed=seed,
-        out=Path(out_override if out_override is not None else out),
-        tolerances=tolerances,
-        surface_path=surface,
-    )
+    surface = doc.get("surface")
+    if not (surface is None or isinstance(surface, str)):
+        raise ConfigError(f"surface must be a path string, got {surface!r}")
+    if not (oracles or surface is not None):
+        raise ConfigError("verify needs an oracle list or a surface file")
+    # a tolerance is taken only where its check runs
+    for key, runs, need in (("minimal_surface", oracles, "an oracle list"),
+                            ("euler_lagrange", surface is not None, "a surface file"),
+                            ("critical_point", surface is not None and problem == "gaussian-diag",
+                             "a surface file of problem 'gaussian-diag'")):
+        if key in tolerances and not runs:
+            raise ConfigError(f"tolerances.{key} is checked only with {need}")
+    return dict(oracles=oracles, tolerances=tolerances, surface_path=surface)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +294,16 @@ def _assemble(cfg: RunConfig):
     The edges are a field for ``coons_init``: the oracle's sampled graph, which is
     also the oracle field, or the geodesic edges between the corners.
     """
-    if cfg.problem == "analytic-verify":
-        raise ConfigError(f"problem {cfg.problem!r} cannot be solved directly")
-    if len(cfg.oracles) > 1:
-        raise ConfigError(f"solve takes one oracle, got {len(cfg.oracles)}")
-    if cfg.oracles:
-        surf, window, z_offset = cfg.oracles[0]
-        if cfg.problem == "graph":
-            full = analytic.graph_field(surf, cfg.grid, window, z_offset)
-        else:  # the same field as sqrt-covariance coordinates, checked positive
-            full, _ = analytic.to_cov_boundary(surf, cfg.grid, window, z_offset)
+    if cfg.oracle is not None:
+        surf, window, z_offset = cfg.oracle
+        try:
+            if cfg.problem == "graph":
+                full = analytic.graph_field(surf, cfg.grid, window, z_offset)
+            else:  # the same field as sqrt-covariance coordinates, checked positive
+                full, _ = analytic.to_cov_boundary(surf, cfg.grid, window, z_offset)
+        except FloatingPointError as exc:  # heights beyond the float range
+            raise ConfigError(f"oracle: {exc}") from exc
         return full, (2,), full
-    if cfg.corners is None:
-        raise ConfigError(f"{cfg.problem} needs {' or '.join(map(repr, SOURCES[cfg.problem]))}")
     if cfg.problem == "density1d":
         return boundary_from_corners(*cfg.corners, cfg.grid, QuantileGrid(cfg.m)), None, None
     return edges_from_corner_vectors(*cfg.corners, cfg.grid), None, None
@@ -368,28 +371,18 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    surface = cfg.surface_path is not None
-    if not cfg.oracles and not surface:
-        raise ConfigError("verify needs an oracle list or a surface file")
-    # a tolerance is taken only where its check runs
-    for key, runs, need in (("minimal_surface", bool(cfg.oracles), "an oracle list"),
-                            ("euler_lagrange", surface, "a surface file"),
-                            ("critical_point", surface and cfg.problem == "gaussian-diag",
-                             "a surface file of problem 'gaussian-diag'")):
-        if key in cfg.tolerances and not runs:
-            raise ConfigError(f"tolerances.{key} is checked only with {need}")
-    _make_dir(cfg.out)
     results = {}
     passed = True
 
     if cfg.oracles:
         tol = cfg.tolerances.get("minimal_surface", 1e-10)
         entries = []
-        for surf, window, _ in cfg.oracles:
+        for n, (surf, window, _) in enumerate(cfg.oracles):
             uu, vv = np.meshgrid(*(np.linspace(lo, hi, ORACLE_SAMPLES) for lo, hi in window),
                                  indexing="ij")
-            res = analytic.minimal_surface_residual(surf, uu, vv)
-            max_abs = float(np.max(np.abs(res)))
+            with np.errstate(all="ignore"):  # a residual beyond the float range is named below
+                max_abs = float(np.max(np.abs(analytic.minimal_surface_residual(surf, uu, vv))))
+            _finite_real(max_abs, f"oracles[{n}]: minimal-surface residual")
             ok = max_abs <= tol
             passed &= ok
             entries.append(
@@ -403,7 +396,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
         results["minimal_surface"] = entries
 
-    if surface:
+    _make_dir(cfg.out)  # after the oracles, so one beyond the float range leaves no directory
+    if cfg.surface_path is not None:
         field = _load_surface(cfg.surface_path)
         rep = euler_lagrange_residual(field, cfg.area_for(field.dim))
         results["euler_lagrange"] = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
@@ -412,7 +406,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             results["critical_point"] = {"max_norm": mw.max_norm, "border": mw.border}
         # a residual is judged only against a tolerance the config sets
         for key in ("euler_lagrange", "critical_point"):
-            if key in cfg.tolerances:  # then its check ran (checked above)
+            if key in cfg.tolerances:  # then its check ran (checked when loaded)
                 entry = results[key]
                 entry["tol"] = cfg.tolerances[key]
                 entry["pass"] = entry["max_norm"] <= entry["tol"]
@@ -505,13 +499,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve the problem described by a JSON config")
-    p_solve.add_argument("config")
-    p_solve.add_argument("--out", default=None, help="override the config output directory")
-
-    p_verify = sub.add_parser("verify", help="check residual tolerances for oracles or surfaces")
-    p_verify.add_argument("config")
-    p_verify.add_argument("--out", default=None, help="override the config output directory")
+    for command, text in (("solve", "solve the problem described by a JSON config"),
+                          ("verify", "check residual tolerances for oracles or surfaces")):
+        p_config = sub.add_parser(command, help=text)
+        p_config.add_argument("config")
+        p_config.add_argument("--out", default=None, help="override the config output directory")
 
     p_export = sub.add_parser("export-plot", help="write per-coordinate grid matrices")
     p_export.add_argument("surface", help="surface.csv or surface.json file")
@@ -529,7 +521,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "export-plot":
             return cmd_export_plot(args.surface, args.out, args.density_nodes)
-        cfg = load_config(args.config, out_override=args.out)
+        cfg = load_config(args.config, args.command, args.out)
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_verify(cfg)

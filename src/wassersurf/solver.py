@@ -481,9 +481,12 @@ def minimize(
         return float(np.max(np.abs(v), initial=0.0))
 
     # the terms of the current field: taken once here, then handed over from
-    # the accepted trial
-    terms = cell_terms(fld, loop_acfg)
+    # the accepted trial; a start whose area leaves the float range stops here
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = cell_terms(fld, loop_acfg)
     f_cur = summed_area(terms.cells, grid)
+    if not math.isfinite(f_cur):
+        raise SolverNaNError(0, "the initial area is not finite")
     trace = [f_cur]
     kernel = _laplace_beltrami_kernel if all_free else (lambda t: _newton_kernel(t, moving))
 

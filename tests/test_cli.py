@@ -222,14 +222,14 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
         "area.compensated": ("graph", "area", "compensated", True),
         "grid.nss": ("graph", "grid", "nss", 9),
         "perturb.sead": ("graph", "perturb", "sead", 3),
-        "tolerances.euler_lagrang": ("graph", "tolerances", "euler_lagrang", 1.0),
+        "tolerances.euler_lagrang": ("analytic-verify", "tolerances", "euler_lagrang", 1.0),
         "outdir": ("graph", None, "outdir", "x"),
         "formats": ("graph", None, "formats", ["csv"]),
         # each oracle type takes its own parameters besides oracle, window, z_offset
         "oracle.ofset": ("graph", "oracle", "ofset", 0.5),
         "oracle.a4": ("graph", None, "oracle",
                       {"oracle": "plane", "a1": 1, "a2": 1, "a3": 0, "a4": 7, "window": [0, 1]}),
-        "oracles[1].sgn": ("graph", None, "oracles", [scherk, {
+        "oracles[1].sgn": ("analytic-verify", None, "oracles", [scherk, {
             "oracle": "catenoid", "c1": 0.0, "r1": 1.0, "sgn": -1, "window": [0.8, 2.1]}]),
         "oracle.c3": ("graph", None, "oracle",
                       {"oracle": "helicoid", "c1": 1, "c2": 2, "c3": 0, "window": [0.5, 1.0]}),
@@ -240,24 +240,45 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
                                              0.5),
         "corners.c01.y": ("density1d", "corners", "c01.y", [0.0, 1.0, 0.0]),
         "corners.c11.variance": ("gaussian-diag", "corners", "c11.variance", [1.0, 1.0, 1.0]),
+        # and each command takes only its own keys: here one that only the other reads
+        "tolerances": ("graph", None, "tolerances", {"euler_lagrange": 1e-30}),
+        "surface": ("graph", None, "surface", "nothing.json"),
+        "oracles": ("graph", None, "oracles", [scherk]),
+        "grid": ("analytic-verify", None, "grid", {"ns": 2, "nt": 2}),
+        "corners": ("analytic-verify", None, "corners", CORNER_CONFIGS["gaussian-diag"]["corners"]),
+        "oracle": ("analytic-verify", None, "oracle", scherk),
+        "solver": ("analytic-verify", None, "solver", {"method": "nonlinear-cg"}),
+        "perturb": ("analytic-verify", None, "perturb", {"amplitude": 1e-2, "seed": 1}),
     }
     for name, (problem, section, key, value) in edits.items():
         doc = _edited_config(tmp_path, problem, section, key, value)
         cfg = write_config(tmp_path, doc, name=f"unknown_{name}.json")
-        assert main(["solve", cfg]) == 2, name
+        assert main([_command(problem), cfg]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith(f"config error: unknown key '{name}'"), name
         assert err.count("\n") == 1, name
+        assert not (tmp_path / "run").exists(), name
+
+
+def readme_configs():
+    """README's JSON blocks, each with the command it documents.
+
+    Each source has one spelling: a block that gives ``oracles`` or a
+    ``surface`` is a verify config, any other a solve config.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    return [("verify" if {"oracles", "surface"} & json.loads(b).keys() else "solve", b)
+            for b in blocks]
 
 
 def test_readme_json_configs_load(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
-    assert len(blocks) >= 2
-    for n, block in enumerate(blocks):
+    configs = readme_configs()
+    assert {command for command, _ in configs} == {"solve", "verify"}
+    for n, (command, block) in enumerate(configs):
         path = tmp_path / f"readme_{n}.json"
         path.write_text(block)
-        load_config(path)
+        load_config(path, command)
 
 
 def test_readme_documents_every_config_key():
@@ -278,8 +299,8 @@ def test_readme_documents_every_config_key():
 
 @pytest.mark.parametrize("key", ["ns", "nt", "m"])
 def test_fractional_grid_size_exits_2(tmp_path, capsys, key):
-    doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
-    doc["grid"][key] = 17.9
+    # a density1d, the one problem whose grid takes m
+    doc = _edited_config(tmp_path, "density1d", "grid", key, 17.9)
     assert main(["solve", write_config(tmp_path, doc, name=f"frac_{key}.json")]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: grid.{key} must be a whole number, got 17.9\n"
@@ -329,6 +350,14 @@ CORNER_CONFIGS = {
 
 
 SOLVER_KEYS = "method, max_iters, grad_tol"
+SOLVE_KEYS = ", ".join(CONFIG_KEYS["solve"])
+VERIFY_KEYS = ", ".join(CONFIG_KEYS["verify"])
+# oracles whose heights leave the float range on their windows
+OVERFLOWING_ORACLES = {
+    "Plane": {"oracle": "plane", "a1": 1e308, "a2": 1e308, "a3": 0.0, "window": [0.0, 10.0]},
+    "Catenoid": {"oracle": "catenoid", "c1": 0.0, "r1": 1e-300, "window": [1e300, 1e301]},
+    "Helicoid": {"oracle": "helicoid", "c1": 1e308, "c2": 1e308, "window": [1.0, 2.0]},
+}
 
 
 @pytest.mark.parametrize("problem, section, key, value, message", [
@@ -376,7 +405,7 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
     # a required key that is missing is named the same way
     ("graph", None, "oracle",
      {"oracle": "plane", "a1": 1.0, "a2": 0.0, "window": [0.0, 1.0]}, "oracle.a3 is required"),
-    ("graph", None, "oracles",
+    ("analytic-verify", None, "oracles",
      [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
       {"oracle": "catenoid", "r1": 1.0, "window": [0.8, 2.1]}], "oracles[1].c1 is required"),
     ("density1d", "corners", "c00", {"type": "gaussian", "mean": 0.0},
@@ -398,12 +427,12 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
      "corners.c10.components[0] must be a JSON object"),
     ("density1d", "corners", "c01.x", 5, "corners.c01.x must be a JSON array"),
     ("gaussian-diag", "corners", "c00.diag", 5, "corners.c00.diag must be a JSON array"),
-    ("graph", None, "oracles", 5, "oracles must be a JSON array"),
-    ("graph", None, "oracles", {"a": 1}, "oracles must be a JSON array"),
-    ("graph", None, "oracles", [5], "oracles[0] must be a JSON object"),
+    ("analytic-verify", None, "oracles", 5, "oracles must be a JSON array"),
+    ("analytic-verify", None, "oracles", {"a": 1}, "oracles must be a JSON array"),
+    ("analytic-verify", None, "oracles", [5], "oracles[0] must be a JSON object"),
     ("graph", None, "oracle", 5, "oracle must be a JSON object"),
-    ("graph", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
-                                {"oracle": "catenoid", "c1": 0.0, "r1": 1.0}],
+    ("analytic-verify", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
+                                          {"oracle": "catenoid", "c1": 0.0, "r1": 1.0}],
      "oracles[1].window is required"),
     # a problem without corners rejects a corners section, read or not
     ("graph", None, "corners", {key: {"type": "gaussian_diag", "diag": 5}
@@ -412,13 +441,14 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
     # gaussian-diag takes its boundary from one of the two, never both
     ("gaussian-diag", None, "oracle", {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
      "gaussian-diag takes 'corners' or 'oracle', not both"),
+    # an oracle list is verify's spelling, which no solve reads
     ("gaussian-diag", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
-     "gaussian-diag takes 'corners' or 'oracles', not both"),
+     "unknown key 'oracles'; the top level takes " + SOLVE_KEYS),
     # density1d takes its boundary from corners only
     ("density1d", None, "oracle", {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]},
      "density1d takes no 'oracle'"),
     ("density1d", None, "oracles", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
-     "density1d takes no 'oracles'"),
+     "unknown key 'oracles'; the top level takes " + SOLVE_KEYS),
     # json reads an integer literal exactly, however far beyond the float range
     ("graph", "oracle", "c", 10 ** 400,
      "oracle.c must be finite, got an integer too large for a float"),
@@ -426,6 +456,12 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
      "area.epsilon must be finite, got an integer too large for a float"),
     # the oracle's own check of a value that reads as a number
     ("graph", "oracle", "c", 0.0, "oracle: Scherk parameter c must be nonzero (c=0 is a plane)"),
+    # m counts quantile levels, which only a density1d has
+    ("graph", "grid", "m", 64, "unknown key 'grid.m'; grid takes ns, nt"),
+    ("gaussian-diag", "grid", "m", 64, "unknown key 'grid.m'; grid takes ns, nt"),
+    # heights beyond the float range on the solve grid, with no numpy warning
+    *(("graph", None, "oracle", oracle, f"oracle: {name} heights must be finite on the window")
+      for name, oracle in OVERFLOWING_ORACLES.items()),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
@@ -439,19 +475,22 @@ SOLVER_KEYS = "method, max_iters, grad_tol"
         "int_oracles", "object_oracles", "int_oracles_entry", "int_oracle",
         "missing_oracles_window", "graph_corners", "gaussian_diag_corners_and_oracle",
         "gaussian_diag_corners_and_oracles", "density1d_oracle", "density1d_oracles",
-        "huge_int_oracle_c", "huge_int_area_epsilon", "zero_oracle_c"])
+        "huge_int_oracle_c", "huge_int_area_epsilon", "zero_oracle_c", "graph_grid_m",
+        "gaussian_diag_grid_m",
+        *(f"overflowing_{name.lower()}_heights" for name in OVERFLOWING_ORACLES)])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
-    _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message)
+    _assert_rejects(tmp_path, capsys, problem, section, key, value, message)
 
 
 @pytest.mark.parametrize("problem, sources, message", [
     ("graph", {}, "graph needs 'oracle'"),
     ("density1d", {}, "density1d needs 'corners'"),
     ("gaussian-diag", {}, "gaussian-diag needs 'corners' or 'oracle'"),
-    ("analytic-verify", {"oracles": [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}]},
-     "problem 'analytic-verify' cannot be solved directly"),
+    # verify's problem alone: it has oracles to check but no surface to solve for
+    ("analytic-verify", {},
+     "problem must be one of ('graph', 'density1d', 'gaussian-diag'), got 'analytic-verify'"),
 ], ids=["graph", "density1d", "gaussian_diag", "analytic_verify"])
 def test_solve_without_a_source_exits_2_naming_it(tmp_path, capsys, problem, sources, message):
     doc = {"problem": problem, "grid": {"ns": 5, "nt": 5}, **sources, "out": str(tmp_path / "run")}
@@ -461,6 +500,8 @@ def test_solve_without_a_source_exits_2_naming_it(tmp_path, capsys, problem, sou
 
 
 SCHERK_ORACLE = {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}
+# the base verify config of the cases above whose problem is analytic-verify
+VERIFY_CONFIG = {"problem": "analytic-verify", "oracles": [SCHERK_ORACLE]}
 CATENOID_ORACLE = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1]}
 
 
@@ -479,8 +520,11 @@ CATENOID_ORACLE = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2
      "oracles[1]: Catenoid sign must be +1 or -1"),
     ("analytic-verify", [SCHERK_ORACLE, {"oracle": "enneper", "window": [0.1, 0.4]}],
      "oracles[1]: unknown oracle 'enneper'"),
+    # heights beyond the float range make a residual that is no number; no numpy warning
+    ("analytic-verify", [SCHERK_ORACLE, OVERFLOWING_ORACLES["Plane"]],
+     "oracles[1]: minimal-surface residual must be finite, got nan"),
 ], ids=["density1d_oracles", "inf_window_entry", "negative_catenoid_r1", "zero_scherk_c",
-        "catenoid_sign_2", "unknown_oracle"])
+        "catenoid_sign_2", "unknown_oracle", "overflowing_plane"])
 def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem, oracles, message):
     doc = {"problem": problem, "oracles": oracles, "out": str(tmp_path / "verify")}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
@@ -491,26 +535,28 @@ def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("problem", ["graph", "gaussian-diag", "analytic-verify"])
 def test_oracle_and_oracles_together_exit_2_before_out_exists(tmp_path, capsys, problem, command):
-    # one would be solved and the other verified, so a config gives one of the two
-    doc = {"problem": problem, "grid": {"ns": 5, "nt": 5}, "oracle": SCHERK_ORACLE,
+    # solve reads one oracle and verify an oracle list, each the other's key unknown
+    doc = {"problem": problem, "oracle": SCHERK_ORACLE,
            "oracles": [{"oracle": "plane", "a1": 2, "a2": 3, "a3": 1, "window": [0, 1]}],
            "out": str(tmp_path / "run")}
     assert main([command, write_config(tmp_path, doc)]) == 2
-    message = f"{problem} takes 'oracle' or 'oracles', not both"
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    unknown, keys = ("oracles", SOLVE_KEYS) if command == "solve" else ("oracle", VERIFY_KEYS)
+    assert capsys.readouterr().err == (
+        f"config error: unknown key '{unknown}'; the top level takes {keys}\n")
     assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("problem", ["graph", "gaussian-diag"])
 def test_solve_of_several_oracles_exits_2_before_out_exists(tmp_path, capsys, problem):
-    # a solve has one surface to fill; verify checks every oracle of the list
-    doc = {"problem": problem, "grid": {"ns": 5, "nt": 5},
+    # a solve has one surface to fill, so it reads no oracle list; verify checks each entry
+    doc = {"problem": problem,
            "oracles": [SCHERK_ORACLE, {"oracle": "plane", "a1": 2, "a2": 3, "a3": 1,
                                        "window": [0, 1], "z_offset": 1.0}],
            "out": str(tmp_path / "run")}
     config = write_config(tmp_path, doc)
     assert main(["solve", config]) == 2
-    assert capsys.readouterr().err == "config error: solve takes one oracle, got 2\n"
+    assert capsys.readouterr().err == (
+        f"config error: unknown key 'oracles'; the top level takes {SOLVE_KEYS}\n")
     assert not (tmp_path / "run").exists()
     assert main(["verify", config]) == 0
     residuals = json.loads((tmp_path / "run" / "residuals.json").read_text())
@@ -562,7 +608,7 @@ def _edited_config(tmp_path, problem, section, key, value):
     if problem == "graph":
         doc = json.loads(Path(scherk_graph_config(tmp_path)).read_text())
     else:
-        doc = json.loads(json.dumps(CORNER_CONFIGS[problem]))
+        doc = json.loads(json.dumps(CORNER_CONFIGS.get(problem, VERIFY_CONFIG)))
         doc["out"] = str(tmp_path / "run")
     target = doc if section is None else doc.setdefault(section, {})
     *path, last = key.split(".")
@@ -572,10 +618,15 @@ def _edited_config(tmp_path, problem, section, key, value):
     return doc
 
 
-def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, message):
+def _command(problem):
+    """The command an edited config of ``problem`` runs: ``analytic-verify`` is verify's only."""
+    return "verify" if problem == "analytic-verify" else "solve"
+
+
+def _assert_rejects(tmp_path, capsys, problem, section, key, value, message):
     doc = _edited_config(tmp_path, problem, section, key, value)
     cfg = write_config(tmp_path, doc, name=f"{section}_{key}.json")
-    assert main(["solve", cfg]) == 2
+    assert main([_command(problem), cfg]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run").exists()
 
@@ -614,7 +665,7 @@ def _assert_solve_rejects(tmp_path, capsys, problem, section, key, value, messag
 def test_invalid_corner_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, key, value, message
 ):
-    _assert_solve_rejects(tmp_path, capsys, problem, "corners", key, value, message)
+    _assert_rejects(tmp_path, capsys, problem, "corners", key, value, message)
 
 
 @pytest.mark.parametrize("problem", sorted(CORNER_CONFIGS))
@@ -807,15 +858,13 @@ def test_bad_tolerances_exit_2_before_the_surface_is_read(
     assert not (tmp_path / "verify").exists()
 
 
-
-SCHERK_ORACLE = {"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}
 # a verify config per tolerance whose check would not run, and what that check needs
 UNCHECKED_TOLERANCES = {
     "critical_point-density1d": (
         {"problem": "density1d", "surface": "plane.json"}, "critical_point",
         "a surface file of problem 'gaussian-diag'"),
     "critical_point-no-surface": (
-        {"problem": "gaussian-diag", "oracle": SCHERK_ORACLE}, "critical_point",
+        {"problem": "gaussian-diag", "oracles": [SCHERK_ORACLE]}, "critical_point",
         "a surface file of problem 'gaussian-diag'"),
     "minimal_surface-no-oracles": (
         {"problem": "graph", "surface": "plane.json"}, "minimal_surface", "an oracle list"),
@@ -855,8 +904,7 @@ def plane_verify_config(tmp_path, samples):
 def test_bad_samples_exit_2(tmp_path, capsys, samples):
     assert main(["verify", plane_verify_config(tmp_path, samples)]) == 2
     assert capsys.readouterr().err == (
-        "config error: unknown key 'samples'; the top level takes "
-        + ", ".join(CONFIG_KEYS[""]) + "\n"
+        f"config error: unknown key 'samples'; the top level takes {VERIFY_KEYS}\n"
     )
     assert not (tmp_path / "verify").exists()
 
@@ -874,9 +922,7 @@ def test_non_string_surface_path_exits_2_naming_the_key(tmp_path, capsys, surfac
 
 def test_readme_solve_configs_exit_0(tmp_path):
     # every documented solve example converges at its own (default) settings
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
-    solves = [b for b in blocks if json.loads(b)["problem"] != "analytic-verify"]
+    solves = [block for command, block in readme_configs() if command == "solve"]
     assert {json.loads(b)["problem"] for b in solves} == {"graph", "density1d", "gaussian-diag"}
     for n, block in enumerate(solves):
         path = tmp_path / f"readme_{n}.json"
@@ -1012,6 +1058,21 @@ def test_solver_nan_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: non-finite values detected at iteration 1")
     assert err.count("\n") == 1
+
+
+def test_initial_area_beyond_the_float_range_exits_5(tmp_path, capsys):
+    # the Gram terms of the Coons fill overflow; no numpy warning is printed
+    diags = {"c00": [1e308, 1.0], "c10": [1e308, 2.0], "c01": [1.0, 3.0], "c11": [1e-308, 4.0]}
+    cfg = write_config(tmp_path, {
+        "problem": "gaussian-diag",
+        "grid": {"ns": 5, "nt": 5},
+        "corners": {key: {"type": "gaussian_diag", "diag": diag} for key, diag in diags.items()},
+        "out": str(tmp_path / "over"),
+    })
+    assert main(["solve", cfg]) == 5
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite values detected at iteration 0 "
+        "(the initial area is not finite)\n")
 
 
 def test_quantile_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
