@@ -103,6 +103,8 @@ def _parse_window(doc, name: str) -> tuple:
         raise ConfigError(f"{name} must be [lo, hi] or [[s_lo, s_hi], [t_lo, t_hi]]")
     if any(lo >= hi for lo, hi in window):
         raise ConfigError(f"{name} intervals must have lo < hi, got {doc!r}")
+    if not all(math.isfinite(hi - lo) for lo, hi in window):
+        raise ConfigError(f"{name} intervals must have a finite width hi - lo, got {doc!r}")
     return window
 
 
@@ -273,6 +275,9 @@ def _verify_settings(doc: dict, problem: str) -> dict:
         raise ConfigError(f"surface must be a path string, got {surface!r}")
     if not (oracles or surface is not None):
         raise ConfigError("verify needs an oracle list or a surface file")
+    # as a tolerance, the area settings are taken only where they are used
+    if "area" in doc and surface is None:
+        raise ConfigError("area is read only with a surface file, whose residual it weighs")
     # a tolerance is taken only where its check runs
     for key, runs, need in (("minimal_surface", oracles, "an oracle list"),
                             ("euler_lagrange", surface is not None, "a surface file"),
@@ -377,12 +382,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.oracles:
         tol = cfg.tolerances.get("minimal_surface", 1e-10)
         entries = []
-        for n, (surf, window, _) in enumerate(cfg.oracles):
+        for n, (surf, window, z_offset) in enumerate(cfg.oracles):
             uu, vv = np.meshgrid(*(np.linspace(lo, hi, ORACLE_SAMPLES) for lo, hi in window),
                                  indexing="ij")
             with np.errstate(all="ignore"):  # a residual beyond the float range is named below
                 max_abs = float(np.max(np.abs(analytic.minimal_surface_residual(surf, uu, vv))))
             _finite_real(max_abs, f"oracles[{n}]: minimal-surface residual")
+            try:  # heights beyond the float range, as solve names them
+                analytic.graph_field(surf, Grid2(ORACLE_SAMPLES, ORACLE_SAMPLES), window, z_offset)
+            except FloatingPointError as exc:
+                raise ConfigError(f"oracles[{n}]: {exc}") from exc
             ok = max_abs <= tol
             passed &= ok
             entries.append(

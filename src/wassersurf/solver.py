@@ -1,78 +1,60 @@
 """Preconditioned minimization of the discrete area over interior nodes.
 
-The solver moves only interior node values (one coordinate, or all of
-them) with the initial field's edges held bit-exactly fixed.  Every solve
-runs one loop: take the area gradient g and the max-norms of its normal
-and tangential parts, step along d = -P S^-1 P g (the problem's operator S
-and projector P) under a backtracking Armijo line search, and stop once
-the gradient meets ``grad_tol``.  The line search's decrease
+The solver moves one coordinate of the interior nodes, with the initial
+field's edges held bit-exactly fixed.  Every solve runs one loop: take the
+area gradient g, step along -S^-1 g for the exact Hessian S of the discrete
+area in the moving coordinate under a backtracking Armijo line search, and
+stop once the gradient meets ``grad_tol``.  The line search's decrease
 (``area.terms_change``) is evaluated without cancellation (sum of
 dG / (A_try + A) over cells, dG expanded in the step's own tangents), so
 every accepted step strictly decreases the area and the area trace is
 nonincreasing by construction.  Each trial field is evaluated once, by
 ``area.cell_terms``: an accepted trial's tangents, Gram terms and cell
 areas become the current terms, which feed the next decrease and the next
-gradient (both read the moving coordinates' columns only) and the next
-step's operator.  A failed line search, or a direction along which the
-area does not fall, stops the solve with a stall.  ``free_coords`` names
-one coordinate or all of them; a proper subset of several is rejected,
-since no problem here poses one and the area is not convex in it.
+gradient and the next step's operator.  A failed line search, or a
+direction along which the area does not fall, stops the solve with a
+stall.
 
-Both problems share one operator, S = -hs*ht*div(K grad .) on the cell
-stencil with a per-cell 2x2 kernel K taken at the current field, and one
-inner solve: matrix-free PCG, preconditioned by the DST-I inverse of a
-constant-coefficient stencil at the cells' mean area curvatures
-(``_flat_hessian_inverse``), and stopped at a relative residual of
-``_PCG_RTOL``.  The two kernels differ in what the parametrization leaves
-free:
+S = -hs*ht*div(K grad .) on the cell stencil, with K the exact Hessian of
+each cell's area density in the tangents of the moving coordinate
+(``_newton_kernel``), so each step is an inexact Newton step (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19(2), 1982).  With the other
+coordinates pinned, each cell area sqrt(G_p + grad z^T M grad z) (M
+positive semidefinite) is convex in the moving coordinate, so S is
+positive semidefinite; the graph oracles' solves take three or four steps
+on every grid from 17^2 to 129^2.  S is inverted by matrix-free PCG,
+preconditioned by the DST-I inverse of a constant-coefficient stencil at
+the cells' mean area curvatures (``_flat_hessian_inverse``), and stopped
+at a relative residual of ``_PCG_RTOL``.
 
-* One free coordinate (graph problems, oracle-driven covariance problems):
-  K is the exact Hessian of each cell's area density in the tangents of
-  the free coordinate (``_newton_kernel``), so S is the exact Hessian of
-  the discrete area and each step is an inexact Newton step (Dembo,
-  Eisenstat & Steihaug, SIAM J. Numer. Anal. 19(2), 1982); the projector
-  is the identity.  With the other coordinates pinned, each cell area
-  sqrt(G_p + grad z^T M grad z) (M positive semidefinite) is convex in the
-  free coordinate, so S is positive semidefinite; the graph oracles'
-  solves take three or four steps on every grid from 17^2 to 129^2.
-* Every coordinate free (density and corner-driven covariance problems):
-  the area is not convex, the parametrization is a gauge, and the
-  cell-centred area cannot see tangential or hourglass motion of the
-  nodes.  The step is then the Laplace-Beltrami iteration of Pinkall &
-  Polthier (Exp. Math. 2(1), 1993) and Dziuk (Numer. Math. 58, 1991) with
-  a normal projection P as the gauge: z = P S^-1 P g, where P removes the
-  tangential part at every interior node (central-difference tangents;
-  nodes with a degenerate tangent pair are left as they are) and
-  K = [[b, -c], [-c, a]] / sqrt(G) per cell (``_laplace_beltrami_kernel``),
-  so that g_k = S[x_k].  One Krylov space serves all coordinates at once.
-
-The gradient's tangential (gauge) part belongs to the parametrization, not
-to the surface: normal steps cannot remove it, and the unprojected
-iteration lowers it only by sliding the nodes (about 1% per step,
-hourglass growing).  So the stopping test asks the max-norm of the normal
-part to meet ``grad_tol`` and, unless the tangential part alone is above
-``grad_tol``, the full gradient too: the full Euler-Lagrange residual then
-meets grad_tol/(hs*ht) at convergence whenever the parametrization's gauge
-part allows it.  The tangential part is reported as ``grad_tangential``
-(0 with a pinned coordinate, where the normal part is the gradient).
+``free_coords`` names the one coordinate that moves (graph problems and
+oracle-driven covariance problems), or every coordinate (None, the
+corner-driven density and covariance problems).  An all-free problem is
+solved as a graph over a plane (``_graph_basis``).  Four straight edges
+between corners c00, c10, c01, c11 span an affine space of rank at most 3;
+projected along d = (c00 + c11 - c10 - c01)/2 they map onto a
+parallelogram, since both of its diagonals then share their midpoint.  A
+Jordan curve that projects one-to-one onto a convex plane curve bounds a
+unique minimal disc, a graph over that plane inside the curve's convex
+hull (Rado's theorem; Osserman, *A Survey of Minimal Surfaces*).  So the
+solve pins the two in-plane coordinates of an orthonormal basis of the
+corners' span and moves the height along d/|d|.  The route is taken only
+when it is exact: every edge node lies in the corners' span and its
+projection along d is a convex closed curve, both to rounding.  Corners of
+rank 2 or less leave no height: the solve returns the start's part in
+their span after 0 steps.  Anything else raises ValueError; pin a
+coordinate to solve it.
 
 The area weights w are a change of coordinates: in y = sqrt(w) * x the
 w-inner product is the Euclidean one, so the loop runs in y with unit
-weights.  Its stopping test takes the max-norms of the gradient in x,
-sqrt(w) times the one in y, and the moving coordinates' displacement is
-lifted back divided by sqrt(w), so edges and pinned coordinates come back
-bit for bit.  An all-free solve (``free_coords`` None or naming every
-coordinate, which is the same) runs in an orthonormal basis U (m x r) of
-the span of the centred field in y, whatever its rank: a full-rank field
-is a rotation, and a constant field keeps one direction along which
-nothing moves.  Corner-driven boundaries (straight geodesic edges between
-four corner vectors) span an affine space of dimension at most 3, plus one
-direction for a seeded perturbation, so r is usually far below m.  The
-reduction is exact: the gradient at a node is a combination of its cells'
-tangents, the node tangents lie in span(U) and S acts on each coordinate
-alike, so iterates, gradients and steps never leave span(U), and since U
-is orthonormal the reduced area, inner products and step lengths equal the
-full ones up to rounding.
+weights.  The moving coordinate's displacement is lifted back divided by
+sqrt(w) (and, for an all-free solve, through the basis), so edges and
+pinned coordinates come back bit for bit.  A solve converges when the
+max-norm in x of the gradient over the coordinates the caller frees meets
+``grad_tol``, or when the moving coordinate's part meets it and the
+caller's gradient did not fall over the last accepted step: a graph over
+a plane pins in-plane coordinates whose gradient sits at discretisation
+level.  With one free coordinate the two are the same gradient.
 
 The discrete optimality residual is the flux divergence of the area
 module's one flux kernel, the same one ``area_gradient`` scales by -hs*ht,
@@ -94,7 +76,6 @@ from .area import (
     _gram_terms,
     _inverse_areas,
     _tangents,
-    area_gradient,
     cell_terms,
     flux_divergence,
     hourglass_amplitude,
@@ -106,8 +87,8 @@ from .errors import SolverNaNError
 from .grid import Grid2, SurfaceField
 
 
-# the line search: first trial step (the natural length of a Newton or Laplace-
-# Beltrami step), Armijo constant, backtracking factor and backtracks before a stall
+# the line search: first trial step (the natural length of a Newton step), Armijo
+# constant, backtracking factor and backtracks before a stall
 _STEP0 = 1.0
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
@@ -115,8 +96,8 @@ _MAX_BACKTRACKS = 40
 # inner PCG of every step: relative residual and step budget
 _PCG_RTOL = 1e-2
 _PCG_STEPS = 200
-# a node's tangent pair is degenerate below this sin^2 of the angle between them
-_NODE_FLOOR = 1e-8
+# rounding in the graph route's checks, relative to the largest edge value in y
+_ROUNDING = 1e-10
 
 
 def default_grad_tol(grid: Grid2) -> float:
@@ -144,11 +125,9 @@ class SolveReport:
     iterations: int
     area_trace: list
     grad_norm: float
-    grad_tangential: float
     el_residual: float
     converged: bool
     degenerate_cells: int
-    span_rank: int
     hourglass: float
     stall: str | None = None
 
@@ -158,10 +137,8 @@ class SolveReport:
             "iters": self.iterations,
             "area_trace": list(self.area_trace),
             "grad_norm": self.grad_norm,
-            "grad_tangential": self.grad_tangential,
             "el_residual": self.el_residual,
             "degenerate_cells": self.degenerate_cells,
-            "span_rank": self.span_rank,
             "hourglass": self.hourglass,
             "stall": self.stall,
         }
@@ -231,20 +208,58 @@ def _free_slice(free_coords, m: int) -> slice:
     return slice(free[0], free[-1] + 1)
 
 
-def _span_basis(values: np.ndarray):
-    """The centred field ``values`` in an orthonormal basis U (m x r) of its span, and U.
+def _graph_basis(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (m x r) of the affine span of the corners of ``y``, d/|d| last.
 
-    Returns the coordinates, shape ``(ns, nt, r)``, and U, taken from the SVD
-    of the field's R factor (no N x m left vectors).  The rank cut sits at
-    rounding level (numpy's ``matrix_rank`` default); a constant field keeps
-    one direction, so r >= 1.
+    The basis comes from a QR of the three m-vectors d, c10 - c00 and
+    c01 - c00.  Its rank r counts the singular values above rounding once
+    each coordinate is divided by its largest edge value, so a direction
+    that is small only beside a larger coordinate still counts.  Raises
+    ValueError unless the graph route is exact (see the module docstring):
+    every edge node within rounding of the span and, for r = 3, the edges'
+    projection along d a convex closed curve.
     """
-    nodes = values.reshape(-1, values.shape[-1])
-    centred = nodes - nodes.mean(axis=0)
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(centred, mode="r"), full_matrices=False)
-    rank = int(np.count_nonzero(sigma > sigma[0] * max(nodes.shape) * np.finfo(float).eps))
-    basis = vt[:max(rank, 1)].T
-    return (centred @ basis).reshape(values.shape[:-1] + basis.shape[1:]), basis
+    c00, c10, c01, c11 = y[0, 0], y[-1, 0], y[0, -1], y[-1, -1]
+    span = np.stack([0.5 * (c00 + c11 - c10 - c01), c10 - c00, c01 - c00], axis=-1)
+    # the edge nodes once around the boundary
+    edges = np.concatenate([y[:-1, 0], y[-1, :-1], y[:0:-1, -1], y[0, :0:-1]])
+    scale = np.max(np.abs(edges), axis=0)
+    floor = _ROUNDING * float(np.max(scale, initial=0.0))
+    equilibrated = np.linalg.qr(span / np.where(scale > 0.0, scale, 1.0)[:, None], mode="r")
+    rank = int(np.count_nonzero(np.linalg.svd(equilibrated, compute_uv=False) > _ROUNDING))
+    q, r = np.linalg.qr(span)
+    basis = q[:, [1, 2, 0]] if rank == 3 else q @ np.linalg.svd(r)[0][:, :max(rank, 1)]
+    edges = edges - c00
+    if np.max(np.abs(edges - edges @ basis @ basis.T), initial=0.0) > floor:
+        raise ValueError(
+            "free_coords=None solves a graph over the corners' span, but the edges leave "
+            "the affine span of the four corners; pin a coordinate (free_coords) instead")
+    if rank == 3 and not _convex_curve(edges @ basis[:, :2], floor):
+        raise ValueError(
+            "free_coords=None solves a graph over the corners' span, but the edges do not "
+            "project along d = (c00 + c11 - c10 - c01)/2 onto a convex closed curve; "
+            "pin a coordinate (free_coords) instead")
+    return basis
+
+
+def _convex_curve(p: np.ndarray, tol: float) -> bool:
+    """Whether the closed polygon through the rows of ``p`` (n x 2) is convex and winds once.
+
+    Steps no longer than ``tol`` are dropped.  Every turn must keep one sense
+    and stay short of a half turn, each by more than the rounding ``tol``
+    moves it (``tol`` over the lengths of its two steps), and the turns must
+    add up to one full turn.
+    """
+    step = np.roll(p, -1, axis=0) - p
+    length = np.hypot(step[:, 0], step[:, 1])
+    step, length = step[length > tol], length[length > tol]
+    after = np.roll(step, -1, axis=0)
+    turn = np.arctan2(step[:, 0] * after[:, 1] - step[:, 1] * after[:, 0],
+                      np.einsum("ij,ij->i", step, after))
+    turn *= 1.0 if turn.sum() > 0.0 else -1.0
+    slack = tol / length + tol / np.roll(length, -1)
+    return bool(abs(turn.sum() - 2.0 * np.pi) < np.pi
+                and np.all(turn > -slack) and np.all(turn < np.pi - slack))
 
 
 def _dst_matrix(n: int) -> np.ndarray:
@@ -265,7 +280,7 @@ def _dst_inverse(grid: Grid2, c_s: float, c_t: float):
     factors share the eigenvectors of the DST-I (``_dst_matrix``), so the
     solve of each column X, S1 @ (S1 @ X @ S2 * scale) @ S2, is exact.
     Returns a function on interior arrays that reshape to ``(ns-2, nt-2, r)``,
-    which solves all r columns in one stacked product.
+    which solves their r columns in one stacked product.
     """
     hs, ht = grid.hs, grid.ht
     n1, n2 = grid.ns - 2, grid.nt - 2
@@ -303,18 +318,6 @@ def _flat_hessian_inverse(terms, grid: Grid2, acfg: AreaConfig):
     return _dst_inverse(grid, c_s, c_t)
 
 
-def _laplace_beltrami_kernel(terms):
-    """Per-cell kernel K = [[b, -c], [-c, a]] / sqrt(G) of the all-free step.
-
-    It is the flux kernel of ``area._fluxes`` with its coefficients frozen
-    (zero on the clamped side), so ``area_gradient[..., k] = S[x_k]``
-    on interior nodes for the operator S that ``_frozen_operator`` builds
-    from it.  Returns the (ss, st, tt) entries, each ``(ns-1, nt-1, 1)``.
-    """
-    inv = _inverse_areas(terms)
-    return terms.b[..., None] * inv, -terms.c[..., None] * inv, terms.a[..., None] * inv
-
-
 def _newton_kernel(terms, free: slice):
     """Per-cell Hessian H of the area density in the tangents of the one coordinate ``free``.
 
@@ -337,16 +340,16 @@ def _newton_kernel(terms, free: slice):
             inv * (big_a[..., None] - ft * ft))
 
 
-def _frozen_operator(kernel, grid: Grid2, width: int):
-    """S = -hs*ht*div(K grad .) on interior columns, for a per-cell kernel K.
+def _frozen_operator(kernel, grid: Grid2):
+    """S = -hs*ht*div(K grad .) on the interior, for a per-cell kernel K.
 
-    ``kernel`` holds the (ss, st, tt) entries of K, broadcast against
-    ``(ns-1, nt-1, width)``.  Returns a function on ``(ns-2, nt-2, width)``
-    interior arrays, taken as zero on the edges.
+    ``kernel`` holds the (ss, st, tt) entries of K, each ``(ns-1, nt-1, 1)``.
+    Returns a function on ``(ns-2, nt-2, 1)`` interior arrays, taken as zero
+    on the edges.
     """
     k_ss, k_st, k_tt = kernel
     hs, ht = grid.hs, grid.ht
-    padded = np.zeros((grid.ns, grid.nt, width))
+    padded = np.zeros((grid.ns, grid.nt, 1))
 
     def apply(x):
         padded[1:-1, 1:-1] = x
@@ -357,7 +360,7 @@ def _frozen_operator(kernel, grid: Grid2, width: int):
 
 
 def _pcg(apply, precondition, rhs):
-    """Preconditioned CG for ``apply(x) = rhs``, one Krylov space for all columns.
+    """Preconditioned CG for ``apply(x) = rhs``.
 
     A truncated iterate still has <x, rhs> > 0 and stays a descent
     direction.  Stops at a relative residual of ``_PCG_RTOL`` or after
@@ -390,45 +393,6 @@ def _pcg(apply, precondition, rhs):
     return x
 
 
-def _normal_projector(values: np.ndarray, grid: Grid2):
-    """Projector onto the normal space at each interior node.
-
-    The node tangents are central differences.  Nodes whose tangent Gram
-    determinant is below ``_NODE_FLOOR`` times the product of its diagonal
-    (parallel or vanishing tangents) are left unprojected.  Returns a
-    function on ``(ns-2, nt-2, r)`` arrays of vectors.
-    """
-    ts = (values[2:, 1:-1] - values[:-2, 1:-1]) / (2.0 * grid.hs)
-    tt = (values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * grid.ht)
-    g_ss, g_tt, g_st = (np.einsum("...k,...k->...", p, q)
-                        for p, q in ((ts, ts), (tt, tt), (ts, tt)))
-    det = g_ss * g_tt - g_st * g_st
-    live = det > _NODE_FLOOR * g_ss * g_tt
-    inv = np.divide(1.0, det, out=np.zeros_like(det), where=live)
-
-    def project(u):
-        ps, pt = (np.einsum("...k,...k->...", t, u) for t in (ts, tt))
-        along_s = (inv * (g_tt * ps - g_st * pt))[..., None]
-        along_t = (inv * (g_ss * pt - g_st * ps))[..., None]
-        return u - along_s * ts - along_t * tt
-
-    return project
-
-
-def normal_gradient(f: SurfaceField, acfg: AreaConfig) -> np.ndarray:
-    """Normal part of the area gradient on interior nodes, shape ``(ns-2, nt-2, m)``.
-
-    The gradient g is a covector: in y = sqrt(w) * x it is g/sqrt(w), which
-    is projected onto the normal space of each node (``_normal_projector``)
-    and mapped back by sqrt(w).  The rest of g is its tangential (gauge)
-    part, which the parametrization of an all-free surface can absorb
-    without changing the surface.
-    """
-    root = np.sqrt(acfg.weight_vector(f.dim))
-    g = area_gradient(f, acfg)[1:-1, 1:-1]
-    return root * _normal_projector(f.values * root, f.grid)(g / root)
-
-
 def minimize(
     init: SurfaceField,
     cfg: SolverConfig,
@@ -437,43 +401,45 @@ def minimize(
 ) -> SolveReport:
     """Minimize the total area over interior values with fixed edges.
 
-    The edges of ``init`` are the boundary and come back bit for bit.  When
-    ``free_coords`` is given, only those coordinate indices move (the
-    graph problems pin the two affine parameter coordinates and descend
-    on the height alone); the rest of the field is treated as data.  It
-    names one coordinate or all of them, else ValueError.  One loop and one
-    PCG serve both, with two kernels (see the module docstring): inexact
-    Newton steps with one coordinate free, normal-projected
-    Laplace-Beltrami steps with every coordinate free.  The weights are a
-    change of variables: the loop runs with unit weights in y = sqrt(w) * x.
-    Naming every coordinate is the same as ``free_coords=None`` and runs in
-    an orthonormal basis of the initial field's span in y, whose dimension
-    ``span_rank`` reports (m with one free coordinate).
+    The edges of ``init`` are the boundary and come back bit for bit.
+    ``free_coords`` names the one coordinate index that moves (the graph
+    problems pin the two affine parameter coordinates and descend on the
+    height alone), the rest of the field being data; or, as None or a list
+    of every coordinate, all of them.  A proper subset of several raises
+    ValueError.  An all-free solve runs as a graph over the plane of the
+    corners' span (see the module docstring): it pins the start's two
+    in-plane coordinates, drops the start's part outside the span and
+    moves the height, and raises ValueError when that route is not exact.
+    Either way one loop takes inexact Newton steps on one coordinate, with
+    unit weights in y = sqrt(w) * x.
 
-    A solve that stops short returns the best field seen so far with
-    ``converged=False`` and a ``stall`` that says why: a line search that
-    failed after the backtracking budget, a step direction that is not a
-    descent direction, or ``max_iters`` spent.  Non-finite objective
-    values raise SolverNaNError with the iteration.
+    ``grad_norm`` is the max-norm in x of the gradient over the caller's
+    free coordinates.  A solve that stops short returns the best field seen
+    so far with ``converged=False`` and a ``stall`` that says why: a line
+    search that failed after the backtracking budget, a step direction that
+    is not a descent direction, or ``max_iters`` spent.  Non-finite
+    objective values raise SolverNaNError with the iteration.
     """
     grid = init.grid
     free = _free_slice(free_coords, init.dim)
-    all_free = free.stop - free.start == init.dim
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
 
-    # The loop moves coordinates ``moving`` of ``work`` under unit weights, in
-    # y = sqrt(w) * x: the one free coordinate of y, or all r coordinates of y
-    # in an orthonormal basis of its span (see the module docstring).
+    # The loop moves coordinate ``moving`` of ``work`` under unit weights, in
+    # y = sqrt(w) * x: the one free coordinate of y, or the height of y in the
+    # graph basis of its corners' span (``_graph_basis``), whose in-plane
+    # coordinates are pinned; a span of rank 2 or less leaves none to move.
     root = np.sqrt(acfg.weight_vector(init.dim))
     loop_acfg = replace(acfg, weights=None)
     work = init.values * root
-    if all_free:
-        work, basis = _span_basis(work)
-        start = work.copy()
-        lift = basis.T * root  # takes a covector in y to the full-space one in x
-    moving = slice(0, work.shape[-1]) if all_free else free
+    basis = None
+    if free.stop - free.start == init.dim:
+        origin = work[0, 0].copy()
+        basis = _graph_basis(work)
+        work = (work - origin) @ basis
+        lift = basis.T * root  # takes a covector in the basis to the one in x
+    moving = free if basis is None else slice(2, 3)
     fld = SurfaceField(grid, work)
-    # the loop's state (x, g, d, u) is interior-shaped, (ns-2, nt-2, width)
+    # the loop's state (x, g, d) is interior-shaped, (ns-2, nt-2, 1)
     x = work[1:-1, 1:-1, moving].copy()
     step = np.zeros(work.shape[:2] + x.shape[-1:])
 
@@ -488,11 +454,10 @@ def minimize(
     if not math.isfinite(f_cur):
         raise SolverNaNError(0, "the initial area is not finite")
     trace = [f_cur]
-    kernel = _laplace_beltrami_kernel if all_free else (lambda t: _newton_kernel(t, moving))
 
     def precondition(u):
         # S^-1 at the current field, by PCG preconditioned with the DST solve
-        return _pcg(_frozen_operator(kernel(terms), grid, x.shape[-1]),
+        return _pcg(_frozen_operator(_newton_kernel(terms, moving), grid),
                     _flat_hessian_inverse(terms, grid, loop_acfg), u)
 
     def line_search(direction, slope):
@@ -511,28 +476,30 @@ def minimize(
             alpha *= _BACKTRACK
         return None, None
 
-    g = terms_gradient(terms.columns(moving), grid)
+    def gradients():
+        # the moving coordinate's gradient in y, and the max-norms in x of the
+        # caller's gradient and of the moving part (the same with one free coordinate)
+        if basis is None:
+            g = terms_gradient(terms.columns(moving), grid)
+            gfull = max_norm(g * root[free])
+            return g, gfull, gfull
+        g_all = terms_gradient(terms, grid)
+        g = g_all[..., moving]
+        return g, max_norm(g_all @ lift), max_norm(g) * max_norm(lift[moving])
+
+    g, gfull, gnorm = gradients()
     it = 0
+    previous = math.inf
     while True:
-        # the max-norms of the full-space gradient in x (sqrt(w) times the one in
-        # y) and of its normal and tangential parts, then the stopping test (module
-        # docstring); solves of one free coordinate take the identity and g
-        # itself, whose tangential part is 0
-        lg = g @ lift if all_free else g * root[free]
-        gfull = max_norm(lg)
-        if all_free:
-            project = _normal_projector(work, grid)
-            u = project(g)
-            lu = u @ lift
-            gnorm, tangential = max_norm(lu), max_norm(lg - lu)
-        else:
-            project, u, gnorm, tangential = (lambda v: v), g, gfull, 0.0
-        converged = gnorm <= tol and (tangential > tol or gfull <= tol)
+        # the stopping test (module docstring): the caller's gradient, or the moving
+        # part once the last accepted step left the caller's gradient where it was
+        settled = x.size == 0 or gfull >= previous
+        converged = gfull <= tol or (gnorm <= tol and settled)
         if converged or it >= cfg.max_iters:
             stall = None if converged else (it, None)
             break
         it += 1
-        d = -project(precondition(u))
+        d = -precondition(g)
         slope = float(np.vdot(g, d))
         if math.isnan(slope):
             raise SolverNaNError(it, "gradient or search direction is not finite")
@@ -549,14 +516,15 @@ def minimize(
         terms = accepted
         f_cur = f_cur + delta
         trace.append(f_cur)
-        g = terms_gradient(terms.columns(moving), grid)
+        previous = gfull
+        g, gfull, gnorm = gradients()
 
     # back to x on interior nodes only: edges and pinned coordinates stay bit-exact
     values = init.values.copy()
-    if all_free:
-        values[1:-1, 1:-1] += (work - start)[1:-1, 1:-1] @ (basis.T / root)
-    else:
+    if basis is None:
         values[1:-1, 1:-1, free] = work[1:-1, 1:-1, free] / root[free]
+    else:
+        values[1:-1, 1:-1] = (origin + work[1:-1, 1:-1] @ basis.T) / root
     final = SurfaceField(grid, values)
     rep = euler_lagrange_residual(final, acfg)
     el_norm = _kept_max_norm(rep.values[1:-1, 1:-1, free], rep.excluded_mask)
@@ -566,12 +534,10 @@ def minimize(
         field=final,
         iterations=len(trace) - 1,
         area_trace=trace,
-        grad_norm=gnorm,
-        grad_tangential=tangential,
+        grad_norm=gfull,
         el_residual=el_norm,
         converged=converged,
         degenerate_cells=rep.degenerate_cells,
-        span_rank=work.shape[-1],
         hourglass=hourglass_amplitude(final),
         stall=stall,
     )
@@ -583,8 +549,8 @@ def _stall_message(it, searched, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str
     ``searched`` is true when the line search of iteration ``it`` failed,
     false when none ran because the step's direction was not a descent
     direction, and None when ``max_iters`` ran out with every step accepted.
-    ``gfull`` and ``gnorm`` are the max-norms of the gradient and of its
-    normal part (equal when coordinates are pinned).
+    ``gfull`` and ``gnorm`` are the max-norms of the caller's gradient and
+    of its moving (height) part, equal with one free coordinate.
     """
     advice = "raise grad_tol if the gradient sits at its rounding floor"
     if searched is None:
@@ -603,10 +569,10 @@ def _stall_message(it, searched, cfg, gfull, gnorm, tol, el_norm, el_tol) -> str
             f"no descent direction at iteration {it}: the preconditioned gradient gave a "
             f"direction along which the area does not fall, so no line search ran"
         )
-    normal = "" if gnorm == gfull else f" (normal part {gnorm:.3e})"
+    height = "" if gnorm == gfull else f" (height part {gnorm:.3e})"
     return (
         f"{head}; "
-        f"gradient max-norm {gfull:.3e}{normal} against tolerance {tol:.3e}; "
+        f"gradient max-norm {gfull:.3e}{height} against tolerance {tol:.3e}; "
         f"Euler-Lagrange residual {el_norm:.3e} against {el_tol:.3e} (grad_tol / (hs*ht)); "
         f"{advice}"
     )
@@ -628,7 +594,7 @@ def perturb_interior(
     integer (numpy integers included); a negative one, a bool, a float or
     a string raises ValueError.  ``free_coords`` names one coordinate or
     all of them, as in ``minimize``, else ValueError.  Used by the CLI to
-    explore alternative basins.
+    vary a solve's start.
     """
     try:
         index = operator.index(seed)

@@ -462,6 +462,9 @@ OVERFLOWING_ORACLES = {
     # heights beyond the float range on the solve grid, with no numpy warning
     *(("graph", None, "oracle", oracle, f"oracle: {name} heights must be finite on the window")
       for name, oracle in OVERFLOWING_ORACLES.items()),
+    # finite window ends whose distance is not, with no numpy warning
+    ("graph", "oracle", "window", [-1e308, 1e308],
+     "oracle.window intervals must have a finite width hi - lo, got [-1e+308, 1e+308]"),
 ], ids=["string_epsilon", "bool_grad_tol", "string_armijo_c1", "bool_backtrack",
         "string_step0", "string_amplitude", "string_oracle_c", "bool_oracle_k1",
         "string_z_offset", "string_window_entry", "bool_window_entry", "long_window",
@@ -477,7 +480,8 @@ OVERFLOWING_ORACLES = {
         "gaussian_diag_corners_and_oracles", "density1d_oracle", "density1d_oracles",
         "huge_int_oracle_c", "huge_int_area_epsilon", "zero_oracle_c", "graph_grid_m",
         "gaussian_diag_grid_m",
-        *(f"overflowing_{name.lower()}_heights" for name in OVERFLOWING_ORACLES)])
+        *(f"overflowing_{name.lower()}_heights" for name in OVERFLOWING_ORACLES),
+        "overflowing_window_width"])
 def test_non_numeric_config_values_exit_2_naming_the_key(
     tmp_path, capsys, problem, section, key, value, message
 ):
@@ -523,8 +527,15 @@ CATENOID_ORACLE = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2
     # heights beyond the float range make a residual that is no number; no numpy warning
     ("analytic-verify", [SCHERK_ORACLE, OVERFLOWING_ORACLES["Plane"]],
      "oracles[1]: minimal-surface residual must be finite, got nan"),
+    # heights beyond the float range under a finite residual, named as solve names them
+    ("analytic-verify", [SCHERK_ORACLE, OVERFLOWING_ORACLES["Catenoid"]],
+     "oracles[1]: Catenoid heights must be finite on the window"),
+    ("analytic-verify", [dict(SCHERK_ORACLE, window=[[0.1, 0.4], [-1e308, 1e308]])],
+     "oracles[0].window intervals must have a finite width hi - lo, "
+     "got [[0.1, 0.4], [-1e+308, 1e+308]]"),
 ], ids=["density1d_oracles", "inf_window_entry", "negative_catenoid_r1", "zero_scherk_c",
-        "catenoid_sign_2", "unknown_oracle", "overflowing_plane"])
+        "catenoid_sign_2", "unknown_oracle", "overflowing_plane", "overflowing_catenoid",
+        "overflowing_window_width"])
 def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem, oracles, message):
     doc = {"problem": problem, "oracles": oracles, "out": str(tmp_path / "verify")}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
@@ -873,6 +884,15 @@ UNCHECKED_TOLERANCES = {
 }
 
 
+def test_verify_rejects_area_settings_it_does_not_use(tmp_path, capsys):
+    # only a surface file's Euler-Lagrange residual reads the area settings
+    doc = {**VERIFY_CONFIG, "area": {"epsilon": 5}, "out": str(tmp_path / "v")}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: area is read only with a surface file, whose residual it weighs\n")
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("case", sorted(UNCHECKED_TOLERANCES))
 def test_verify_rejects_a_tolerance_it_does_not_check(tmp_path, capsys, case):
     doc, key, need = UNCHECKED_TOLERANCES[case]
@@ -1035,13 +1055,6 @@ def density_config(tmp_path, out, m=16):
         "solver": {"grad_tol": 2e-4, "max_iters": 2000},
         "out": str(tmp_path / out),
     }, name=f"{out}.json")
-
-
-def test_density_report_records_span_rank(tmp_path):
-    assert main(["solve", density_config(tmp_path, "span")]) == 0
-    report = json.loads((tmp_path / "span" / "report.json").read_text())
-    # straight geodesic edges between four corners span an affine 3-space
-    assert report["span_rank"] == 3
 
 
 def test_solver_nan_exit_code(tmp_path, monkeypatch, capsys):
