@@ -164,27 +164,22 @@ def parse_oracle(doc: dict, name: str = "oracle"):
 @dataclass
 class RunConfig:
     problem: str
-    area: AreaConfig
+    area: AreaConfig  # weighted for the command's surface: density1d weighs each quantile 1/m
     out: Path
-    grid: Grid2 | None = None  # solve's settings, up to perturb_seed; None in verify
-    m: int | None = None
-    corners: tuple | None = None  # c00, c10, c01, c11 as their problem's reader returns them
-    oracle: tuple | None = None  # (surface, window, z_offset)
+    start: SurfaceField | None = None  # solve's, None in verify: the Coons fill, perturbed
+    free: tuple | None = None  # the coordinate the solve moves, None for every one
+    oracle_field: SurfaceField | None = None  # the oracle's own field, when one drives
     solver: SolverConfig | None = None
-    perturb_amplitude: float | None = None
-    perturb_seed: int | None = None
     oracles: list | None = None  # verify's, None in solve; (surface, window, z_offset) each
     tolerances: dict | None = None
-    surface_path: str | None = None
-
-    def area_for(self, m: int) -> AreaConfig:
-        """``area`` for a surface of ``m`` coordinates; density1d weighs each quantile 1/m."""
-        weights = quantile_weights(m) if self.problem == "density1d" else None
-        return replace(self.area, weights=weights)
+    surface: SurfaceField | None = None  # verify's surface file, read
 
 
 def load_config(path, command: str, out_override=None) -> RunConfig:
-    """The config at ``path`` as ``command`` reads it; a key it does not read is an error."""
+    """What ``command`` runs on, from the config at ``path``; a key it does not read is an error.
+
+    The problem is assembled, or the surface read, only once every key is checked.
+    """
     try:
         # bytes, so json decodes them as UTF-8 in any locale
         doc = json.loads(Path(path).read_bytes())
@@ -196,7 +191,7 @@ def load_config(path, command: str, out_override=None) -> RunConfig:
     problems = PROBLEMS if command == "verify" else PROBLEMS[:-1]  # analytic-verify: no solve
     if problem not in problems:
         raise ConfigError(f"problem must be one of {problems}, got {problem!r}")
-    settings = (_solve_settings if command == "solve" else _verify_settings)(doc, problem)
+    build = (_solve_settings if command == "solve" else _verify_settings)(doc, problem)
     area_settings = _settings(_section(doc, "area"), "area", {"epsilon": real_number})
     try:
         area = AreaConfig(**area_settings)
@@ -205,12 +200,19 @@ def load_config(path, command: str, out_override=None) -> RunConfig:
     out = doc.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError(f"out must be a path string, got {out!r}")
-    return RunConfig(problem, area, Path(out_override if out_override is not None else out),
-                     **settings)
+    inputs = build()
+    field = inputs["start"] if command == "solve" else inputs["surface"]
+    weights = quantile_weights(field.dim) if problem == "density1d" else None
+    return RunConfig(problem, replace(area, weights=weights),
+                     Path(out_override if out_override is not None else out), **inputs)
 
 
-def _solve_settings(doc: dict, problem: str) -> dict:
-    """The settings only ``solve`` reads, each parsed and checked."""
+def _solve_settings(doc: dict, problem: str):
+    """Check the settings only ``solve`` reads; returns the function that builds its inputs.
+
+    The edges are the oracle's sampled graph, which is also the oracle field and
+    moves its height only, or the geodesic edges between the corners.
+    """
     # only a density1d has quantile levels to count
     gdoc = _section(doc, "grid", None if problem == "density1d" else ("ns", "nt"))
     ns, nt, m = (whole_number(gdoc.get(key, default), f"grid.{key}")
@@ -255,12 +257,33 @@ def _solve_settings(doc: dict, problem: str) -> dict:
     seed = whole_number(pdoc.get("seed", 0), "perturb.seed")
     if seed < 0:
         raise ConfigError(f"perturb.seed must be non-negative, got {seed}")
-    return dict(grid=Grid2(ns, nt), m=m, corners=corners, oracle=oracle, solver=solver,
-                perturb_amplitude=amplitude, perturb_seed=seed)
+
+    def build() -> dict:
+        grid, free, oracle_field = Grid2(ns, nt), None, None
+        if oracle is not None:
+            surf, window, z_offset = oracle
+            try:
+                if problem == "graph":
+                    edges = analytic.graph_field(surf, grid, window, z_offset)
+                else:  # the same field as sqrt-covariance coordinates, checked positive
+                    edges, _ = analytic.to_cov_boundary(surf, grid, window, z_offset)
+            except FloatingPointError as exc:  # heights beyond the float range
+                raise ConfigError(f"oracle: {exc}") from exc
+            free, oracle_field = (2,), edges
+        elif problem == "density1d":
+            edges = boundary_from_corners(*corners, grid, QuantileGrid(m))
+        else:
+            edges = edges_from_corner_vectors(*corners, grid)
+        start = coons_init(edges)
+        if amplitude != 0.0:
+            start = perturb_interior(start, amplitude, seed, free)
+        return dict(start=start, free=free, oracle_field=oracle_field, solver=solver)
+
+    return build
 
 
-def _verify_settings(doc: dict, problem: str) -> dict:
-    """The settings only ``verify`` reads, each parsed and checked."""
+def _verify_settings(doc: dict, problem: str):
+    """Check the settings only ``verify`` reads; returns the function that builds its inputs."""
     if "oracles" in doc and "oracle" not in SOURCES[problem]:
         raise ConfigError(f"{problem} takes no 'oracles'")
     oracles = [parse_oracle(o, f"oracles[{n}]")
@@ -285,33 +308,8 @@ def _verify_settings(doc: dict, problem: str) -> dict:
                              "a surface file of problem 'gaussian-diag'")):
         if key in tolerances and not runs:
             raise ConfigError(f"tolerances.{key} is checked only with {need}")
-    return dict(oracles=oracles, tolerances=tolerances, surface_path=surface)
-
-
-# ---------------------------------------------------------------------------
-# problem assembly
-# ---------------------------------------------------------------------------
-
-
-def _assemble(cfg: RunConfig):
-    """(edges, free coords, oracle field) from the config's source in ``SOURCES``.
-
-    The edges are a field for ``coons_init``: the oracle's sampled graph, which is
-    also the oracle field, or the geodesic edges between the corners.
-    """
-    if cfg.oracle is not None:
-        surf, window, z_offset = cfg.oracle
-        try:
-            if cfg.problem == "graph":
-                full = analytic.graph_field(surf, cfg.grid, window, z_offset)
-            else:  # the same field as sqrt-covariance coordinates, checked positive
-                full, _ = analytic.to_cov_boundary(surf, cfg.grid, window, z_offset)
-        except FloatingPointError as exc:  # heights beyond the float range
-            raise ConfigError(f"oracle: {exc}") from exc
-        return full, (2,), full
-    if cfg.problem == "density1d":
-        return boundary_from_corners(*cfg.corners, cfg.grid, QuantileGrid(cfg.m)), None, None
-    return edges_from_corner_vectors(*cfg.corners, cfg.grid), None, None
+    return lambda: dict(oracles=oracles, tolerances=tolerances,
+                        surface=None if surface is None else _load_surface(surface))
 
 
 def _make_dir(path: Path) -> None:
@@ -333,24 +331,20 @@ def _dump_json(obj, path: Path) -> None:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    edges, free, oracle_field = _assemble(cfg)
-    init = coons_init(edges)
-    if cfg.perturb_amplitude != 0.0:
-        init = perturb_interior(init, cfg.perturb_amplitude, cfg.perturb_seed, free)
-    # an unusable --out fails here, before the solve; a config error earlier
+    # an unusable --out fails here, before the solve; an input error earlier
     # leaves no directory behind
     _make_dir(cfg.out)
-    report = minimize(init, cfg.solver, cfg.area_for(cfg.m), free_coords=free)
+    report = minimize(cfg.start, cfg.solver, cfg.area, free_coords=cfg.free)
 
     save_csv(report.field, cfg.out / "surface.csv")
     save_json(report.field, cfg.out / "surface.json")
     _dump_json(report.to_json_dict(), cfg.out / "report.json")
 
-    if oracle_field is not None:
-        gap = np.abs(report.field.values - oracle_field.values)
+    if cfg.oracle_field is not None:
+        gap = np.abs(report.field.values - cfg.oracle_field.values)
         # solve grids have ns, nt >= 3, so the interior is never empty
         _dump_json({"max_abs_interior": float(np.max(gap[1:-1, 1:-1])),
-                    "max_abs": float(np.max(gap)), "ns": cfg.grid.ns, "nt": cfg.grid.nt},
+                    "max_abs": float(np.max(gap)), "ns": gap.shape[0], "nt": gap.shape[1]},
                    cfg.out / "oracle_gap.json")
     if cfg.problem == "density1d":
         mono = monotonicity_report(report.field)
@@ -406,12 +400,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         results["minimal_surface"] = entries
 
     _make_dir(cfg.out)  # after the oracles, so one beyond the float range leaves no directory
-    if cfg.surface_path is not None:
-        field = _load_surface(cfg.surface_path)
-        rep = euler_lagrange_residual(field, cfg.area_for(field.dim))
+    if cfg.surface is not None:
+        rep = euler_lagrange_residual(cfg.surface, cfg.area)
         results["euler_lagrange"] = {"max_norm": rep.max_norm, "excluded_nodes": rep.excluded_nodes}
         if cfg.problem == "gaussian-diag":
-            mw = critical_point_residual(DiagonalCovSurface(field))
+            mw = critical_point_residual(DiagonalCovSurface(cfg.surface))
             results["critical_point"] = {"max_norm": mw.max_norm, "border": mw.border}
         # a residual is judged only against a tolerance the config sets
         for key in ("euler_lagrange", "critical_point"):

@@ -36,25 +36,30 @@ projected along d = (c00 + c11 - c10 - c01)/2 they map onto a
 parallelogram, since both of its diagonals then share their midpoint.  A
 Jordan curve that projects one-to-one onto a convex plane curve bounds a
 unique minimal disc, a graph over that plane inside the curve's convex
-hull (Rado's theorem; Osserman, *A Survey of Minimal Surfaces*).  So the
-solve pins the two in-plane coordinates of an orthonormal basis of the
-corners' span and moves the height along d/|d|.  The route is taken only
+hull (Rado's theorem; Osserman, *A Survey of Minimal Surfaces*), and it
+depends on the boundary alone.  So the solve runs in an orthonormal basis
+of the corners' span: it pins the two in-plane coordinates to the Coons
+fill of their edge values, so the boundary fixes them and the start does
+not, and moves the start's height along d/|d|.  The route is taken only
 when it is exact: every edge node lies in the corners' span and its
 projection along d is a convex closed curve, both to rounding.  Corners of
-rank 2 or less leave no height: the solve returns the start's part in
-their span after 0 steps.  Anything else raises ValueError; pin a
-coordinate to solve it.
+rank 2 or less leave no height: the solve returns the Coons fill of the
+edges' part in their span after 0 steps.  Anything else raises ValueError;
+pin a coordinate to solve it.
 
 The area weights w are a change of coordinates: in y = sqrt(w) * x the
 w-inner product is the Euclidean one, so the loop runs in y with unit
-weights.  The moving coordinate's displacement is lifted back divided by
-sqrt(w) (and, for an all-free solve, through the basis), so edges and
-pinned coordinates come back bit for bit.  A solve converges when the
-max-norm in x of the gradient over the coordinates the caller frees meets
-``grad_tol``, or when the moving coordinate's part meets it and the
-caller's gradient did not fall over the last accepted step: a graph over
-a plane pins in-plane coordinates whose gradient sits at discretisation
-level.  With one free coordinate the two are the same gradient.
+weights, in one frame y = origin + work @ basis.T: the identity for one
+free coordinate, the graph basis for an all-free solve.  The frame takes
+the start in, the caller's gradient out to x and the caller's coordinates
+back, through the basis and divided by sqrt(w), so edges and pinned
+coordinates come back bit for bit.  A solve converges when the max-norm in
+x of the gradient over the coordinates the caller frees meets
+``grad_tol``, or when the moving coordinate's part meets it and the last
+accepted step lowered the caller's gradient by no more than ``grad_tol``:
+a graph over a plane pins in-plane coordinates whose gradient sits at
+discretisation level, where further steps move it by rounding only.  With
+one free coordinate the two are the same gradient.
 
 The discrete optimality residual is the flux divergence of the area
 module's one flux kernel, the same one ``area_gradient`` scales by -hs*ht,
@@ -84,7 +89,7 @@ from .area import (
     terms_gradient,
 )
 from .errors import SolverNaNError
-from .grid import Grid2, SurfaceField
+from .grid import Grid2, SurfaceField, coons_init
 
 
 # the line search: first trial step (the natural length of a Newton step), Armijo
@@ -407,11 +412,12 @@ def minimize(
     height alone), the rest of the field being data; or, as None or a list
     of every coordinate, all of them.  A proper subset of several raises
     ValueError.  An all-free solve runs as a graph over the plane of the
-    corners' span (see the module docstring): it pins the start's two
-    in-plane coordinates, drops the start's part outside the span and
-    moves the height, and raises ValueError when that route is not exact.
-    Either way one loop takes inexact Newton steps on one coordinate, with
-    unit weights in y = sqrt(w) * x.
+    corners' span (see the module docstring): it pins the two in-plane
+    coordinates to the Coons fill of their edge values, drops the start's
+    part outside the span and moves the start's height, and raises
+    ValueError when that route is not exact.  Either way one loop takes
+    inexact Newton steps on one coordinate of one frame, with unit weights
+    in y = sqrt(w) * x.
 
     ``grad_norm`` is the max-norm in x of the gradient over the caller's
     free coordinates.  A solve that stops short returns the best field seen
@@ -424,20 +430,23 @@ def minimize(
     free = _free_slice(free_coords, init.dim)
     tol = cfg.grad_tol if cfg.grad_tol is not None else default_grad_tol(grid)
 
-    # The loop moves coordinate ``moving`` of ``work`` under unit weights, in
-    # y = sqrt(w) * x: the one free coordinate of y, or the height of y in the
-    # graph basis of its corners' span (``_graph_basis``), whose in-plane
-    # coordinates are pinned; a span of rank 2 or less leaves none to move.
+    # The frame: y = sqrt(w) * x = origin + work @ basis.T, and the loop moves column
+    # ``moving`` of ``work`` under unit weights: the start's one free coordinate, or
+    # its height in the graph basis (``_graph_basis``), whose in-plane coordinates
+    # are those of the edges' Coons fill ``pins``.  Columns ``free`` of work hold
+    # the caller's gradient, lifted to x's columns ``free``.
     root = np.sqrt(acfg.weight_vector(init.dim))
-    loop_acfg = replace(acfg, weights=None)
-    work = init.values * root
-    basis = None
+    y = init.values * root
     if free.stop - free.start == init.dim:
-        origin = work[0, 0].copy()
-        basis = _graph_basis(work)
-        work = (work - origin) @ basis
-        lift = basis.T * root  # takes a covector in the basis to the one in x
-    moving = free if basis is None else slice(2, 3)
+        origin, basis, moving = y[0, 0].copy(), _graph_basis(y), slice(2, 3)
+        pins = coons_init(SurfaceField(grid, y)).values
+    else:
+        origin, basis, moving, pins = np.zeros(init.dim), np.eye(init.dim), free, y
+    work = (pins - origin) @ basis
+    work[..., moving] = (y - origin) @ basis[:, moving]
+    lift = (basis.T * root)[free, free]  # takes the caller's covector in work to the one in x
+    height = slice(moving.start - free.start, moving.stop - free.start)  # ``moving`` in ``free``
+    loop_acfg = replace(acfg, weights=None)
     fld = SurfaceField(grid, work)
     # the loop's state (x, g, d) is interior-shaped, (ns-2, nt-2, 1)
     x = work[1:-1, 1:-1, moving].copy()
@@ -479,21 +488,18 @@ def minimize(
     def gradients():
         # the moving coordinate's gradient in y, and the max-norms in x of the
         # caller's gradient and of the moving part (the same with one free coordinate)
-        if basis is None:
-            g = terms_gradient(terms.columns(moving), grid)
-            gfull = max_norm(g * root[free])
-            return g, gfull, gfull
-        g_all = terms_gradient(terms, grid)
-        g = g_all[..., moving]
-        return g, max_norm(g_all @ lift), max_norm(g) * max_norm(lift[moving])
+        g_free = terms_gradient(terms.columns(free), grid)
+        g = g_free[..., height]
+        return g, max_norm(g_free @ lift), max_norm(g) * max_norm(lift[height])
 
     g, gfull, gnorm = gradients()
     it = 0
     previous = math.inf
     while True:
         # the stopping test (module docstring): the caller's gradient, or the moving
-        # part once the last accepted step left the caller's gradient where it was
-        settled = x.size == 0 or gfull >= previous
+        # part once the last accepted step lowered the caller's gradient by no more
+        # than grad_tol
+        settled = x.size == 0 or previous - gfull <= tol
         converged = gfull <= tol or (gnorm <= tol and settled)
         if converged or it >= cfg.max_iters:
             stall = None if converged else (it, None)
@@ -521,10 +527,7 @@ def minimize(
 
     # back to x on interior nodes only: edges and pinned coordinates stay bit-exact
     values = init.values.copy()
-    if basis is None:
-        values[1:-1, 1:-1, free] = work[1:-1, 1:-1, free] / root[free]
-    else:
-        values[1:-1, 1:-1] = (origin + work[1:-1, 1:-1] @ basis.T) / root
+    values[1:-1, 1:-1, free] = (origin[free] + work[1:-1, 1:-1] @ basis[free].T) / root[free]
     final = SurfaceField(grid, values)
     rep = euler_lagrange_residual(final, acfg)
     el_norm = _kept_max_norm(rep.values[1:-1, 1:-1, free], rep.excluded_mask)

@@ -509,7 +509,8 @@ VERIFY_CONFIG = {"problem": "analytic-verify", "oracles": [SCHERK_ORACLE]}
 CATENOID_ORACLE = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2.1]}
 
 
-@pytest.mark.parametrize("problem, oracles, message", [
+# ``source`` is an oracle list, or the name of a surface file in the test's directory
+@pytest.mark.parametrize("problem, source, message", [
     # a problem's table of sources holds for verify too
     ("density1d", [{"oracle": "scherk", "c": 1.0, "window": [0.1, 0.4]}],
      "density1d takes no 'oracles'"),
@@ -533,13 +534,19 @@ CATENOID_ORACLE = {"oracle": "catenoid", "c1": 0.0, "r1": 1.0, "window": [0.8, 2
     ("analytic-verify", [dict(SCHERK_ORACLE, window=[[0.1, 0.4], [-1e308, 1e308]])],
      "oracles[0].window intervals must have a finite width hi - lo, "
      "got [[0.1, 0.4], [-1e+308, 1e+308]]"),
+    # a surface file that is not there, and one that holds no field
+    ("graph", "missing.json", "surface file {dir}/missing.json does not exist"),
+    ("graph", "list.json", "{dir}/list.json: a JSON surface must be an object, got list"),
 ], ids=["density1d_oracles", "inf_window_entry", "negative_catenoid_r1", "zero_scherk_c",
         "catenoid_sign_2", "unknown_oracle", "overflowing_plane", "overflowing_catenoid",
-        "overflowing_window_width"])
-def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem, oracles, message):
-    doc = {"problem": problem, "oracles": oracles, "out": str(tmp_path / "verify")}
+        "overflowing_window_width", "missing_surface", "list_surface"])
+def test_verify_config_errors_exit_2_before_out_exists(tmp_path, capsys, problem, source, message):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    doc = {"problem": problem, "out": str(tmp_path / "verify"),
+           **({"oracles": source} if isinstance(source, list) else
+              {"surface": str(tmp_path / source)})}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message.format(dir=tmp_path)}\n"
     assert not (tmp_path / "verify").exists()
 
 

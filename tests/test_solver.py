@@ -780,16 +780,55 @@ def test_all_free_oracle_gaps_refine_without_drift(name):
 
 def test_all_free_catenoid_solve_is_the_pinned_solve():
     # the catenoid's corners give d along the height, so the all-free solve
-    # pins the start's (x, y) and moves z, as the pinned solve does
+    # pins (x, y) to the Coons fill of the edges and moves the start's z, as
+    # the pinned solve of the start with that (x, y) does
     acfg = ws.AreaConfig(epsilon=0.0)
     for n in (17, 33):
         boundary, init, gap = all_free_oracle_problem("catenoid", n)
         free = ws.minimize(init, ws.SolverConfig(), acfg)
-        pinned = ws.minimize(init, ws.SolverConfig(), acfg, free_coords=(2,))
+        start = ws.coons_init(boundary).values
+        start[..., 2] = init.values[..., 2]
+        pinned = ws.minimize(ws.SurfaceField(init.grid, start), ws.SolverConfig(), acfg,
+                             free_coords=(2,))
         assert free.converged and pinned.converged
         assert np.max(np.abs(free.field.values - pinned.field.values)) <= 1e-11
         assert gap(free.field.values) == pytest.approx(gap(pinned.field.values), rel=1e-7)
         assert_edges_exact(free.field.values, boundary)
+
+
+README_COV_CORNERS = ([1.0, 2.0, 0.5], [2.0, 1.0, 1.5], [0.5, 3.0, 1.0], [3.0, 0.7, 2.0])
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_graph_route_solves_perturbed_starts_to_the_unperturbed_surface(n):
+    # the boundary pins the in-plane coordinates, not the start: a perturbation of
+    # every coordinate changes only where the height starts, and the discrete area
+    # is convex in the height, so every start ends on the one minimizer
+    boundary = ws.edges_from_corner_vectors(*(np.sqrt(c) for c in README_COV_CORNERS),
+                                            ws.Grid2(n, n))
+    base = ws.minimize(ws.coons_init(boundary), ws.SolverConfig(), ws.AreaConfig())
+    assert base.converged
+    for seed in (1, 2, 3):
+        init = ws.perturb_interior(ws.coons_init(boundary), 1e-2, seed)
+        rep = ws.minimize(init, ws.SolverConfig(), ws.AreaConfig())
+        assert rep.converged
+        assert np.max(np.abs(rep.field.values - base.field.values)) <= 1e-8
+        assert rep.area_trace[-1] == pytest.approx(base.area_trace[-1], rel=1e-12, abs=0.0)
+        assert_edges_exact(rep.field.values, boundary)
+
+
+def test_graph_route_stops_within_a_step_of_the_pinned_solve():
+    # a height-only perturbation of the catenoid, whose all-free solve moves the height
+    # as the pinned one does; it stops once its gradient falls by no more than grad_tol,
+    # so rounding in the in-plane gradient costs no further steps
+    surf, window, z_offset = COV_ORACLES["catenoid"]
+    boundary, _ = ws.to_cov_boundary(surf, ws.Grid2(17, 17), window, z_offset)
+    init = ws.perturb_interior(ws.coons_init(boundary), 1e-2, seed=1, free_coords=(2,))
+    acfg = ws.AreaConfig(epsilon=0.0)
+    free = ws.minimize(init, ws.SolverConfig(), acfg)
+    pinned = ws.minimize(init, ws.SolverConfig(), acfg, free_coords=(2,))
+    assert free.converged and pinned.converged
+    assert free.iterations <= pinned.iterations + 1
 
 
 def bent_edge_problem():
